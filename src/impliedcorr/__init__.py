@@ -14,7 +14,6 @@ from .baselines import (
     EquicorrResult,
     adjusted_ex_post,
     equicorrelation,
-    is_psd_weighted_average,
 )
 from .bench import BenchCell, BenchRow, BenchSuite, run_bench
 from .core import (
@@ -58,16 +57,12 @@ from .io import (
     write_vg_params,
 )
 from .solver import (
-    EqualityProjection,
     RestorationError,
     SolverConfig,
     SolverResult,
     initial_loadings,
-    lagrangian_gradient_g,
-    lagrangian_gradient_h,
     objective,
     objective_gradient,
-    project_equality,
     project_feasible,
     project_omega,
     reference_solve,
@@ -97,7 +92,6 @@ __all__ = [
     "EPS_FEAS",
     "EPS_PSD",
     "EconomicResult",
-    "EqualityProjection",
     "EquicorrResult",
     "FactorLoadings",
     "FeasibilityReport",
@@ -121,15 +115,11 @@ __all__ = [
     "generate_synthetic_market",
     "inequality_slack",
     "initial_loadings",
-    "is_psd_weighted_average",
-    "lagrangian_gradient_g",
-    "lagrangian_gradient_h",
     "load_snapshot",
     "objective",
     "objective_gradient",
     "orthogonalize_loadings",
     "portfolio_variance",
-    "project_equality",
     "project_feasible",
     "project_omega",
     "read_loadings_csv",

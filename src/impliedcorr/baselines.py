@@ -25,10 +25,10 @@ without running an optimizer:
 
       alpha = (sigma_m^2 - s_P) / (s_B - s_P),
 
-  with s_P, s_B the index variances under C_P and B.  The blend is PSD
-  for alpha in [0, 1) whenever C_P is PSD; outside that interval the
-  output can be indefinite, which is exactly how non-PSD repair targets
-  arise in practice.
+  with s_P, s_B the index variances under C_P and B.  Both bound matrices
+  are PSD, so the blend is PSD for alpha in [0, 1] whenever C_P is PSD;
+  outside that interval the output can be indefinite, which is exactly
+  how non-PSD repair targets arise in practice.
 
 The negative-premium branch has a known wrinkle: entries of C_P below
 -1/(n-1) are scaled *up* toward the bound while entries above it are
@@ -38,7 +38,6 @@ scaled down, so the adjustment direction is not uniform across pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +172,3 @@ def adjusted_ex_post(
         scaling_consistent=scaling_consistent,
     )
 
-
-def is_psd_weighted_average(alpha: float) -> bool:
-    """True iff blending PSD C_P with a bound matrix at this alpha stays PSD.
-
-    The bound matrices are PSD and the PSD cone is convex, so alpha in
-    [0, 1) suffices; alpha = 1 is excluded because the all-ones bound is
-    singular and the blend then degenerates to it entirely.
-    """
-    return 0.0 <= alpha < 1.0 and math.isfinite(alpha)

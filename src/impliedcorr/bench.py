@@ -6,13 +6,16 @@ economic), a factor count k where applicable, and a target-matrix mode
 (true, hist, mr).  Every cell runs the same number of independent
 instances; instance j of cell i draws its market from
 SeedSequence(seed, spawn_key=(i, j)), so results are reproducible bit for
-bit, independent of execution order and of the number of worker threads.
+bit, independent of execution order.
 
 Reported per cell: wall time, final objective distance to the target,
 absolute variance-constraint residual of the produced matrix, solver
 iterations, and the adjustment scalar (alpha) for the models that have
 one, each as mean/sd (or max for the residual) over the non-failed
-instances.  Failures are counted, never silently dropped.
+instances.  Failures are counted, never silently dropped, and so are
+non-failed instances whose matrix fails check_feasibility (indefinite,
+out of bounds, or off the index variance by more than var_tol); each run
+record carries the full feasibility report.
 
 With measure_time=False the timing columns are written as zeros so the
 rendered table and CSV are byte-identical across runs, which makes the
@@ -25,12 +28,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import adjusted_ex_post, equicorrelation
+from .core import check_feasibility
 from .economic import economic_implied_corr
 from .io import _dump_json
 from .solver import SolverConfig, solve_nicm
@@ -73,15 +76,12 @@ class BenchSuite:
     var_tol: float = 1e-6
     fn_tol: float = 1e-3
     measure_time: bool = True
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("suite has no cells")
         if self.instances < 1:
             raise ValueError(f"instances must be at least 1, got {self.instances}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         # Estimated targets and estimated loadings both come from return
         # panels; cells on the true target read everything from the
         # generator directly.
@@ -123,6 +123,7 @@ class BenchRow:
     alpha_mean: float | None
     alpha_sd: float | None
     instances: int
+    infeasible: int
     failures: int
 
     def to_dict(self) -> dict:
@@ -141,6 +142,7 @@ class BenchRow:
             "alpha_mean": self.alpha_mean,
             "alpha_sd": self.alpha_sd,
             "instances": self.instances,
+            "infeasible": self.infeasible,
             "failures": self.failures,
         }
 
@@ -163,6 +165,7 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
         "vtol": math.nan,
         "iterations": 0,
         "alpha": None,
+        "feasibility": None,
     }
     try:
         ss = np.random.SeedSequence(suite.seed, spawn_key=(cell_idx, instance))
@@ -215,6 +218,7 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
         record["t"] = elapsed if suite.measure_time else 0.0
         record["fn"] = _offdiag_sqdist(C, A)
         record["vtol"] = abs(spec.market.variance - float(v @ C @ v))
+        record["feasibility"] = check_feasibility(C, spec, tol=suite.var_tol).to_dict()
     except Exception as exc:
         record["failed"] = True
         record["error"] = f"{type(exc).__name__}: {exc}"
@@ -253,6 +257,7 @@ def _aggregate(cell: BenchCell, records: list[dict]) -> BenchRow:
         alpha_mean=a_mean,
         alpha_sd=a_sd,
         instances=len(records),
+        infeasible=sum(not r["feasibility"]["feasible"] for r in ok),
         failures=len(records) - len(ok),
     )
 
@@ -275,7 +280,7 @@ def render_table(rows: list[BenchRow]) -> str:
         ("vtol.mean", 10), ("vtol.max", 10),
         ("it.mean", 8), ("it.sd", 8),
         ("a.mean", 9), ("a.sd", 9),
-        ("fail", 5),
+        ("infeas", 6), ("fail", 5),
     ]
     lines = ["  ".join(h.rjust(w) for h, w in headers)]
     lines.append("  ".join("-" * w for _, w in headers))
@@ -284,7 +289,7 @@ def render_table(rows: list[BenchRow]) -> str:
             r.model, r.k, r.target,
             r.t_mean, r.t_sd, r.fn_mean, r.fn_sd,
             r.vtol_mean, r.vtol_max, r.iter_mean, r.iter_sd,
-            r.alpha_mean, r.alpha_sd, r.failures,
+            r.alpha_mean, r.alpha_sd, r.infeasible, r.failures,
         ]
         lines.append("  ".join(_fmt_cell(v, w) for v, (_, w) in zip(vals, headers)))
     return "\n".join(lines) + "\n"
@@ -308,13 +313,7 @@ def run_bench(suite: BenchSuite, out_dir: str | None = None) -> tuple[list[Bench
     rows: list[BenchRow] = []
     all_records: list[tuple[int, list[dict]]] = []
     for ci, cell in enumerate(suite.cells):
-        if suite.jobs > 1:
-            with ThreadPoolExecutor(max_workers=suite.jobs) as pool:
-                records = list(
-                    pool.map(lambda ii: _run_instance(suite, cell, ci, ii), range(suite.instances))
-                )
-        else:
-            records = [_run_instance(suite, cell, ci, ii) for ii in range(suite.instances)]
+        records = [_run_instance(suite, cell, ci, ii) for ii in range(suite.instances)]
         all_records.append((ci, records))
         rows.append(_aggregate(cell, records))
 

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .baselines import adjusted_ex_post, equicorrelation, is_psd_weighted_average
+from .baselines import adjusted_ex_post, equicorrelation
 from .bench import BenchSuite, run_bench
 from .core import check_feasibility
 from .economic import economic_implied_corr
@@ -169,7 +169,6 @@ def _cmd_adjust(args) -> int:
         "alpha_hat": res.alpha_hat,
         "used_lower_bound": res.used_lower_bound,
         "crp_sign": res.crp_sign,
-        "is_psd_weighted_average": is_psd_weighted_average(res.alpha_hat),
         "scaling_consistent": res.scaling_consistent,
         "psd": report.psd,
         "min_eigenvalue": report.min_eigenvalue,

@@ -27,7 +27,14 @@ sub-indices); they are evaluated jointly in stacked form.
 This module holds the shared value types (loadings, correlation matrices,
 market constraint sets) and the elementary operations the model layers build
 on: assembling C(X), residual idiosyncratic variances, portfolio variance,
-constraint residuals, and a combined feasibility report.
+constraint residuals, and a combined feasibility report.  It also holds the
+two O(n k) kernels of the index variance algebra, with v = sigma o w and
+K = v v' o J = v v' - diag(v^2):
+
+* :func:`hollow_form` evaluates v' [(L R') o J] v = <L, K R>, so the model
+  index variance at X is hollow_form(v, X, X) + v'v;
+* :func:`constraint_normal` evaluates K X; the gradient of the constraint
+  residual g is dg/dX = -2 K X.
 """
 
 from __future__ import annotations
@@ -271,6 +278,18 @@ def assemble_correlation(X) -> CorrMatrix:
     C = arr @ arr.T
     np.fill_diagonal(C, 1.0)
     return CorrMatrix(C)
+
+
+def hollow_form(v: np.ndarray, L: np.ndarray, R: np.ndarray) -> float:
+    """v' [(L R') o J] v = (L'v)'(R'v) - sum_i v_i^2 <L_i, R_i>, in O(n k)."""
+    lv = L.T @ v
+    rv = lv if R is L else R.T @ v
+    return float(lv @ rv) - float((v * v) @ np.einsum("ij,ij->i", L, R))
+
+
+def constraint_normal(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K X with K = v v' o J, in O(n k); no n x n matrix is formed."""
+    return v[:, None] * (X.T @ v) - (v * v)[:, None] * X
 
 
 def residual_variances(X) -> np.ndarray:

@@ -48,6 +48,7 @@ from .core import (
     MarketSpec,
     _loadings_array,
     assemble_correlation,
+    hollow_form,
     portfolio_variance,
 )
 
@@ -117,21 +118,20 @@ def orthogonalize_loadings(X_P) -> FactorLoadings:
 
 
 def crp_sign(X_P, spec: MarketSpec) -> int:
-    """Sign of the correlation risk premium sigma_m^2 - v' C(X_P) v."""
+    """Sign of the correlation risk premium sigma_m^2 - v' C(X_P) v.
+
+    The premium is evaluated on the assembled matrix, as portfolio_variance
+    and the synthetic markets evaluate it, so that a target set equal to
+    the model variance gives exactly zero.  The O(n k) hollow form rounds
+    differently, and a premium one rounding away from zero can make
+    solve_alpha_tilde take its far root instead of alpha = 0.
+    """
     premium = spec.market.variance - portfolio_variance(assemble_correlation(X_P), spec, 0)
     if premium > 0.0:
         return 1
     if premium < 0.0:
         return -1
     return 0
-
-
-def _hollow_cross(v: np.ndarray, L: np.ndarray, R: np.ndarray) -> float:
-    """v' [ (L R') o J ] v without forming the n x n product."""
-    lv = L.T @ v
-    rv = R.T @ v
-    diag = np.einsum("ij,ij->i", L, R)
-    return float(lv @ rv) - float((v * v) @ diag)
 
 
 def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> AlphaSolution:
@@ -164,9 +164,9 @@ def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> Alph
     target = spec.market.variance
     X_D = float(ups) - arr
 
-    sPP = _hollow_cross(v, arr, arr) + float(v @ v)
-    sDD = _hollow_cross(v, X_D, X_D)
-    sPD = _hollow_cross(v, arr, X_D)
+    sPP = hollow_form(v, arr, arr) + float(v @ v)
+    sDD = hollow_form(v, X_D, X_D)
+    sPD = hollow_form(v, arr, X_D)
 
     if ups == 0:
         # Zero premium: the constraint already holds at X_P and the limit

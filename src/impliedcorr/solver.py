@@ -47,7 +47,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from .core import (
     CorrMatrix,
@@ -57,6 +56,8 @@ from .core import (
     _corr_array,
     _loadings_array,
     assemble_correlation,
+    constraint_normal,
+    hollow_form,
 )
 
 logger = logging.getLogger(__name__)
@@ -170,49 +171,22 @@ def _target_offdiag(A) -> np.ndarray:
     return A_hat
 
 
+def _objective_and_gradient(X: np.ndarray, A_hat: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(X) and grad f(X) = 4 D X from one residual D = J o (X X') - A_hat."""
+    D = X @ X.T
+    np.fill_diagonal(D, 0.0)
+    D -= A_hat
+    return float(np.sum(D * D)), 4.0 * (D @ X)
+
+
 def objective(X, A) -> float:
     """f(X) = || J o (X X') - (A - I) ||_F^2."""
-    arr = _loadings_array(X)
-    A_hat = _target_offdiag(A)
-    M = arr @ arr.T
-    np.fill_diagonal(M, 0.0)
-    D = M - A_hat
-    return float(np.sum(D * D))
+    return _objective_and_gradient(_loadings_array(X), _target_offdiag(A))[0]
 
 
 def objective_gradient(X, A) -> np.ndarray:
     """grad f(X) = 4 (J o (X X') - (A - I)) X."""
-    arr = _loadings_array(X)
-    A_hat = _target_offdiag(A)
-    M = arr @ arr.T
-    np.fill_diagonal(M, 0.0)
-    return 4.0 * ((M - A_hat) @ arr)
-
-
-def lagrangian_gradient_g(X, spec: MarketSpec, lam: np.ndarray) -> np.ndarray:
-    """Gradient of sum_j lam_j g_j(X).
-
-    Each g_j(X) = sigma_j^2 - v_j' (J o X X' + I) v_j with v_j = sigma o w_j
-    has gradient -2 (v_j v_j' o J) X, so the weighted sum is
-    -2 (sum_j lam_j v_j v_j' o J) X, assembled in a single rank-k update.
-    """
-    arr = _loadings_array(X)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size != len(spec.constraints):
-        raise ValueError(f"{lam.size} multipliers for {len(spec.constraints)} constraints")
-    V = spec.sigma[:, None] * np.column_stack([c.weights for c in spec.constraints])
-    M = (V * lam) @ V.T
-    np.fill_diagonal(M, 0.0)
-    return -2.0 * (M @ arr)
-
-
-def lagrangian_gradient_h(X, kappa: np.ndarray) -> np.ndarray:
-    """Gradient of sum_i kappa_i h_i(X) with h_i = 1 - ||X_i||^2."""
-    arr = _loadings_array(X)
-    kappa = np.asarray(kappa, dtype=float)
-    if kappa.shape != (arr.shape[0],):
-        raise ValueError(f"kappa has shape {kappa.shape}, expected ({arr.shape[0]},)")
-    return -2.0 * kappa[:, None] * arr
+    return _objective_and_gradient(_loadings_array(X), _target_offdiag(A))[1]
 
 
 def _project_omega_raw(arr: np.ndarray) -> np.ndarray:
@@ -234,40 +208,47 @@ def project_omega(X) -> np.ndarray:
     return _project_omega_raw(_loadings_array(X))
 
 
-class EqualityProjection(NamedTuple):
+class _EqualityProjection(NamedTuple):
     """Both first-order moves onto the variance surface g(X) = 0."""
 
     X_plus: np.ndarray
     X_minus: np.ndarray
     lam_plus: float
     lam_minus: float
-    dist_plus: float
-    dist_minus: float
 
     def pick(self, branch: str) -> np.ndarray:
         return self.X_plus if branch == "plus" else self.X_minus
 
     def nearer_branch(self) -> str:
-        # Tie goes to the plus branch.
-        return "minus" if self.dist_minus < self.dist_plus else "plus"
+        # Both moves run along the same direction, so the shorter one has
+        # the smaller |lambda|.  Tie goes to the plus branch.
+        return "minus" if abs(self.lam_minus) < abs(self.lam_plus) else "plus"
 
 
-def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> EqualityProjection:
-    # K = v v' o J = v v' - diag(v^2) has rank-one-plus-diagonal structure,
-    # so K X and every coefficient below cost O(n k); no n x n product.
-    v2 = v * v
-    p = arr.T @ v                          # X' v
-    Y = v[:, None] * p[None, :] - v2[:, None] * arr   # K X
-    t = Y.T @ v                            # X' K v  (K symmetric)
+def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> _EqualityProjection:
+    """First-order projection onto the index variance surface.
 
-    # Hollow quadratic forms v' (M o J) v = v' M v - sum_i v_i^2 M_ii:
-    row_xx = np.einsum("ij,ij->i", arr, arr)
-    row_xy = np.einsum("ij,ij->i", arr, Y)
-    row_yy = np.einsum("ij,ij->i", Y, Y)
+    The move direction is the constraint normal pulled back through the
+    factor structure: X_E(lambda) = X + lambda Y with Y = K X.  With the
+    hollow form H(L, R) = v' [(L R') o J] v = <L, K R>, the model variance
+    along the move is H(X, X) + 2 lambda H(X, Y) + lambda^2 H(Y, Y) + v'v,
+    and H(X, Y) = ||Y||^2, so g = 0 becomes the scalar quadratic
 
-    a = float(t @ t - v2 @ row_yy)
-    b = 2.0 * float(p @ t - v2 @ row_xy)
-    c = float(p @ p - v2 @ row_xx) + float(v @ v) - target
+        a lambda^2 + b lambda + c = 0,
+        a = <Y, K Y>,   b = 2 ||Y||_F^2,   c = <X, Y> + v'v - sigma_m^2,
+
+    solved with the numerically stable quadratic formula.  Both roots are
+    returned; callers choose a branch and stick with it.  Degenerate cases:
+    a = 0 falls back to the linear root -c/b on both branches; a = b = 0
+    with the constraint unmet means it is insensitive to moves along K X
+    and raises RestorationError.  A negative discriminant (surface
+    unreachable at first order from X) keeps the real part -b/(2a) on both
+    branches so the alternation can continue from the closest approach.
+    """
+    Y = constraint_normal(v, arr)
+    a = float(np.vdot(Y, constraint_normal(v, Y)))
+    b = 2.0 * float(np.vdot(Y, Y))
+    c = float(np.vdot(arr, Y)) + float(v @ v) - target
 
     if a == 0.0:
         if b == 0.0:
@@ -299,56 +280,16 @@ def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> Equa
             else:
                 lam_plus, lam_minus = r1, r2
 
-    X_plus = arr + lam_plus * Y
-    X_minus = arr + lam_minus * Y
-    norm_Y = float(np.linalg.norm(Y))
-    return EqualityProjection(
-        X_plus=X_plus,
-        X_minus=X_minus,
+    return _EqualityProjection(
+        X_plus=arr + lam_plus * Y,
+        X_minus=arr + lam_minus * Y,
         lam_plus=float(lam_plus),
         lam_minus=float(lam_minus),
-        dist_plus=abs(lam_plus) * norm_Y,
-        dist_minus=abs(lam_minus) * norm_Y,
     )
 
 
-def project_equality(X, spec: MarketSpec) -> EqualityProjection:
-    """First-order projection onto the index variance surface.
-
-    The move direction is the constraint normal pulled back through the
-    factor structure: X_E(lambda) = X + lambda K X with K = v v' o J and
-    v = sigma o w.  Substituting into g gives the scalar quadratic
-
-        a lambda^2 + b lambda + c = 0,
-        a = v' [ (K X X' K) o J ] v,
-        b = 2 v' [ (X X' K) o J ] v,
-        c = v' [ (X X') o J + I ] v - sigma_m^2,
-
-    solved with the numerically stable quadratic formula.  Both roots are
-    returned; callers choose a branch and stick with it.  Degenerate cases:
-    a = 0 falls back to the linear root -c/b on both branches; a = b = 0
-    with the constraint unmet means it is insensitive to moves along K X
-    and raises RestorationError.  A negative discriminant (surface
-    unreachable at first order from X) keeps the real part -b/(2a) on both
-    branches so the alternation can continue from the closest approach.
-    """
-    arr = _loadings_array(X)
-    if len(spec.constraints) != 1:
-        raise ValueError(
-            f"equality projection handles a single market constraint, got {len(spec.constraints)}"
-        )
-    v = spec.scaled_weights(0)
-    if v.size != arr.shape[0]:
-        raise ValueError(f"spec has {v.size} assets, loadings have {arr.shape[0]} rows")
-    return _project_equality_raw(arr, v, spec.market.variance)
-
-
 def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
-    p = arr.T @ v
-    v2 = v * v
-    row_xx = np.einsum("ij,ij->i", arr, arr)
-    model = float(p @ p - v2 @ row_xx) + float(v @ v)
-    return target - model
+    return target - (hollow_form(v, arr, arr) + float(v @ v))
 
 
 def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
@@ -370,12 +311,12 @@ def _rescue_boundary(
     the scalar residual equation on it directly.  Returns the feasible
     point, or None when no sign change brackets a root.
     """
-    v2 = v * v
+    from scipy.optimize import brentq
+
+    Y = constraint_normal(v, arr)
 
     def clipped(lam: float) -> np.ndarray:
-        p = arr.T @ v
-        moved = arr + lam * (v[:, None] * p[None, :] - v2[:, None] * arr)
-        return _project_omega_raw(moved)
+        return _project_omega_raw(arr + lam * Y)
 
     def phi(lam: float) -> float:
         return _residual_raw(clipped(lam), v, target)
@@ -398,7 +339,7 @@ def _rescue_boundary(
             break
     if hi is None:
         return None
-    lam_star = scipy.optimize.brentq(phi, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    lam_star = brentq(phi, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     out = clipped(lam_star)
     if abs(_residual_raw(out, v, target)) <= config.restoration_tol:
         return out
@@ -410,14 +351,26 @@ def _project_feasible_raw(
     v: np.ndarray,
     target: float,
     config: SolverConfig,
-    branch: str | None,
     fastfail: bool = False,
 ) -> np.ndarray:
+    # Every correlation matrix is the Gram matrix of unit vectors z_i, so
+    # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
+    # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
+    # outside that range is infeasible for every k.
+    absv = np.abs(v)
+    total = float(absv.sum())
+    min_var = max(0.0, 2.0 * float(absv.max()) - total) ** 2
+    if target < min_var - config.restoration_tol:
+        raise RestorationError(
+            f"index variance target {target:g} is below the attainable minimum "
+            f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
+            residual=target - min_var,
+        )
     # Targets at the comonotonic bound admit exactly one feasible point
     # (every pairwise correlation equal to one).  The variance surface is
     # tangent to the ball there, so alternating projections stall; build
     # the point directly instead.
-    max_var = float(np.abs(v).sum()) ** 2
+    max_var = total ** 2
     if target >= max_var - config.restoration_tol:
         com = np.zeros_like(arr)
         com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
@@ -431,7 +384,7 @@ def _project_feasible_raw(
         )
 
     proj = _project_equality_raw(arr, v, target)
-    locked = branch if branch is not None else proj.nearer_branch()
+    locked = proj.nearer_branch()
     cur = proj.pick(locked)
 
     # Row slack 1e-12 instead of exact membership: at targets sitting on
@@ -479,27 +432,22 @@ def _project_feasible_raw(
     return _project_omega_raw(cur)
 
 
-def project_feasible(
-    X,
-    spec: MarketSpec,
-    config: SolverConfig | None = None,
-    branch: str | None = None,
-) -> np.ndarray:
+def project_feasible(X, spec: MarketSpec, config: SolverConfig | None = None) -> np.ndarray:
     """Restore a point to Omega intersected with the variance surface.
 
-    The first equality projection selects the branch (nearer root in
-    Frobenius distance unless one is forced) and locks it; afterwards the
-    restoration alternates P_Omega and the locked-branch P_E until the
-    residual drops below restoration_tol with all rows inside Omega.
-    Already-feasible points are returned unchanged.
+    The first equality projection selects the branch (the root with the
+    shorter move) and locks it; afterwards the restoration alternates
+    P_Omega and the locked-branch P_E until the residual drops below
+    restoration_tol with all rows inside Omega.  Already-feasible points
+    are returned unchanged.
 
-    Raises RestorationError carrying the final residual when the
-    alternation does not converge within max_restoration_iter sweeps.
+    Raises RestorationError carrying the final residual when the target
+    lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
+    (sum|v_i|)^2] of v'Cv, or when the alternation does not converge
+    within max_restoration_iter sweeps.
     """
     if config is None:
         config = SolverConfig()
-    if branch not in (None, "plus", "minus"):
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     arr = _loadings_array(X)
     if len(spec.constraints) != 1:
         raise ValueError(
@@ -508,7 +456,7 @@ def project_feasible(
     v = spec.scaled_weights(0)
     if v.size != arr.shape[0]:
         raise ValueError(f"spec has {v.size} assets, loadings have {arr.shape[0]} rows")
-    return _project_feasible_raw(arr, v, spec.market.variance, config, branch)
+    return _project_feasible_raw(arr, v, spec.market.variance, config)
 
 
 def initial_loadings(A, k: int) -> FactorLoadings:
@@ -609,20 +557,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     work_spec, scale = _rescaled_spec(spec)
     A_hat = A_arr.copy()
     np.fill_diagonal(A_hat, 0.0)
-
-    def fval(Z: np.ndarray) -> float:
-        M = Z @ Z.T
-        np.fill_diagonal(M, 0.0)
-        D = M - A_hat
-        return float(np.sum(D * D))
-
-    def fgrad(Z: np.ndarray) -> np.ndarray:
-        M = Z @ Z.T
-        np.fill_diagonal(M, 0.0)
-        return 4.0 * ((M - A_hat) @ Z)
-
     v = work_spec.scaled_weights(0)
-    v2 = v * v
     target = work_spec.market.variance
     restorations = 0
 
@@ -631,19 +566,17 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         # (the factor -2 cancels inside the projection).  Steps along the
         # result leave g unchanged to first order, so the restoration only
         # has to absorb second-order drift and long moves survive it.
-        p = Y.T @ v
-        N = v[:, None] * p[None, :] - v2[:, None] * Y
+        N = constraint_normal(v, Y)
         nn = float(np.sum(N * N))
         if nn == 0.0:
             return gr
         return gr - (float(np.sum(gr * N)) / nn) * N
 
     X = initial_loadings(A_arr, config.k).values
-    X = _project_feasible_raw(X, v, target, config, None)
+    X = _project_feasible_raw(X, v, target, config)
     restorations += 1
 
-    f = fval(X)
-    grad = fgrad(X)
+    f, grad = _objective_and_gradient(X, A_hat)
     trace = [f]
 
     gnorm = float(np.max(np.abs(grad)))
@@ -669,12 +602,12 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         for _ in range(config.max_backtracks):
             try:
                 trial = _project_omega_raw(X - (s * alpha) * direction)
-                T = _project_feasible_raw(trial, v, target, config, None, fastfail=True)
+                T = _project_feasible_raw(trial, v, target, config, fastfail=True)
                 restorations += 1
             except RestorationError:
                 s *= config.backtrack
                 continue
-            fT = fval(T)
+            fT, gT = _objective_and_gradient(T, A_hat)
             descent = float(np.sum(grad * (T - X)))
             if descent < 0.0 and fT <= f + config.armijo_c1 * descent:
                 accepted = True
@@ -688,7 +621,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
 
         accepted_len = s * alpha
         dX = T - X
-        dG = fgrad(T) - grad
+        dG = gT - grad
         X = T
         grad = grad + dG
         improvement = f - fT
@@ -747,6 +680,8 @@ def reference_solve(
     descend into the same basin, but shares none of the projection or
     line-search machinery.  Intended for n up to about 25.
     """
+    from scipy.optimize import minimize
+
     t0 = time.perf_counter()
     if config is None:
         config = SolverConfig(k=k)
@@ -795,7 +730,7 @@ def reference_solve(
     inner_iters = 0
 
     for _ in range(30):
-        res = scipy.optimize.minimize(
+        res = minimize(
             lambda z: split_val_grad(z, lam, kappa, mu)[:2],
             x,
             jac=True,

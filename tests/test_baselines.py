@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from impliedcorr.baselines import adjusted_ex_post, equicorrelation, is_psd_weighted_average
+from impliedcorr.baselines import adjusted_ex_post, equicorrelation
 from impliedcorr.core import IndexConstraint, MarketSpec, portfolio_variance
 
 
@@ -134,11 +134,3 @@ def test_adjusted_ex_post_degenerate_blend():
     with pytest.raises(ValueError, match="cannot"):
         adjusted_ex_post(np.ones((2, 2)), spec2(0.05), workaround=False)
 
-
-def test_is_psd_weighted_average():
-    assert is_psd_weighted_average(0.3)
-    assert is_psd_weighted_average(0.0)
-    assert not is_psd_weighted_average(-0.2)
-    assert not is_psd_weighted_average(1.0)
-    assert not is_psd_weighted_average(float("nan"))
-    assert not is_psd_weighted_average(float("inf"))

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,18 @@ def run_json(capsys, argv):
     out = capsys.readouterr()
     payload = json.loads(out.out) if out.out.strip().startswith("{") else out.out
     return code, payload, out.err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the boundary rescue and the reference
+    # solver; a fresh `import impliedcorr.cli` must not pay for it.
+    import impliedcorr
+
+    src = os.path.dirname(os.path.dirname(impliedcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, impliedcorr.cli; assert 'scipy.optimize' not in sys.modules"
+    cp = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
 
 
 def test_no_command_prints_help():
@@ -111,7 +125,6 @@ def test_adjust_hand_value(tmp_path, capsys):
     assert code == 0
     assert out["alpha_hat"] == pytest.approx(0.5, abs=1e-15)
     assert out["crp_sign"] == 1
-    assert out["is_psd_weighted_average"] is True
     assert out["psd"] is True
     assert abs(out["constraint_residuals"][0]) <= 1e-15
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from impliedcorr.core import (
     CorrMatrix,
@@ -10,7 +13,9 @@ from impliedcorr.core import (
     MarketSpec,
     assemble_correlation,
     check_feasibility,
+    constraint_normal,
     constraint_residuals,
+    hollow_form,
     inequality_slack,
     portfolio_variance,
     residual_variances,
@@ -247,3 +252,41 @@ def test_feasibility_report_to_dict_round_trips_flags():
     assert d["feasible"] is True
     assert d["mathematically_feasible"] is True
     assert isinstance(d["constraint_residuals"], list)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """v with mixed signs and |v_i| <= 0.9, plus two n x k loadings."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    v = draw(arrays(float, n, elements=st.floats(-0.9, 0.9)))
+    L = draw(arrays(float, (n, k), elements=st.floats(-1.0, 1.0)))
+    R = draw(arrays(float, (n, k), elements=st.floats(-1.0, 1.0)))
+    return v, L, R
+
+
+KERNEL_PROPERTIES = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@KERNEL_PROPERTIES
+@given(kernel_inputs())
+def test_constraint_normal_matches_dense_product(inputs):
+    v, X, _ = inputs
+    K = np.outer(v, v) - np.diag(v * v)
+    # entrywise bound |(K X)_id| <= |v_i| sum_j |v_j| |X_jd| sets the scale
+    scale = np.abs(v)[:, None] * (np.abs(v) @ np.abs(X))
+    assert np.all(np.abs(constraint_normal(v, X) - K @ X) <= 1e-12 * scale)
+
+
+@KERNEL_PROPERTIES
+@given(kernel_inputs())
+def test_hollow_form_matches_dense_and_inner_product(inputs):
+    v, L, R = inputs
+    M = L @ R.T
+    np.fill_diagonal(M, 0.0)
+    dense = float(v @ M @ v)
+    inner = float(np.sum(L * constraint_normal(v, R)))
+    scale = float((np.abs(L).T @ np.abs(v)) @ (np.abs(R).T @ np.abs(v)))
+    h = hollow_form(v, L, R)
+    assert abs(h - dense) <= 1e-12 * scale
+    assert abs(h - inner) <= 1e-12 * scale

@@ -11,22 +11,22 @@ import warnings
 import numpy as np
 import pytest
 
+from impliedcorr.baselines import adjusted_ex_post
 from impliedcorr.core import (
     IndexConstraint,
     MarketSpec,
     assemble_correlation,
+    constraint_normal,
     inequality_slack,
     portfolio_variance,
 )
 from impliedcorr.solver import (
     RestorationError,
     SolverConfig,
+    _project_equality_raw,
     initial_loadings,
-    lagrangian_gradient_g,
-    lagrangian_gradient_h,
     objective,
     objective_gradient,
-    project_equality,
     project_feasible,
     project_omega,
     reference_solve,
@@ -104,34 +104,11 @@ def test_constraint_gradient_matches_finite_differences():
                 for j, c in enumerate(spec.constraints)
             )
 
-        G = lagrangian_gradient_g(X, spec, lam)
+        # dg_j/dX = -2 K_j X with K_j = v_j v_j' o J, v_j = sigma o w_j
+        G = sum(-2.0 * lam[j] * constraint_normal(spec.scaled_weights(j), X) for j in range(2))
         G_fd = fd_gradient(weighted_g, X)
         scale = max(1.0, float(np.max(np.abs(G_fd))))
         np.testing.assert_allclose(G, G_fd, atol=1e-6 * scale)
-
-
-def test_inequality_gradient_matches_finite_differences():
-    rng = np.random.default_rng(105)
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, 4))
-        X = rng.uniform(-0.5, 0.5, size=(n, k))
-        kappa = rng.normal(size=n)
-
-        def weighted_h(Z):
-            return float(kappa @ (1.0 - np.einsum("ij,ij->i", Z, Z)))
-
-        G = lagrangian_gradient_h(X, kappa)
-        G_fd = fd_gradient(weighted_h, X)
-        np.testing.assert_allclose(G, G_fd, atol=1e-6)
-
-
-def test_lagrangian_gradient_shape_checks():
-    with pytest.raises(ValueError, match="multipliers"):
-        spec = MarketSpec(np.array([0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
-        lagrangian_gradient_g(np.zeros((2, 1)), spec, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="kappa"):
-        lagrangian_gradient_h(np.zeros((2, 1)), np.zeros(3))
 
 
 def test_project_omega_properties():
@@ -173,6 +150,10 @@ def residual(X, spec):
     return spec.market.variance - portfolio_variance(assemble_correlation(X), spec)
 
 
+def equality_moves(X, spec):
+    return _project_equality_raw(np.asarray(X, dtype=float), spec.scaled_weights(0), spec.market.variance)
+
+
 def test_project_equality_both_roots_are_exact():
     # target chosen as the variance at a known point on the projection
     # curve, so a real root exists by construction and both roots of the
@@ -196,7 +177,7 @@ def test_project_equality_both_roots_are_exact():
         if var <= 1e-6:
             continue
         spec = MarketSpec(sigma, (IndexConstraint("market", w, var),))
-        proj = project_equality(X, spec)
+        proj = equality_moves(X, spec)
         for Z in (proj.X_plus, proj.X_minus):
             assert abs(residual(Z, spec)) <= 1e-8 * var
         checked += 1
@@ -207,22 +188,22 @@ def test_project_equality_branch_labels():
     rng = np.random.default_rng(113)
     spec = random_spec(rng, 5)
     X = rng.uniform(-0.4, 0.4, size=(5, 2))
-    proj = project_equality(X, spec)
+    proj = equality_moves(X, spec)
     # plus branch carries the +sqrt(disc) root, so lam_plus >= lam_minus
     # exactly when the leading coefficient is positive; for this fixture
     # check the ordering directly through the realized moves
     assert proj.pick("plus") is proj.X_plus
     assert proj.pick("minus") is proj.X_minus
     near = proj.nearer_branch()
-    d = {"plus": proj.dist_plus, "minus": proj.dist_minus}
-    assert d[near] == min(proj.dist_plus, proj.dist_minus)
+    d = {"plus": abs(proj.lam_plus), "minus": abs(proj.lam_minus)}
+    assert d[near] == min(d.values())
 
 
 def test_project_equality_feasible_point_keeps_zero_root():
     rng = np.random.default_rng(115)
     spec = random_spec(rng, 4)
     X = project_feasible(rng.normal(scale=0.4, size=(4, 2)), spec)
-    proj = project_equality(X, spec)
+    proj = equality_moves(X, spec)
     # one root is the (near-)zero move; the nearer branch picks it
     np.testing.assert_allclose(proj.pick(proj.nearer_branch()), X, atol=1e-8)
 
@@ -241,9 +222,8 @@ def test_project_equality_unreachable_target_ties_to_plus():
         ]
     )
     spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.019059856078205258),))
-    proj = project_equality(X, spec)
+    proj = equality_moves(X, spec)
     assert proj.lam_plus == proj.lam_minus
-    assert proj.dist_plus == proj.dist_minus
     assert proj.nearer_branch() == "plus"
     # the collapsed move is a genuine closest approach, not a root
     assert abs(residual(proj.X_plus, spec)) > 1e-6
@@ -253,10 +233,10 @@ def test_project_equality_degenerate_direction_raises():
     # X = 0 makes K X vanish; the constraint cannot be reached along it
     spec = MarketSpec(np.array([0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
     with pytest.raises(RestorationError, match="insensitive"):
-        project_equality(np.zeros((2, 1)), spec)
+        equality_moves(np.zeros((2, 1)), spec)
 
 
-def test_project_equality_single_constraint_only():
+def test_project_feasible_single_constraint_only():
     spec = MarketSpec(
         np.array([0.2, 0.2]),
         (
@@ -265,7 +245,7 @@ def test_project_equality_single_constraint_only():
         ),
     )
     with pytest.raises(ValueError, match="single"):
-        project_equality(np.full((2, 1), 0.3), spec)
+        project_feasible(np.full((2, 1), 0.3), spec)
 
 
 def test_project_feasible_lands_in_both_sets():
@@ -289,12 +269,6 @@ def test_project_feasible_keeps_feasible_points():
     np.testing.assert_allclose(Z, X, atol=1e-12)
 
 
-def test_project_feasible_branch_validation():
-    spec = MarketSpec(np.array([0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
-    with pytest.raises(ValueError, match="branch"):
-        project_feasible(np.full((2, 1), 0.3), spec, branch="sideways")
-
-
 def test_project_feasible_comonotonic_target():
     # target exactly at the attainable maximum: the only feasible point has
     # every pairwise correlation equal to one
@@ -316,6 +290,33 @@ def test_project_feasible_beyond_comonotonic_raises():
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap * 1.01),))
     with pytest.raises(RestorationError, match="comonotonic"):
         project_feasible(np.full((2, 1), 0.3), spec)
+
+
+def test_project_feasible_below_attainable_minimum_raises():
+    # v = (0.3, -0.1): v'Cv = 0.1 - 0.06 c_12 spans [0.04, 0.16] exactly
+    sigma = np.array([0.2, 0.2])
+    w = np.array([1.5, -0.5])
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, 0.03),))
+    with pytest.raises(RestorationError, match="attainable minimum") as err:
+        project_feasible(np.full((2, 1), 0.3), spec)
+    assert err.value.residual == pytest.approx(0.03 - 0.04, abs=1e-15)
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, 0.05),))
+    Z = project_feasible(np.full((2, 1), 0.3), spec)
+    assert abs(residual(Z, spec)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_nicm_rejects_target_below_attainable_minimum(k):
+    # The hard-repair recipe on market 3003: one index weight dominates,
+    # so every correlation matrix gives v'Cv >= (2 max|v_i| - sum|v_i|)^2
+    # = 0.04595, above the scaled target 0.03378.
+    snap, C_true = generate_synthetic_market(10, 2, 0.0, seed=3003)
+    con = snap.spec.constraints[0]
+    spec = MarketSpec(snap.spec.sigma, (IndexConstraint(con.name, con.weights, 0.35 * con.variance),))
+    A = adjusted_ex_post(C_true.values, spec, workaround=False).C_Q.values
+    with pytest.raises(RestorationError, match="attainable minimum") as err:
+        solve_nicm(A, spec, SolverConfig(k=k))
+    assert err.value.residual == pytest.approx(0.03378 - 0.04595, abs=1e-5)
 
 
 def test_project_feasible_negative_weights_comonotonic_point():
