@@ -71,11 +71,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, obj: dict) -> None:
     if args.format == "csv":
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         for key in sorted(obj):
             val = obj[key]
             if isinstance(val, (dict, list)):
                 val = json.dumps(val, sort_keys=True)
-            print(f"{key},{val}")
+            writer.writerow([key, str(val)])
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
 

@@ -241,7 +241,7 @@ def read_vg_params(path: str) -> VGParams:
     )
 
 
-def write_vg_params(path: str, params: VGParams, c_dir_name: str = "C_dir.csv") -> None:
+def write_vg_params(path: str, params: VGParams) -> None:
     d = {
         "xi": [float(x) for x in params.xi],
         "omega": [float(x) for x in params.omega],
@@ -250,8 +250,8 @@ def write_vg_params(path: str, params: VGParams, c_dir_name: str = "C_dir.csv") 
         "C_dir": None,
     }
     if params.C_dir is not None:
-        write_matrix_csv(os.path.join(os.path.dirname(os.path.abspath(path)), c_dir_name), params.C_dir.values)
-        d["C_dir"] = c_dir_name
+        write_matrix_csv(os.path.join(os.path.dirname(os.path.abspath(path)), "C_dir.csv"), params.C_dir.values)
+        d["C_dir"] = "C_dir.csv"
     _dump_json(path, d)
 
 

@@ -44,7 +44,6 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +64,14 @@ logger = logging.getLogger(__name__)
 # Spectral (Barzilai-Borwein) step bounds.
 STEP_MIN = 1e-10
 STEP_MAX = 1e10
+# Arc search: Armijo sufficient-decrease constant, backtracking factor
+# and the number of backtracks before a point counts as stationary.
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+# Restoration: |g| tolerance and sweep budget of the alternation.
+RESTORATION_TOL = 1e-10
+MAX_RESTORATION_ITER = 100
 
 # Rescale volatilities when max |sigma_i w_i| reaches this level; the
 # first-order equality projection degrades as the entries approach one.
@@ -81,43 +88,30 @@ class RestorationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration limits of the nearest-matrix solver.
+    """Factor count and stopping tolerances of the nearest-matrix solver.
 
     var_tol bounds the admissible constraint residual |g| of a converged
     solution.  fn_tol stops the outer loop once the objective improvement
-    per accepted step falls below it; improvement is measured absolutely
-    by default or relative to max(1, |f|) with improvement="relative".
+    of an accepted step falls below it; the test is absolute, so on large
+    objectives (n in the hundreds) it is a small relative one and a solve
+    can run into max_outer_iter, which a larger fn_tol (CLI --tol-fn)
+    avoids.  The method constants (Armijo, backtracking, spectral step
+    bounds, restoration tolerance and sweep budget) are module constants.
     """
 
     k: int = 1
     var_tol: float = 1e-6
     fn_tol: float = 1e-3
-    improvement: str = "absolute"
     max_outer_iter: int = 200
-    max_restoration_iter: int = 100
-    restoration_tol: float = 1e-10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    step_min: float = STEP_MIN
-    step_max: float = STEP_MAX
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        for name in ("var_tol", "fn_tol", "restoration_tol"):
+        for name in ("var_tol", "fn_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.improvement not in ("absolute", "relative"):
-            raise ValueError(f"improvement must be 'absolute' or 'relative', got {self.improvement!r}")
-        if self.max_outer_iter < 1 or self.max_restoration_iter < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be at least 1")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1!r}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack!r}")
-        if not 0.0 < self.step_min <= self.step_max:
-            raise ValueError("spectral step bounds must satisfy 0 < step_min <= step_max")
+        if self.max_outer_iter < 1:
+            raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -208,24 +202,7 @@ def project_omega(X) -> np.ndarray:
     return _project_omega_raw(_loadings_array(X))
 
 
-class _EqualityProjection(NamedTuple):
-    """Both first-order moves onto the variance surface g(X) = 0."""
-
-    X_plus: np.ndarray
-    X_minus: np.ndarray
-    lam_plus: float
-    lam_minus: float
-
-    def pick(self, branch: str) -> np.ndarray:
-        return self.X_plus if branch == "plus" else self.X_minus
-
-    def nearer_branch(self) -> str:
-        # Both moves run along the same direction, so the shorter one has
-        # the smaller |lambda|.  Tie goes to the plus branch.
-        return "minus" if abs(self.lam_minus) < abs(self.lam_plus) else "plus"
-
-
-def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> _EqualityProjection:
+def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> tuple[np.ndarray, float, float]:
     """First-order projection onto the index variance surface.
 
     The move direction is the constraint normal pulled back through the
@@ -237,13 +214,17 @@ def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> _Equ
         a lambda^2 + b lambda + c = 0,
         a = <Y, K Y>,   b = 2 ||Y||_F^2,   c = <X, Y> + v'v - sigma_m^2,
 
-    solved with the numerically stable quadratic formula.  Both roots are
-    returned; callers choose a branch and stick with it.  Degenerate cases:
-    a = 0 falls back to the linear root -c/b on both branches; a = b = 0
-    with the constraint unmet means it is insensitive to moves along K X
-    and raises RestorationError.  A negative discriminant (surface
-    unreachable at first order from X) keeps the real part -b/(2a) on both
-    branches so the alternation can continue from the closest approach.
+    solved with the numerically stable quadratic formula.  Returns the
+    direction Y and both roots (lam_plus, lam_minus); the move is
+    X + lambda Y, and callers choose a branch and stick with it.  Both
+    moves run along Y, so the shorter one has the smaller |lambda|.
+
+    Degenerate cases: a = 0 falls back to the linear root -c/b on both
+    branches; a = b = 0 with the constraint unmet means it is insensitive
+    to moves along K X and raises RestorationError.  A negative
+    discriminant (surface unreachable at first order from X) keeps the
+    real part -b/(2a) on both branches so the alternation can continue
+    from the closest approach.
     """
     Y = constraint_normal(v, arr)
     a = float(np.vdot(Y, constraint_normal(v, Y)))
@@ -280,12 +261,7 @@ def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> _Equ
             else:
                 lam_plus, lam_minus = r1, r2
 
-    return _EqualityProjection(
-        X_plus=arr + lam_plus * Y,
-        X_minus=arr + lam_minus * Y,
-        lam_plus=float(lam_plus),
-        lam_minus=float(lam_minus),
-    )
+    return Y, float(lam_plus), float(lam_minus)
 
 
 def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
@@ -296,12 +272,7 @@ def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
     return _residual_raw(arr, spec.scaled_weights(0), spec.market.variance)
 
 
-def _rescue_boundary(
-    arr: np.ndarray,
-    v: np.ndarray,
-    target: float,
-    config: SolverConfig,
-) -> np.ndarray | None:
+def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarray | None:
     """One-shot restoration for boundary-pinned alternation fixed points.
 
     When rows sit on the ball the two projections fight each other: the
@@ -322,7 +293,7 @@ def _rescue_boundary(
         return _residual_raw(clipped(lam), v, target)
 
     phi0 = phi(0.0)
-    if abs(phi0) <= config.restoration_tol:
+    if abs(phi0) <= RESTORATION_TOL:
         return clipped(0.0)
     lo, hi = 0.0, None
     for sign in (1.0, -1.0):
@@ -341,17 +312,13 @@ def _rescue_boundary(
         return None
     lam_star = brentq(phi, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     out = clipped(lam_star)
-    if abs(_residual_raw(out, v, target)) <= config.restoration_tol:
+    if abs(_residual_raw(out, v, target)) <= RESTORATION_TOL:
         return out
     return None
 
 
 def _project_feasible_raw(
-    arr: np.ndarray,
-    v: np.ndarray,
-    target: float,
-    config: SolverConfig,
-    fastfail: bool = False,
+    arr: np.ndarray, v: np.ndarray, target: float, fastfail: bool = False
 ) -> np.ndarray:
     # Every correlation matrix is the Gram matrix of unit vectors z_i, so
     # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
@@ -360,7 +327,7 @@ def _project_feasible_raw(
     absv = np.abs(v)
     total = float(absv.sum())
     min_var = max(0.0, 2.0 * float(absv.max()) - total) ** 2
-    if target < min_var - config.restoration_tol:
+    if target < min_var - RESTORATION_TOL:
         raise RestorationError(
             f"index variance target {target:g} is below the attainable minimum "
             f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
@@ -371,11 +338,11 @@ def _project_feasible_raw(
     # tangent to the ball there, so alternating projections stall; build
     # the point directly instead.
     max_var = total ** 2
-    if target >= max_var - config.restoration_tol:
+    if target >= max_var - RESTORATION_TOL:
         com = np.zeros_like(arr)
         com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
         resid = _residual_raw(com, v, target)
-        if abs(resid) <= config.restoration_tol:
+        if abs(resid) <= RESTORATION_TOL:
             return com
         raise RestorationError(
             f"index variance target {target:g} exceeds the comonotonic bound "
@@ -383,20 +350,24 @@ def _project_feasible_raw(
             residual=resid,
         )
 
-    proj = _project_equality_raw(arr, v, target)
-    locked = proj.nearer_branch()
-    cur = proj.pick(locked)
+    # Lock the branch of the shorter first move (tie to plus).
+    Y, lam_plus, lam_minus = _project_equality_raw(arr, v, target)
+    minus = abs(lam_minus) < abs(lam_plus)
+    cur = arr + (lam_minus if minus else lam_plus) * Y
 
     # Row slack 1e-12 instead of exact membership: at targets sitting on
     # the comonotonic bound the fixed point straddles the ball boundary by
-    # a few ulp, and the final clip below still leaves h >= -1e-12 while
-    # perturbing g by far less than restoration_tol.
+    # a few ulp.  The point returned is the exact clip of the converged
+    # one; with large |v| even that clip can move g past RESTORATION_TOL,
+    # in which case the alternation goes on.
     resid = _residual_raw(cur, v, target)
     merits: list[float] = []
-    for sweep in range(config.max_restoration_iter):
+    for sweep in range(MAX_RESTORATION_ITER):
         r2 = np.einsum("ij,ij->i", cur, cur)
-        if abs(resid) <= config.restoration_tol and np.all(r2 <= 1.0 + 1e-12):
-            break
+        if abs(resid) <= RESTORATION_TOL and np.all(r2 <= 1.0 + 1e-12):
+            out = _project_omega_raw(cur)
+            if abs(_residual_raw(out, v, target)) <= RESTORATION_TOL:
+                return out
         # Line-search trial points can be rejected cheaply: the alternation
         # converges linearly at a rate set by the intersection angle, and a
         # sweep budget of 100 only suffices when each 20-sweep window cuts
@@ -407,7 +378,7 @@ def _project_feasible_raw(
             merit = abs(resid) + max(0.0, float(np.max(r2)) - 1.0)
             merits.append(merit)
             if len(merits) > 20 and merit > 0.05 * merits[-21]:
-                rescued = _rescue_boundary(cur, v, target, config)
+                rescued = _rescue_boundary(cur, v, target)
                 if rescued is not None:
                     return rescued
                 raise RestorationError(
@@ -416,38 +387,34 @@ def _project_feasible_raw(
                     residual=resid,
                 )
         cur = _project_omega_raw(cur)
-        cur = _project_equality_raw(cur, v, target).pick(locked)
+        Y, lam_plus, lam_minus = _project_equality_raw(cur, v, target)
+        cur = cur + (lam_minus if minus else lam_plus) * Y
         resid = _residual_raw(cur, v, target)
-    else:
-        rescued = _rescue_boundary(cur, v, target, config)
-        if rescued is not None:
-            return rescued
-        raise RestorationError(
-            f"restoration did not reach |g| <= {config.restoration_tol:g} inside Omega "
-            f"within {config.max_restoration_iter} sweeps (last residual {resid!r})",
-            residual=resid,
-        )
-    # Final exact clip; rows can exceed one by at most ~1e-14 here, so the
-    # induced residual change is far below restoration_tol.
-    return _project_omega_raw(cur)
+    rescued = _rescue_boundary(cur, v, target)
+    if rescued is not None:
+        return rescued
+    raise RestorationError(
+        f"restoration did not reach |g| <= {RESTORATION_TOL:g} inside Omega "
+        f"within {MAX_RESTORATION_ITER} sweeps (last residual {resid!r})",
+        residual=resid,
+    )
 
 
-def project_feasible(X, spec: MarketSpec, config: SolverConfig | None = None) -> np.ndarray:
+def project_feasible(X, spec: MarketSpec) -> np.ndarray:
     """Restore a point to Omega intersected with the variance surface.
 
     The first equality projection selects the branch (the root with the
     shorter move) and locks it; afterwards the restoration alternates
     P_Omega and the locked-branch P_E until the residual drops below
-    restoration_tol with all rows inside Omega.  Already-feasible points
-    are returned unchanged.
+    RESTORATION_TOL (1e-10) with all rows inside Omega.  The returned
+    rows satisfy ||X_i||^2 <= 1 + 1e-12 and |g| <= RESTORATION_TOL.
+    Already-feasible points are returned unchanged.
 
     Raises RestorationError carrying the final residual when the target
     lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
     (sum|v_i|)^2] of v'Cv, or when the alternation does not converge
-    within max_restoration_iter sweeps.
+    within MAX_RESTORATION_ITER sweeps.
     """
-    if config is None:
-        config = SolverConfig()
     arr = _loadings_array(X)
     if len(spec.constraints) != 1:
         raise ValueError(
@@ -456,7 +423,7 @@ def project_feasible(X, spec: MarketSpec, config: SolverConfig | None = None) ->
     v = spec.scaled_weights(0)
     if v.size != arr.shape[0]:
         raise ValueError(f"spec has {v.size} assets, loadings have {arr.shape[0]} rows")
-    return _project_feasible_raw(arr, v, spec.market.variance, config)
+    return _project_feasible_raw(arr, v, spec.market.variance)
 
 
 def initial_loadings(A, k: int) -> FactorLoadings:
@@ -543,7 +510,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     spec : MarketSpec
         Single index variance constraint.
     config : SolverConfig, optional
-        Tolerances, factor count k and iteration limits.
+        Factor count k, tolerances and the outer iteration limit.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -573,25 +540,25 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         return gr - (float(np.sum(gr * N)) / nn) * N
 
     X = initial_loadings(A_arr, config.k).values
-    X = _project_feasible_raw(X, v, target, config)
+    X = _project_feasible_raw(X, v, target)
     restorations += 1
 
     f, grad = _objective_and_gradient(X, A_hat)
     trace = [f]
 
     gnorm = float(np.max(np.abs(grad)))
-    alpha = min(max(1.0 / gnorm, config.step_min), config.step_max) if gnorm > 0.0 else 1.0
+    alpha = min(max(1.0 / gnorm, STEP_MIN), STEP_MAX) if gnorm > 0.0 else 1.0
 
     converged = False
     message = "iteration limit reached"
     outer = 0
     # Length of the last accepted move; seeds the arc search after a
-    # safeguarded (denominator <= 0) spectral step, whose step_max
+    # safeguarded (denominator <= 0) spectral step, whose STEP_MAX
     # fallback carries no scale information of its own.
     accepted_len = None
 
     for outer in range(1, config.max_outer_iter + 1):
-        if alpha >= config.step_max and accepted_len is not None:
+        if alpha >= STEP_MAX and accepted_len is not None:
             s = min(1.0, 8.0 * accepted_len / alpha)
         else:
             s = 1.0
@@ -599,20 +566,20 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         accepted = False
         T = X
         fT = f
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             try:
                 trial = _project_omega_raw(X - (s * alpha) * direction)
-                T = _project_feasible_raw(trial, v, target, config, fastfail=True)
+                T = _project_feasible_raw(trial, v, target, fastfail=True)
                 restorations += 1
             except RestorationError:
-                s *= config.backtrack
+                s *= BACKTRACK
                 continue
             fT, gT = _objective_and_gradient(T, A_hat)
             descent = float(np.sum(grad * (T - X)))
-            if descent < 0.0 and fT <= f + config.armijo_c1 * descent:
+            if descent < 0.0 and fT <= f + ARMIJO_C1 * descent:
                 accepted = True
                 break
-            s *= config.backtrack
+            s *= BACKTRACK
         if not accepted:
             converged = True
             message = "arc search exhausted without an acceptable step (projected stationary point)"
@@ -630,12 +597,11 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
 
         sty = float(np.sum(dX * dG))
         if sty <= 0.0:
-            alpha = config.step_max
+            alpha = STEP_MAX
         else:
-            alpha = min(max(float(np.sum(dX * dX)) / sty, config.step_min), config.step_max)
+            alpha = min(max(float(np.sum(dX * dX)) / sty, STEP_MIN), STEP_MAX)
 
-        threshold = config.fn_tol if config.improvement == "absolute" else config.fn_tol * max(1.0, abs(f))
-        if improvement < threshold:
+        if improvement < config.fn_tol:
             converged = True
             message = "objective improvement below tolerance"
             break

@@ -44,6 +44,11 @@ import numpy as np
 from .core import CorrMatrix, FactorLoadings, IndexConstraint, MarketSpec, assemble_correlation
 from .io import MarketSnapshot
 
+# Uniform band of the component implied volatilities, and the Pareto tail
+# exponent of the index weights (smaller = more concentrated).
+VOL_RANGE = (0.1, 0.6)
+WEIGHT_TAIL = 1.5
+
 
 def _seed_label(seed) -> str:
     if isinstance(seed, np.random.SeedSequence):
@@ -60,8 +65,6 @@ def generate_synthetic_market(
     crp: float,
     seed,
     periods: int = 0,
-    vol_range: tuple[float, float] = (0.1, 0.6),
-    weight_tail: float = 1.5,
 ) -> tuple[MarketSnapshot, CorrMatrix]:
     """Draw a ground-truth market with a known correlation risk premium.
 
@@ -76,11 +79,9 @@ def generate_synthetic_market(
         Drives every random draw.
     periods : int
         If positive, also simulate this many return observations.
-    vol_range : pair of float
-        Uniform band of the component implied volatilities.
-    weight_tail : float
-        Pareto tail exponent of the index weights (smaller = more
-        concentrated).
+
+    Volatilities are uniform on VOL_RANGE and index weights are Pareto
+    sizes with tail exponent WEIGHT_TAIL, normalized to sum to one.
 
     Returns the snapshot (spec, target, loadings, optional return panels,
     with the generating matrix under both target and truth) and the true
@@ -92,9 +93,6 @@ def generate_synthetic_market(
         raise ValueError(f"k_true must lie in [1, {n}], got {k_true}")
     if crp <= -1.0:
         raise ValueError(f"crp must exceed -1, got {crp}")
-    lo, hi = vol_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"vol_range must be ordered and positive, got {vol_range}")
     rng = np.random.default_rng(seed)
 
     # Rows uniform in the unit ball: isotropic direction, radius u^(1/k).
@@ -104,8 +102,8 @@ def generate_synthetic_market(
     X_true = Z * radius[:, None]
     C_true = assemble_correlation(X_true)
 
-    sigma = rng.uniform(lo, hi, size=n)
-    sizes = 1.0 + rng.pareto(weight_tail, size=n)
+    sigma = rng.uniform(*VOL_RANGE, size=n)
+    sizes = 1.0 + rng.pareto(WEIGHT_TAIL, size=n)
     w = sizes / np.sum(sizes)
     # Exact unit sum despite rounding; adjust the largest weight.
     w[np.argmax(w)] += 1.0 - np.sum(w)
@@ -194,11 +192,11 @@ def estimate_target_matrix(
     """Solver target from a T x n return panel.
 
     mode="historical" is the sample correlation matrix over the trailing
-    window.  mode="mean_reverting" (or "mean-reverting") blends the window
-    estimate toward the full-sample per-pair correlation with pairwise
-    uniform reversion speeds from theta_range (seeded; symmetric by
-    construction).  Neither estimate is guaranteed PSD once the window is
-    short relative to n.
+    window.  mode="mean_reverting" blends the window estimate toward the
+    full-sample per-pair correlation with pairwise uniform reversion
+    speeds from theta_range (seeded; symmetric by construction).  Any
+    other mode raises ValueError.  Neither estimate is guaranteed PSD
+    once the window is short relative to n.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[1] < 2:
@@ -208,7 +206,7 @@ def estimate_target_matrix(
     rho = _sample_corr(sub)
     if mode == "historical":
         return CorrMatrix(rho)
-    if mode not in ("mean_reverting", "mean-reverting"):
+    if mode != "mean_reverting":
         raise ValueError(f"mode must be 'historical' or 'mean_reverting', got {mode!r}")
 
     _check_nonconstant(returns, "return")

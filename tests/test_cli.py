@@ -1,5 +1,7 @@
 """CLI dispatch: exit codes, emitted JSON/CSV, file artifacts, seed handling."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -149,6 +151,32 @@ def test_nearest_from_snapshot(tmp_path, capsys):
     assert abs(out["constraint_residual"]) <= 1e-6
     for name in ("nearest_result.json", "nearest_C.csv", "nearest_X.csv"):
         assert os.path.exists(os.path.join(near_dir, name))
+
+
+def test_nearest_csv_rows_quote_json_cells(tmp_path, capsys):
+    code, out, _ = run_json(
+        capsys, ["synth", "-n", "6", "--k-true", "2", "--seed", "0", "--out-dir", str(tmp_path / "s")]
+    )
+    assert code == 0
+    argv = ["nearest", "--snapshot", out["snapshot"], "-k", "2"]
+    code, want, _ = run_json(capsys, argv)
+    assert code == 0
+    code, text, _ = run_json(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(row) == 2 for row in rows)
+    assert json.loads(dict(rows)["fn_trace"]) == want["fn_trace"]
+
+
+def test_config_naming_removed_field_exits_1(tmp_path, capsys):
+    spec = write_spec(tmp_path, 0.03)
+    m = str(tmp_path / "C.csv")
+    write_matrix_csv(m, np.eye(2))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"k": 1, "armijo_c1": 1e-4}))
+    code, _, err = run_json(capsys, ["nearest", "--target", m, "--spec", spec, "--config", str(cfg)])
+    assert code == 1
+    assert "unknown solver config fields" in err and "armijo_c1" in err
 
 
 def test_nearest_requires_inputs(capsys):

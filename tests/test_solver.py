@@ -10,6 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from impliedcorr.baselines import adjusted_ex_post
 from impliedcorr.core import (
@@ -21,9 +24,11 @@ from impliedcorr.core import (
     portfolio_variance,
 )
 from impliedcorr.solver import (
+    RESTORATION_TOL,
     RestorationError,
     SolverConfig,
     _project_equality_raw,
+    _residual,
     initial_loadings,
     objective,
     objective_gradient,
@@ -177,9 +182,9 @@ def test_project_equality_both_roots_are_exact():
         if var <= 1e-6:
             continue
         spec = MarketSpec(sigma, (IndexConstraint("market", w, var),))
-        proj = equality_moves(X, spec)
-        for Z in (proj.X_plus, proj.X_minus):
-            assert abs(residual(Z, spec)) <= 1e-8 * var
+        Y, lam_plus, lam_minus = equality_moves(X, spec)
+        for lam in (lam_plus, lam_minus):
+            assert abs(residual(X + lam * Y, spec)) <= 1e-8 * var
         checked += 1
     assert checked >= 30
 
@@ -188,24 +193,29 @@ def test_project_equality_branch_labels():
     rng = np.random.default_rng(113)
     spec = random_spec(rng, 5)
     X = rng.uniform(-0.4, 0.4, size=(5, 2))
-    proj = equality_moves(X, spec)
-    # plus branch carries the +sqrt(disc) root, so lam_plus >= lam_minus
-    # exactly when the leading coefficient is positive; for this fixture
-    # check the ordering directly through the realized moves
-    assert proj.pick("plus") is proj.X_plus
-    assert proj.pick("minus") is proj.X_minus
-    near = proj.nearer_branch()
-    d = {"plus": abs(proj.lam_plus), "minus": abs(proj.lam_minus)}
-    assert d[near] == min(d.values())
+    Y, lam_plus, lam_minus = equality_moves(X, spec)
+    # the direction is K X, and the plus branch carries the +sqrt(disc)
+    # root of a lam^2 + b lam + c with a = <Y, KY>, b = 2||Y||^2
+    v = spec.scaled_weights(0)
+    K = np.outer(v, v)
+    np.fill_diagonal(K, 0.0)
+    np.testing.assert_allclose(Y, K @ X, atol=1e-15)
+    a = float(np.sum(Y * (K @ Y)))
+    b = 2.0 * float(np.sum(Y * Y))
+    c = float(np.sum(X * Y)) + float(v @ v) - spec.market.variance
+    root = np.sqrt(b * b - 4.0 * a * c)
+    assert lam_plus == pytest.approx((-b + root) / (2.0 * a), rel=1e-9)
+    assert lam_minus == pytest.approx((-b - root) / (2.0 * a), rel=1e-9)
 
 
 def test_project_equality_feasible_point_keeps_zero_root():
     rng = np.random.default_rng(115)
     spec = random_spec(rng, 4)
     X = project_feasible(rng.normal(scale=0.4, size=(4, 2)), spec)
-    proj = equality_moves(X, spec)
-    # one root is the (near-)zero move; the nearer branch picks it
-    np.testing.assert_allclose(proj.pick(proj.nearer_branch()), X, atol=1e-8)
+    Y, lam_plus, lam_minus = equality_moves(X, spec)
+    # one root is the (near-)zero move; the smaller |lambda| picks it
+    near = lam_minus if abs(lam_minus) < abs(lam_plus) else lam_plus
+    np.testing.assert_allclose(X + near * Y, X, atol=1e-8)
 
 
 def test_project_equality_unreachable_target_ties_to_plus():
@@ -222,11 +232,10 @@ def test_project_equality_unreachable_target_ties_to_plus():
         ]
     )
     spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.019059856078205258),))
-    proj = equality_moves(X, spec)
-    assert proj.lam_plus == proj.lam_minus
-    assert proj.nearer_branch() == "plus"
+    Y, lam_plus, lam_minus = equality_moves(X, spec)
+    assert lam_plus == lam_minus
     # the collapsed move is a genuine closest approach, not a root
-    assert abs(residual(proj.X_plus, spec)) > 1e-6
+    assert abs(residual(X + lam_plus * Y, spec)) > 1e-6
 
 
 def test_project_equality_degenerate_direction_raises():
@@ -255,9 +264,8 @@ def test_project_feasible_lands_in_both_sets():
         k = int(rng.integers(1, 4))
         spec = random_spec(rng, n)
         X = rng.normal(scale=0.8, size=(n, k))
-        config = SolverConfig(k=k)
-        Z = project_feasible(X, spec, config)
-        assert abs(residual(Z, spec)) <= config.restoration_tol
+        Z = project_feasible(X, spec)
+        assert abs(residual(Z, spec)) <= RESTORATION_TOL
         assert np.min(inequality_slack(Z)) >= -1e-12
 
 
@@ -331,6 +339,50 @@ def test_project_feasible_negative_weights_comonotonic_point():
     assert np.min(inequality_slack(Z)) >= -1e-12
 
 
+def test_project_feasible_final_clip_keeps_tolerance():
+    # Vols quoted in percent: with |v| in the tens the exact clip of the
+    # converged point moved g to -1.99e-10, past the 1e-10 tolerance.
+    snap, _ = generate_synthetic_market(5, 2, 0.0, seed=217)
+    con = snap.spec.constraints[0]
+    spec = MarketSpec(snap.spec.sigma * 100.0, (IndexConstraint(con.name, con.weights, con.variance * 1e4),))
+    T = np.random.default_rng(217).normal(scale=0.6, size=(5, 2))
+    Z = project_feasible(T, spec)
+    assert abs(_residual(Z, spec)) <= RESTORATION_TOL
+    assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
+
+
+@st.composite
+def long_short_restorations(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 3))
+    sigma = draw(arrays(np.float64, n, elements=st.floats(0.05, 4.0)))
+    size = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
+    sign = draw(arrays(np.bool_, n))
+    w = np.where(sign, size, -size)
+    assume(abs(w.sum()) > 0.25)
+    w /= w.sum()
+    w[np.argmax(np.abs(w))] += 1.0 - w.sum()
+    v = np.abs(sigma * w)
+    lo = max(0.0, 2.0 * float(v.max()) - float(v.sum())) ** 2
+    hi = float(v.sum()) ** 2
+    t = draw(st.floats(0.01, 0.99))
+    X = draw(arrays(np.float64, (n, k), elements=st.floats(-1.5, 1.5)))
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, lo + t * (hi - lo)),))
+    return spec, X
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(long_short_restorations())
+def test_project_feasible_contract_on_long_short_specs(case):
+    spec, X = case
+    try:
+        Z = project_feasible(X, spec)
+    except RestorationError:
+        return
+    assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
+    assert abs(_residual(Z, spec)) <= RESTORATION_TOL
+
+
 def test_initial_loadings_identity_target_is_zero():
     X0 = initial_loadings(np.eye(5), 2)
     np.testing.assert_array_equal(X0.values, np.zeros((5, 2)))
@@ -374,12 +426,6 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(var_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(improvement="sometimes")
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_c1=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(step_min=1.0, step_max=0.5)
     d = SolverConfig(k=3, fn_tol=1e-5).to_dict()
     assert SolverConfig.from_dict(d) == SolverConfig(k=3, fn_tol=1e-5)
     with pytest.raises(ValueError, match="unknown"):

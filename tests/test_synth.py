@@ -87,8 +87,6 @@ def test_generate_validation():
         generate_synthetic_market(4, 0, 0.1, seed=0)
     with pytest.raises(ValueError, match="crp"):
         generate_synthetic_market(4, 2, -1.0, seed=0)
-    with pytest.raises(ValueError, match="vol_range"):
-        generate_synthetic_market(4, 2, 0.1, seed=0, vol_range=(0.6, 0.1))
 
 
 def test_generate_seed_label_in_date():
@@ -136,12 +134,11 @@ def test_estimate_mean_reverting_blend():
     np.testing.assert_array_equal(est.values, (want + want.T) / 2.0)
 
 
-def test_estimate_mode_spellings_agree():
+def test_estimate_rejects_hyphenated_mode():
     rng = np.random.default_rng(407)
     R = rng.normal(size=(150, 4))
-    a = estimate_target_matrix(R, mode="mean_reverting", window=50, seed=3)
-    b = estimate_target_matrix(R, mode="mean-reverting", window=50, seed=3)
-    np.testing.assert_array_equal(a.values, b.values)
+    with pytest.raises(ValueError, match="mean_reverting"):
+        estimate_target_matrix(R, mode="mean-reverting", window=50, seed=3)
 
 
 def test_estimate_theta_range_endpoints():
