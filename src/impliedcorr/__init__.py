@@ -26,7 +26,6 @@ from .core import (
     MarketSpec,
     assemble_correlation,
     check_feasibility,
-    constraint_residuals,
     inequality_slack,
     portfolio_variance,
     residual_variances,
@@ -105,7 +104,6 @@ __all__ = [
     "adjusted_ex_post",
     "assemble_correlation",
     "check_feasibility",
-    "constraint_residuals",
     "crp_sign",
     "direct_to_centered_corr",
     "economic_implied_corr",

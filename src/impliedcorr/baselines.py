@@ -65,15 +65,15 @@ class AdjustedExPostResult:
     scaling_consistent: bool
 
 
-def equicorrelation(spec: MarketSpec, j: int = 0) -> EquicorrResult:
-    """Implied equicorrelation for constraint j of the market spec.
+def equicorrelation(spec: MarketSpec) -> EquicorrResult:
+    """Implied equicorrelation for the index constraint of the market spec.
 
     Raises ValueError when the denominator (sum_i w_i sigma_i)^2 -
     sum_i w_i^2 sigma_i^2 is not positive, which happens only for a single
     asset or a degenerate weight vector.
     """
-    con = spec.constraints[j]
-    v = spec.sigma * con.weights
+    con = spec.market
+    v = spec.scaled_weights()
     lin = float(np.sum(v))
     quad = float(v @ v)
     den = lin * lin - quad
@@ -105,7 +105,6 @@ def _bound_matrix(n: int, upper: bool) -> np.ndarray:
 def adjusted_ex_post(
     C_P,
     spec: MarketSpec,
-    j: int = 0,
     workaround: bool = True,
 ) -> AdjustedExPostResult:
     """Blend an ex-post matrix toward a bound to match the index variance.
@@ -116,9 +115,7 @@ def adjusted_ex_post(
         Ex-post (historical) correlation matrix.  Assumed symmetric with
         unit diagonal; PSD is not required.
     spec : MarketSpec
-        Market constraint set; constraint j supplies sigma_m^2.
-    j : int
-        Which constraint to match.
+        Volatilities and the index constraint, which supplies sigma_m^2.
     workaround : bool
         With True (default) a negative correlation risk premium switches
         the bound from the all-ones matrix to the equicorrelation PSD
@@ -137,12 +134,12 @@ def adjusted_ex_post(
     P = _corr_array(C_P)
     if P.shape[0] != spec.n:
         raise ValueError(f"matrix is {P.shape[0]} x {P.shape[0]} for {spec.n} assets")
-    con = spec.constraints[j]
-    s_P = portfolio_variance(P, spec, j)
+    con = spec.market
+    s_P = portfolio_variance(P, spec)
     premium = con.variance - s_P
     upper = premium >= 0.0 or not workaround
     B = _bound_matrix(spec.n, upper)
-    s_B = portfolio_variance(B, spec, j)
+    s_B = portfolio_variance(B, spec)
     if s_B == s_P:
         raise ValueError(
             f"adjustment toward the {'upper' if upper else 'lower'} bound cannot "

@@ -118,10 +118,6 @@ def _load_target_and_spec(args) -> tuple[np.ndarray, object]:
     return read_matrix_csv(args.target), read_market_spec(args.spec)
 
 
-def _report_dict(report) -> dict:
-    return report.to_dict()
-
-
 def _cmd_check(args) -> int:
     spec = None
     if args.snapshot is not None:
@@ -141,13 +137,13 @@ def _cmd_check(args) -> int:
             spec = read_market_spec(args.spec)
     tol = args.tol_var if args.tol_var is not None else 1e-6
     report = check_feasibility(M, spec, tol=tol)
-    _emit(args, _report_dict(report))
+    _emit(args, report.to_dict())
     return EXIT_OK
 
 
 def _cmd_equicorr(args) -> int:
     spec = read_market_spec(args.spec)
-    res = equicorrelation(spec, j=args.constraint)
+    res = equicorrelation(spec)
     report = check_feasibility(res.C, spec, tol=args.tol_var if args.tol_var is not None else 1e-6)
     out = {
         "c_bar": res.c_bar,
@@ -210,7 +206,7 @@ def _cmd_nearest(args, stem: str = "nearest") -> int:
         report = check_feasibility(
             result.C_star, spec, tol=config.var_tol
         )
-        out["feasibility"] = _report_dict(report)
+        out["feasibility"] = report.to_dict()
         _emit(args, out)
         if not (result.converged and report.feasible):
             return EXIT_NONCONVERGENCE
@@ -278,7 +274,7 @@ def _cmd_vg_convert(args) -> int:
     if args.spec is not None:
         spec = read_market_spec(args.spec)
         adjusted = vg_market_constraint(params, spec)
-        out["adjusted_variances"] = [float(c.variance) for c in adjusted.constraints]
+        out["adjusted_variances"] = [adjusted.market.variance]
         if args.out_dir is not None:
             os.makedirs(args.out_dir, exist_ok=True)
             spec_path = os.path.join(args.out_dir, "vg_adjusted_spec.json")
@@ -342,7 +338,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("equicorr", parents=[common], help="implied equicorrelation")
     sp.add_argument("--spec", required=True, help="market spec JSON")
-    sp.add_argument("--constraint", type=int, default=0, help="constraint index (default 0)")
     sp.set_defaults(func=_cmd_equicorr)
 
     sp = sub.add_parser("adjust", parents=[common],
@@ -362,7 +357,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--target", help="target matrix CSV")
         sp.add_argument("--spec", help="market spec JSON")
         sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
-        sp.add_argument("-k", type=int, default=1, help="number of factors (default 1)")
+        sp.add_argument("-k", type=int, default=None,
+                        help="number of factors (default: the --config file's k, else 1)")
         sp.set_defaults(func=_cmd_nearest if name == "nearest" else _cmd_repair)
 
     sp = sub.add_parser("economic", parents=[common], help="factor-pricing route")

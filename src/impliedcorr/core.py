@@ -21,14 +21,14 @@ weights w, implied volatilities sigma and index implied variance sigma_m^2,
 
     g(X) = sigma_m^2 - w' diag(sigma) C(X) diag(sigma) w
 
-must vanish.  A market may quote several such index constraints (for example
-sub-indices); they are evaluated jointly in stacked form.
+must vanish.  A market spec carries exactly one such index constraint: each
+matrix is calibrated to one index at a time.
 
 This module holds the shared value types (loadings, correlation matrices,
-market constraint sets) and the elementary operations the model layers build
-on: assembling C(X), residual idiosyncratic variances, portfolio variance,
-constraint residuals, and a combined feasibility report.  It also holds the
-two O(n k) kernels of the index variance algebra, with v = sigma o w and
+market specs) and the elementary operations the model layers build on:
+assembling C(X), residual idiosyncratic variances, portfolio variance and a
+combined feasibility report.  It also holds the two O(n k) kernels of the
+index variance algebra, with v = sigma o w and
 K = v v' o J = v v' - diag(v^2):
 
 * :func:`hollow_form` evaluates v' [(L R') o J] v = <L, K R>, so the model
@@ -145,7 +145,7 @@ class IndexConstraint:
 
     weights are the index composition (must sum to one, no silent
     renormalization) and variance is the option-implied index variance
-    sigma_j^2 on the same time scale as the component volatilities.
+    sigma_m^2 on the same time scale as the component volatilities.
     """
 
     name: str
@@ -174,16 +174,16 @@ class IndexConstraint:
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """Implied volatilities plus at least one index variance constraint.
+    """Implied volatilities plus exactly one index variance constraint.
 
     sigma holds the component implied volatilities (annualized or otherwise,
-    as long as every constraint variance uses the same convention).  The
-    first constraint is treated as the market index by consumers that need a
-    single constraint.
+    as long as the index variance uses the same convention).  constraints
+    is a one-tuple holding the market index, also reachable as
+    :attr:`market`; construction raises ValueError for any other count.
     """
 
     sigma: np.ndarray
-    constraints: tuple[IndexConstraint, ...]
+    constraints: tuple[IndexConstraint]
 
     def __post_init__(self) -> None:
         s = _as_float_array(self.sigma, "sigma", 1)
@@ -193,14 +193,13 @@ class MarketSpec:
             bad = int(np.argmin(s))
             raise ValueError(f"sigma[{bad}] = {s[bad]!r} is not positive")
         cons = tuple(self.constraints)
-        if len(cons) < 1:
-            raise ValueError("a market spec needs at least one index constraint")
-        for con in cons:
-            if con.weights.size != s.size:
-                raise ValueError(
-                    f"constraint {con.name!r} has {con.weights.size} weights "
-                    f"for {s.size} assets"
-                )
+        if len(cons) != 1:
+            raise ValueError(f"a market spec needs exactly one index constraint, got {len(cons)}")
+        con = cons[0]
+        if con.weights.size != s.size:
+            raise ValueError(
+                f"constraint {con.name!r} has {con.weights.size} weights for {s.size} assets"
+            )
         s.setflags(write=False)
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "constraints", cons)
@@ -211,12 +210,12 @@ class MarketSpec:
 
     @property
     def market(self) -> IndexConstraint:
-        """The first constraint, by convention the market index."""
+        """The index constraint."""
         return self.constraints[0]
 
-    def scaled_weights(self, j: int = 0) -> np.ndarray:
-        """v = sigma o w_j, the vector entering every quadratic form."""
-        return self.sigma * self.constraints[j].weights
+    def scaled_weights(self) -> np.ndarray:
+        """v = sigma o w, the vector entering every quadratic form."""
+        return self.sigma * self.market.weights
 
 
 @dataclass(frozen=True)
@@ -310,31 +309,13 @@ def residual_variances(X) -> np.ndarray:
     return np.clip(1.0 - r2, 0.0, None)
 
 
-def portfolio_variance(C, spec: MarketSpec, j: int = 0) -> float:
-    """Model variance w_j' diag(sigma) C diag(sigma) w_j of constraint j."""
+def portfolio_variance(C, spec: MarketSpec) -> float:
+    """Model index variance w' diag(sigma) C diag(sigma) w."""
     arr = _corr_array(C)
     if arr.shape[0] != spec.n:
         raise ValueError(f"matrix is {arr.shape[0]} x {arr.shape[0]} for {spec.n} assets")
-    if not 0 <= j < len(spec.constraints):
-        raise IndexError(f"constraint index {j} out of range ({len(spec.constraints)} present)")
-    v = spec.scaled_weights(j)
+    v = spec.scaled_weights()
     return float(v @ arr @ v)
-
-
-def constraint_residuals(C, spec: MarketSpec) -> np.ndarray:
-    """Residuals g_j = sigma_j^2 - w_j' diag(sigma) C diag(sigma) w_j.
-
-    All constraints are evaluated in one pass: with V = diag(sigma) W for
-    the stacked weight columns W, the model variances are the diagonal of
-    V' C V, extracted without forming the off-diagonal cross terms.
-    """
-    arr = _corr_array(C)
-    if arr.shape[0] != spec.n:
-        raise ValueError(f"matrix is {arr.shape[0]} x {arr.shape[0]} for {spec.n} assets")
-    V = spec.sigma[:, None] * np.column_stack([c.weights for c in spec.constraints])
-    model = np.einsum("ij,ij->j", V, arr @ V)
-    targets = np.array([c.variance for c in spec.constraints])
-    return targets - model
 
 
 def inequality_slack(X) -> np.ndarray:
@@ -352,9 +333,10 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> F
 
     Mathematical feasibility means symmetric, unit diagonal, entries in
     [-1, 1] and PSD (smallest eigenvalue >= -EPS_PSD).  Economic
-    feasibility means every constraint residual in spec is at most tol in
-    absolute value; with spec=None the economic part is vacuously true and
-    the residual vector is empty.
+    feasibility means the residual g = sigma_m^2 - w' diag(sigma) C
+    diag(sigma) w of the spec's index constraint is at most tol in absolute
+    value; it is reported as a one-element residual vector.  With
+    spec=None the economic part is vacuously true and the vector is empty.
 
     Symmetry is tested on the raw argument when an ndarray is passed, so
     an asymmetric input is reported instead of being hidden by the
@@ -377,8 +359,8 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> F
         residuals = np.empty(0)
         matched = True
     else:
-        residuals = constraint_residuals(sym, spec)
-        matched = bool(np.all(np.abs(residuals) <= tol))
+        residuals = np.array([spec.market.variance - portfolio_variance(sym, spec)])
+        matched = bool(abs(residuals[0]) <= tol)
 
     return FeasibilityReport(
         symmetric=symmetric,

@@ -126,7 +126,7 @@ def crp_sign(X_P, spec: MarketSpec) -> int:
     differently, and a premium one rounding away from zero can make
     solve_alpha_tilde take its far root instead of alpha = 0.
     """
-    premium = spec.market.variance - portfolio_variance(assemble_correlation(X_P), spec, 0)
+    premium = spec.market.variance - portfolio_variance(assemble_correlation(X_P), spec)
     if premium > 0.0:
         return 1
     if premium < 0.0:
@@ -143,7 +143,7 @@ def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> Alph
     X_P : FactorLoadings or array_like
         Physical-measure loadings with orthogonal factor columns.
     spec : MarketSpec
-        Market constraint; the first constraint supplies sigma_m^2.
+        Volatilities and the index constraint, which supplies sigma_m^2.
     upsilon : int, optional
         Direction of the move, +1 / -1 / 0.  Defaults to the sign of the
         correlation risk premium at X_P.
@@ -160,7 +160,7 @@ def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> Alph
     if ups not in (-1, 0, 1):
         raise ValueError(f"upsilon must be -1, 0 or +1, got {upsilon!r}")
 
-    v = spec.scaled_weights(0)
+    v = spec.scaled_weights()
     target = spec.market.variance
     X_D = float(ups) - arr
 
@@ -246,7 +246,7 @@ def economic_implied_corr(X_P, spec: MarketSpec) -> EconomicResult:
     sol = solve_alpha_tilde(X_O, spec, ups)
     X_Q = risk_neutral_loadings(X_O, sol.alpha_tilde, ups)
     C = assemble_correlation(X_Q)
-    residual = spec.market.variance - portfolio_variance(C, spec, 0)
+    residual = spec.market.variance - portfolio_variance(C, spec)
     return EconomicResult(
         alpha_tilde=sol.alpha_tilde,
         upsilon=ups,

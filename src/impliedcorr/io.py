@@ -176,6 +176,7 @@ def _load_json(path: str) -> dict:
 
 
 def market_spec_to_dict(spec: MarketSpec) -> dict:
+    c = spec.market
     return {
         "sigma": [float(s) for s in spec.sigma],
         "constraints": [
@@ -184,7 +185,6 @@ def market_spec_to_dict(spec: MarketSpec) -> dict:
                 "weights": [float(w) for w in c.weights],
                 "variance": float(c.variance),
             }
-            for c in spec.constraints
         ],
     }
 
@@ -195,19 +195,19 @@ def market_spec_from_dict(d: dict, context: str = "market spec") -> MarketSpec:
         raw_cons = d["constraints"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{context}: missing field {exc}") from None
-    cons = []
-    for i, rc in enumerate(raw_cons):
-        try:
-            cons.append(
-                IndexConstraint(
-                    name=str(rc["name"]),
-                    weights=np.asarray(rc["weights"], dtype=float),
-                    variance=float(rc["variance"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{context}: constraint {i} is malformed ({exc})") from None
-    return MarketSpec(np.asarray(sigma, dtype=float), tuple(cons))
+    if not isinstance(raw_cons, list) or len(raw_cons) != 1:
+        count = len(raw_cons) if isinstance(raw_cons, list) else type(raw_cons).__name__
+        raise ValueError(f"{context}: a market spec needs exactly one index constraint, got {count}")
+    rc = raw_cons[0]
+    try:
+        con = IndexConstraint(
+            name=str(rc["name"]),
+            weights=np.asarray(rc["weights"], dtype=float),
+            variance=float(rc["variance"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{context}: constraint 0 is malformed ({exc})") from None
+    return MarketSpec(np.asarray(sigma, dtype=float), (con,))
 
 
 def read_market_spec(path: str) -> MarketSpec:

@@ -77,6 +77,11 @@ MAX_RESTORATION_ITER = 100
 # first-order equality projection degrades as the entries approach one.
 V_RESCALE_AT = 0.9
 
+_INSENSITIVE = (
+    "variance constraint is insensitive to the loadings at this point "
+    "(degenerate projection direction)"
+)
+
 
 class RestorationError(RuntimeError):
     """Restoration to the feasible set failed; carries the last residual."""
@@ -237,11 +242,7 @@ def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> tupl
                 # Constraint already satisfied and flat along K X; stay put.
                 lam_plus = lam_minus = 0.0
             else:
-                raise RestorationError(
-                    "variance constraint is insensitive to the loadings at this "
-                    "point (degenerate projection direction)",
-                    residual=-c,
-                )
+                raise RestorationError(_INSENSITIVE, residual=-c)
         else:
             lam_plus = lam_minus = -c / b
     else:
@@ -269,7 +270,7 @@ def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
 
 
 def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
-    return _residual_raw(arr, spec.scaled_weights(0), spec.market.variance)
+    return _residual_raw(arr, spec.scaled_weights(), spec.market.variance)
 
 
 def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarray | None:
@@ -389,7 +390,11 @@ def _project_feasible_raw(
         cur = _project_omega_raw(cur)
         Y, lam_plus, lam_minus = _project_equality_raw(cur, v, target)
         cur = cur + (lam_minus if minus else lam_plus) * Y
-        resid = _residual_raw(cur, v, target)
+        g = _residual_raw(cur, v, target)
+        if not math.isfinite(g):
+            # The rows collapsed towards zero until the move overflowed.
+            raise RestorationError(_INSENSITIVE, residual=resid)
+        resid = g
     rescued = _rescue_boundary(cur, v, target)
     if rescued is not None:
         return rescued
@@ -412,15 +417,12 @@ def project_feasible(X, spec: MarketSpec) -> np.ndarray:
 
     Raises RestorationError carrying the final residual when the target
     lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
-    (sum|v_i|)^2] of v'Cv, or when the alternation does not converge
-    within MAX_RESTORATION_ITER sweeps.
+    (sum|v_i|)^2] of v'Cv, when the alternation does not converge within
+    MAX_RESTORATION_ITER sweeps, or when it collapses the rows so far that
+    the constraint no longer responds to them.
     """
     arr = _loadings_array(X)
-    if len(spec.constraints) != 1:
-        raise ValueError(
-            f"restoration handles a single market constraint, got {len(spec.constraints)}"
-        )
-    v = spec.scaled_weights(0)
+    v = spec.scaled_weights()
     if v.size != arr.shape[0]:
         raise ValueError(f"spec has {v.size} assets, loadings have {arr.shape[0]} rows")
     return _project_feasible_raw(arr, v, spec.market.variance)
@@ -477,24 +479,21 @@ def initial_loadings(A, k: int) -> FactorLoadings:
 
 def _rescaled_spec(spec: MarketSpec) -> tuple[MarketSpec, float]:
     """Common time-scale change so that max |sigma_i w_i| < V_RESCALE_AT."""
-    vmax = max(float(np.max(np.abs(spec.scaled_weights(j)))) for j in range(len(spec.constraints)))
+    vmax = float(np.max(np.abs(spec.scaled_weights())))
     if vmax < V_RESCALE_AT:
         return spec, 1.0
     scale = vmax / (V_RESCALE_AT * 0.5)
-    cons = tuple(
-        IndexConstraint(c.name, c.weights, c.variance / (scale * scale))
-        for c in spec.constraints
-    )
+    m = spec.market
+    con = IndexConstraint(m.name, m.weights, m.variance / (scale * scale))
     logger.info("rescaling volatilities by 1/%.4g (max |sigma_i w_i| = %.4g)", scale, vmax)
-    return MarketSpec(spec.sigma / scale, cons), scale
+    return MarketSpec(spec.sigma / scale, (con,)), scale
 
 
 def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> SolverResult:
     """Nearest factor-structured correlation matrix to the target A.
 
     Spectral projected gradient outer loop with inexact restoration, as
-    described in the module docstring.  The target need not be PSD.  The
-    spec must carry exactly one index constraint.
+    described in the module docstring.  The target need not be PSD.
 
     A successful result satisfies, with X* the returned loadings:
     f trace non-increasing, |g(X*)| <= var_tol, min_i h_i(X*) >= -1e-12,
@@ -508,7 +507,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     A : CorrMatrix or array_like
         Target matrix (symmetric, unit diagonal; PSD not required).
     spec : MarketSpec
-        Single index variance constraint.
+        Volatilities and the index variance constraint.
     config : SolverConfig, optional
         Factor count k, tolerances and the outer iteration limit.
     """
@@ -516,15 +515,13 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     if config is None:
         config = SolverConfig()
     A_arr = _corr_array(A)
-    if len(spec.constraints) != 1:
-        raise ValueError(f"solver expects a single market constraint, got {len(spec.constraints)}")
     if A_arr.shape[0] != spec.n:
         raise ValueError(f"target is {A_arr.shape[0]} x {A_arr.shape[0]} for {spec.n} assets")
 
     work_spec, scale = _rescaled_spec(spec)
     A_hat = A_arr.copy()
     np.fill_diagonal(A_hat, 0.0)
-    v = work_spec.scaled_weights(0)
+    v = work_spec.scaled_weights()
     target = work_spec.market.variance
     restorations = 0
 
@@ -653,15 +650,13 @@ def reference_solve(
         config = SolverConfig(k=k)
     A_arr = _corr_array(A)
     n = A_arr.shape[0]
-    if len(spec.constraints) != 1:
-        raise ValueError(f"reference solver expects a single market constraint, got {len(spec.constraints)}")
     if n > 30:
         raise ValueError(f"reference solver is meant for small instances (n <= 30), got n = {n}")
 
     work_spec, scale = _rescaled_spec(spec)
     A_hat = A_arr.copy()
     np.fill_diagonal(A_hat, 0.0)
-    v = work_spec.scaled_weights(0)
+    v = work_spec.scaled_weights()
     target = work_spec.market.variance
     K = np.outer(v, v)
     np.fill_diagonal(K, 0.0)

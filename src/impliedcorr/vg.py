@@ -111,12 +111,12 @@ def direct_to_centered_corr(params: VGParams) -> tuple[np.ndarray, CorrMatrix]:
 
 
 def vg_market_constraint(params: VGParams, spec: MarketSpec) -> MarketSpec:
-    """Rewrite index constraints in terms of the direct parameters.
+    """Rewrite the index constraint in terms of the direct parameters.
 
-    The returned spec carries omega as volatilities and, per constraint,
-    the skew-adjusted target sigma_j^2 - nu (w_j' theta)^2, so that any
-    solver matching w' diag(omega) C_dir diag(omega) w to the new target
-    matches the original centered constraint exactly.
+    The returned spec carries omega as volatilities and the skew-adjusted
+    target sigma_m^2 - nu (w' theta)^2, so that any solver matching
+    w' diag(omega) C_dir diag(omega) w to the new target matches the
+    original centered constraint exactly.
 
     Raises ValueError naming the constraint when the skew term consumes
     the whole index variance (adjusted target <= 0), which signals
@@ -124,14 +124,12 @@ def vg_market_constraint(params: VGParams, spec: MarketSpec) -> MarketSpec:
     """
     if params.n != spec.n:
         raise ValueError(f"parameters cover {params.n} assets, spec has {spec.n}")
-    adjusted = []
-    for con in spec.constraints:
-        skew = params.nu * float(con.weights @ params.theta) ** 2
-        new_var = con.variance - skew
-        if new_var <= 0.0:
-            raise ValueError(
-                f"variance-gamma skew term {skew!r} exceeds the index variance "
-                f"{con.variance!r} of constraint {con.name!r}"
-            )
-        adjusted.append(IndexConstraint(con.name, con.weights, new_var))
-    return MarketSpec(params.omega, tuple(adjusted))
+    con = spec.market
+    skew = params.nu * float(con.weights @ params.theta) ** 2
+    new_var = con.variance - skew
+    if new_var <= 0.0:
+        raise ValueError(
+            f"variance-gamma skew term {skew!r} exceeds the index variance "
+            f"{con.variance!r} of constraint {con.name!r}"
+        )
+    return MarketSpec(params.omega, (IndexConstraint(con.name, con.weights, new_var),))

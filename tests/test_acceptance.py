@@ -107,13 +107,12 @@ def test_02_gradients_match_finite_differences():
         worst = max(worst, r)
 
         def lag_g(Y):
-            C = assemble_correlation(Y)
-            return float(sum(l * (c.variance - portfolio_variance(C, spec, j))
-                             for j, (l, c) in enumerate(zip(lam, spec.constraints))))
+            return float(lam[0] * (spec.market.variance
+                                   - portfolio_variance(assemble_correlation(Y), spec)))
 
         # dg/dX = -2 K X, from the kernel the solver's projections run on
         F = fd_gradient(lag_g, X)
-        G = -2.0 * lam[0] * constraint_normal(spec.scaled_weights(0), X)
+        G = -2.0 * lam[0] * constraint_normal(spec.scaled_weights(), X)
         r = np.max(np.abs(G - F)) / max(1.0, np.max(np.abs(F)))
         worst = max(worst, r)
     dt = time.perf_counter() - t0

@@ -179,6 +179,20 @@ def test_config_naming_removed_field_exits_1(tmp_path, capsys):
     assert "unknown solver config fields" in err and "armijo_c1" in err
 
 
+def test_config_k_applies_unless_k_flag_given(tmp_path, capsys):
+    market = str(tmp_path / "m")
+    assert cli_dispatch(["synth", "-n", "8", "--k-true", "2", "--out-dir", market]) == 0
+    capsys.readouterr()
+    snap = os.path.join(market, "snapshot.json")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"k": 3}))
+    for extra, k in (([], 3), (["-k", "2"], 2)):
+        code, out, _ = run_json(capsys, ["nearest", "--snapshot", snap, "--config", str(cfg), *extra])
+        assert code == 0 and out["k"] == k
+    code, out, _ = run_json(capsys, ["nearest", "--snapshot", snap])
+    assert code == 0 and out["k"] == 1
+
+
 def test_nearest_requires_inputs(capsys):
     code, _, err = run_json(capsys, ["nearest"])
     assert code == 1

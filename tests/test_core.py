@@ -14,7 +14,6 @@ from impliedcorr.core import (
     assemble_correlation,
     check_feasibility,
     constraint_normal,
-    constraint_residuals,
     hollow_form,
     inequality_slack,
     portfolio_variance,
@@ -98,13 +97,16 @@ def test_market_spec_validation():
         MarketSpec(np.array([0.2, 0.0]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
     with pytest.raises(ValueError, match="weights"):
         MarketSpec(np.array([0.2, 0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="exactly one index constraint, got 0"):
         MarketSpec(np.array([0.2, 0.2]), ())
+    con = IndexConstraint("m", np.array([0.5, 0.5]), 0.03)
+    with pytest.raises(ValueError, match="exactly one index constraint, got 2"):
+        MarketSpec(np.array([0.2, 0.2]), (con, con))
 
 
 def test_scaled_weights():
     spec = spec2(0.03)
-    np.testing.assert_allclose(spec.scaled_weights(0), [0.1, 0.1])
+    np.testing.assert_allclose(spec.scaled_weights(), [0.1, 0.1])
     assert spec.market.name == "market"
 
 
@@ -162,8 +164,6 @@ def test_portfolio_variance_hand_values():
     assert portfolio_variance(np.ones((2, 2)), spec) == pytest.approx(0.04)
     with pytest.raises(ValueError):
         portfolio_variance(np.eye(3), spec)
-    with pytest.raises(IndexError):
-        portfolio_variance(np.eye(2), spec, j=1)
 
 
 def test_portfolio_variance_quadratic_form_oracle():
@@ -182,23 +182,6 @@ def test_portfolio_variance_quadratic_form_oracle():
             for j in range(n)
         )
         assert portfolio_variance(C, spec) == pytest.approx(direct, rel=1e-12)
-
-
-def test_constraint_residuals_stacked_matches_per_constraint_loop():
-    rng = np.random.default_rng(5)
-    n = 6
-    sigma = rng.uniform(0.1, 0.5, size=n)
-    cons = []
-    for name in ("market", "tech", "fin"):
-        w = rng.uniform(0.1, 1.0, size=n)
-        w /= w.sum()
-        w[np.argmax(w)] += 1.0 - w.sum()
-        cons.append(IndexConstraint(name, w, float(rng.uniform(0.01, 0.1))))
-    spec = MarketSpec(sigma, tuple(cons))
-    C = assemble_correlation(random_ball_rows(rng, n, 2)).values
-    stacked = constraint_residuals(C, spec)
-    loop = np.array([c.variance - portfolio_variance(C, spec, j) for j, c in enumerate(cons)])
-    np.testing.assert_allclose(stacked, loop, atol=1e-12)
 
 
 def test_inequality_slack():

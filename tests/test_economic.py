@@ -209,7 +209,7 @@ def test_economic_route_matches_constraint():
         w = rng.uniform(0.1, 1.0, size=n)
         w /= w.sum()
         w[np.argmax(w)] += 1.0 - w.sum()
-        base = portfolio_variance(assemble_correlation(X_P), MarketSpec(sigma, (IndexConstraint("m", w, 0.05),)), 0)
+        base = portfolio_variance(assemble_correlation(X_P), MarketSpec(sigma, (IndexConstraint("m", w, 0.05),)))
         var = base * float(rng.uniform(1.02, 1.3))
         spec = MarketSpec(sigma, (IndexConstraint("market", w, var),))
         res = economic_implied_corr(X_P, spec)
@@ -229,7 +229,7 @@ def test_economic_route_lowering_direction():
     w = np.full(5, 0.2)
     v = sigma * w
     base = portfolio_variance(
-        assemble_correlation(X_P), MarketSpec(sigma, (IndexConstraint("m", w, 0.05),)), 0
+        assemble_correlation(X_P), MarketSpec(sigma, (IndexConstraint("m", w, 0.05),))
     )
     floor = float(v @ v)  # variance of the identity matrix
     target = floor + 0.8 * (base - floor)
@@ -251,7 +251,7 @@ def test_economic_route_alpha_continuity_near_zero_premium():
     sigma = np.full(4, 0.3)
     w = np.full(4, 0.25)
     base = portfolio_variance(
-        assemble_correlation(X_P), MarketSpec(sigma, (IndexConstraint("m", w, 0.05),)), 0
+        assemble_correlation(X_P), MarketSpec(sigma, (IndexConstraint("m", w, 0.05),))
     )
     for sign in (1.0, -1.0):
         alphas = []
@@ -272,7 +272,7 @@ def test_quadratic_coefficients_at_zero_loadings():
     # variance is the full off-diagonal mass, the cross term vanishes
     # (orthogonalization rejects a zero column, so call the stages directly)
     spec = spec2(0.03)
-    v = spec.scaled_weights(0)
+    v = spec.scaled_weights()
     sol = solve_alpha_tilde(np.zeros((2, 1)), spec)
     assert sol.upsilon == 1
     assert sol.sigma_P_sq == float(v @ v)

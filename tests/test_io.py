@@ -125,17 +125,15 @@ def test_loadings_read_errors(tmp_path):
 def test_market_spec_round_trip(tmp_path):
     spec = MarketSpec(
         np.array([0.2, 0.3, 0.25]),
-        (
-            IndexConstraint("market", np.array([0.5, 0.3, 0.2]), 0.04),
-            IndexConstraint("sector", np.array([0.0, 0.5, 0.5]), 0.05),
-        ),
+        (IndexConstraint("market", np.array([0.5, 0.3, 0.2]), 0.04),),
     )
     d = market_spec_to_dict(spec)
+    assert len(d["constraints"]) == 1
     back = market_spec_from_dict(d)
     np.testing.assert_array_equal(back.sigma, spec.sigma)
-    assert len(back.constraints) == 2
-    assert back.constraints[1].name == "sector"
-    assert back.constraints[1].variance == 0.05
+    assert len(back.constraints) == 1
+    assert back.market.name == "market"
+    assert back.market.variance == 0.04
     p = str(tmp_path / "spec.json")
     write_market_spec(p, spec)
     again = read_market_spec(p)
@@ -143,6 +141,13 @@ def test_market_spec_round_trip(tmp_path):
     # canonical bytes: sorted keys, two-space indent, trailing newline
     text = (tmp_path / "spec.json").read_text()
     assert text == json.dumps(d, indent=2, sort_keys=True) + "\n"
+    # a file listing a second index is rejected, naming the count and the file
+    sector = {"name": "sector", "weights": [0.0, 0.5, 0.5], "variance": 0.05}
+    (tmp_path / "two.json").write_text(json.dumps(dict(d, constraints=d["constraints"] + [sector])))
+    with pytest.raises(ValueError, match=r"two\.json: .*exactly one index constraint, got 2"):
+        read_market_spec(str(tmp_path / "two.json"))
+    with pytest.raises(ValueError, match="exactly one index constraint, got 0"):
+        market_spec_from_dict(dict(d, constraints=[]))
 
 
 def test_market_spec_dict_errors():
