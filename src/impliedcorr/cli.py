@@ -32,7 +32,6 @@ from .bench import BenchSuite, run_bench
 from .core import check_feasibility
 from .economic import economic_implied_corr
 from .io import (
-    MarketSnapshot,
     load_snapshot,
     read_loadings_csv,
     read_market_spec,

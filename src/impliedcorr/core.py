@@ -351,7 +351,8 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> F
     symmetric = bool(np.array_equal(raw, raw.T))
     unit_diagonal = bool(np.all(np.diag(raw) == 1.0))
     bounded = bool(np.all(np.abs(raw) <= 1.0 + 1e-12))
-    sym = (raw + raw.T) / 2.0
+    # (x + x) / 2 == x exactly, so a symmetric input needs no copy.
+    sym = raw if symmetric else (raw + raw.T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     psd = min_eig >= -EPS_PSD
 
@@ -359,7 +360,8 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> F
         residuals = np.empty(0)
         matched = True
     else:
-        residuals = np.array([spec.market.variance - portfolio_variance(sym, spec)])
+        corr = C if isinstance(C, CorrMatrix) else sym
+        residuals = np.array([spec.market.variance - portfolio_variance(corr, spec)])
         matched = bool(abs(residuals[0]) <= tol)
 
     return FeasibilityReport(

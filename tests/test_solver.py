@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from impliedcorr.baselines import adjusted_ex_post
 from impliedcorr.core import (
+    CorrMatrix,
     IndexConstraint,
     MarketSpec,
     assemble_correlation,
@@ -84,6 +85,38 @@ def test_objective_gradient_matches_finite_differences():
         G_fd = fd_gradient(lambda Z: objective(Z, A), X)
         scale = max(1.0, float(np.max(np.abs(G_fd))))
         np.testing.assert_allclose(G, G_fd, atol=1e-6 * scale)
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 5))
+    Z = draw(arrays(np.float64, (n, k), elements=st.floats(-1.0, 1.0), fill=st.nothing()))
+    X = Z / np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None]
+    # Targets from the truth A = C(X) (eps = 0) out to far from it, so
+    # that both the expanded and the direct branch of the kernel run.
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0]))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, n))
+    A = assemble_correlation(X).values + eps * (noise + noise.T)
+    np.fill_diagonal(A, 1.0)
+    return X, A
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kernel_cases())
+def test_objective_and_gradient_match_dense_formulas(case):
+    X, A = case
+    A_hat = A - np.eye(A.shape[0])
+    D = X @ X.T
+    np.fill_diagonal(D, 0.0)
+    D -= A_hat
+    f_dense = float(np.sum(D * D))
+    f = objective(X, A)
+    assert f >= 0.0
+    assert abs(f - f_dense) <= (1e-12 if f_dense < 1e-2 else 1e-10 * f_dense)
+    absX = np.abs(X)
+    bound = 4.0 * (absX @ (absX.T @ absX) + np.abs(A_hat) @ absX)
+    assert np.all(np.abs(objective_gradient(X, A) - 4.0 * (D @ X)) <= 1e-10 * bound)
 
 
 def test_constraint_gradient_matches_finite_differences():
@@ -445,6 +478,33 @@ def test_initial_loadings_k_validation():
         initial_loadings(np.eye(3), 0)
     with pytest.raises(ValueError, match="k must"):
         initial_loadings(np.eye(3), 4)
+
+
+@st.composite
+def symmetric_targets(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    # Sign patterns as well as general entries: on those the Omega cap of
+    # the spectral scale binds far more often.
+    entries = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0]))
+    M = draw(arrays(np.float64, (n, n), elements=entries, fill=st.nothing()))
+    A = (M + M.T) / 2.0
+    np.fill_diagonal(A, 1.0)
+    return A, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(symmetric_targets())
+def test_initial_loadings_properties(case):
+    A, k = case
+    X0 = initial_loadings(A, k).values
+    # solve_nicm hands over its validated CorrMatrix; the start must not move
+    np.testing.assert_array_equal(initial_loadings(CorrMatrix(A), k).values, X0)
+    assert np.all(np.einsum("ij,ij->i", X0, X0) <= 1.0 + 1e-12)
+    for col in X0.T:
+        if np.any(col != 0.0):
+            # sign convention: the largest-magnitude entry is positive
+            assert col.max() > 0.0 and col.max() >= -col.min()
 
 
 def test_solver_config_validation():

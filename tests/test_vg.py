@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec, portfolio_variance
+from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec
 from impliedcorr.solver import SolverConfig, solve_nicm
 from impliedcorr.vg import (
     VGParams,
