@@ -134,8 +134,7 @@ def _cmd_check(args) -> int:
         M = read_matrix_csv(args.matrix)
         if args.spec is not None:
             spec = read_market_spec(args.spec)
-    tol = args.tol_var if args.tol_var is not None else 1e-6
-    report = check_feasibility(M, spec, tol=tol)
+    report = check_feasibility(M, spec, tol=args.tol_var)
     _emit(args, report.to_dict())
     return EXIT_OK
 
@@ -143,7 +142,7 @@ def _cmd_check(args) -> int:
 def _cmd_equicorr(args) -> int:
     spec = read_market_spec(args.spec)
     res = equicorrelation(spec)
-    report = check_feasibility(res.C, spec, tol=args.tol_var if args.tol_var is not None else 1e-6)
+    report = check_feasibility(res.C, spec, tol=args.tol_var)
     out = {
         "c_bar": res.c_bar,
         "in_psd_range": res.in_psd_range,
@@ -162,7 +161,7 @@ def _cmd_equicorr(args) -> int:
 def _cmd_adjust(args) -> int:
     C_P, spec = _load_target_and_spec(args)
     res = adjusted_ex_post(C_P, spec, workaround=not args.no_workaround)
-    report = check_feasibility(res.C_Q, spec, tol=args.tol_var if args.tol_var is not None else 1e-6)
+    report = check_feasibility(res.C_Q, spec, tol=args.tol_var)
     out = {
         "alpha_hat": res.alpha_hat,
         "used_lower_bound": res.used_lower_bound,
@@ -284,8 +283,6 @@ def _cmd_vg_convert(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.out_dir is None:
-        raise CliUsageError("synth requires --out-dir")
     seed = _resolve_seed(args)
     snapshot, _ = generate_synthetic_market(
         args.n, args.k_true, args.crp, seed, periods=args.periods
@@ -312,77 +309,84 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="solver config JSON file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: IMPLIEDCORR_SEED, then 0)")
-    common.add_argument("--tol-var", type=float, default=None,
-                        help="variance constraint tolerance (default 1e-6)")
-    common.add_argument("--tol-fn", type=float, default=None,
-                        help="objective improvement tolerance (default 1e-3)")
-    common.add_argument("--out-dir", default=None, help="directory for output files")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout format (default json)")
+_SHARED = {
+    "--config": dict(help="solver config JSON file"),
+    "--seed": dict(type=int, help="RNG seed (fallback: IMPLIEDCORR_SEED, then 0)"),
+    "--tol-var": dict(type=float, help=f"variance constraint tolerance (default {SolverConfig.var_tol:g})"),
+    "--tol-fn": dict(type=float, help=f"objective improvement tolerance (default {SolverConfig.fn_tol:g})"),
+    "--out-dir": dict(help="directory for output files"),
+    "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
+}
 
+
+def _subcommand(sub, name: str, help_text: str, func, *shared: str, **defaults) -> _Parser:
+    """Subcommand `name` run by func, with the shared options it reads and no others."""
+    sp = sub.add_parser(name, help=help_text)
+    for flag in shared:
+        sp.add_argument(flag, **_SHARED[flag])
+    sp.set_defaults(func=func, **defaults)
+    return sp
+
+
+def _build_parser() -> _Parser:
     p = _Parser(prog="impliedcorr",
                 description="feasible option-implied correlation matrices")
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    sp = sub.add_parser("check", parents=[common], help="feasibility report for a matrix")
+    # check, equicorr and adjust test feasibility at the solver's default
+    # tolerance; nearest and repair leave --tol-var unset so that the
+    # --config file's var_tol holds.
+    sp = _subcommand(sub, "check", "feasibility report for a matrix", _cmd_check,
+                     "--tol-var", "--format", tol_var=SolverConfig.var_tol)
     sp.add_argument("--matrix", help="correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
-    sp.set_defaults(func=_cmd_check)
 
-    sp = sub.add_parser("equicorr", parents=[common], help="implied equicorrelation")
+    sp = _subcommand(sub, "equicorr", "implied equicorrelation", _cmd_equicorr,
+                     "--tol-var", "--out-dir", "--format", tol_var=SolverConfig.var_tol)
     sp.add_argument("--spec", required=True, help="market spec JSON")
-    sp.set_defaults(func=_cmd_equicorr)
 
-    sp = sub.add_parser("adjust", parents=[common],
-                        help="blend an ex-post matrix toward a bound")
+    sp = _subcommand(sub, "adjust", "blend an ex-post matrix toward a bound", _cmd_adjust,
+                     "--tol-var", "--out-dir", "--format", tol_var=SolverConfig.var_tol)
     sp.add_argument("--target", help="ex-post correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
     sp.add_argument("--no-workaround", action="store_true",
                     help="keep the all-ones bound even for a negative premium")
-    sp.set_defaults(func=_cmd_adjust)
 
-    for name, help_text in (
-        ("nearest", "nearest factor-structured implied correlation matrix"),
-        ("repair", "repair an infeasible matrix via the nearest-matrix solve"),
+    for name, help_text, func in (
+        ("nearest", "nearest factor-structured implied correlation matrix", _cmd_nearest),
+        ("repair", "repair an infeasible matrix via the nearest-matrix solve", _cmd_repair),
     ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
+        sp = _subcommand(sub, name, help_text, func,
+                         "--config", "--tol-var", "--tol-fn", "--out-dir", "--format")
         sp.add_argument("--target", help="target matrix CSV")
         sp.add_argument("--spec", help="market spec JSON")
         sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
         sp.add_argument("-k", type=int, default=None,
                         help="number of factors (default: the --config file's k, else 1)")
-        sp.set_defaults(func=_cmd_nearest if name == "nearest" else _cmd_repair)
 
-    sp = sub.add_parser("economic", parents=[common], help="factor-pricing route")
+    sp = _subcommand(sub, "economic", "factor-pricing route", _cmd_economic, "--out-dir", "--format")
     sp.add_argument("--loadings", help="physical loadings CSV (factor-name header)")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its loadings and spec)")
-    sp.set_defaults(func=_cmd_economic)
 
-    sp = sub.add_parser("vg-convert", parents=[common],
-                        help="variance-gamma direct parameters to centered quantities")
+    sp = _subcommand(sub, "vg-convert", "variance-gamma direct parameters to centered quantities",
+                     _cmd_vg_convert, "--out-dir", "--format")
     sp.add_argument("--params", required=True, help="model parameters JSON")
     sp.add_argument("--spec", help="market spec JSON to transform alongside")
-    sp.set_defaults(func=_cmd_vg_convert)
 
-    sp = sub.add_parser("synth", parents=[common], help="generate a synthetic market")
+    sp = _subcommand(sub, "synth", "generate a synthetic market", _cmd_synth, "--seed", "--format")
+    sp.add_argument("--out-dir", required=True, help="directory for the snapshot files")
     sp.add_argument("-n", type=int, required=True, help="number of assets")
     sp.add_argument("--k-true", type=int, required=True, help="true factor count")
     sp.add_argument("--crp", type=float, default=0.1, help="relative variance markup (default 0.1)")
     sp.add_argument("--periods", type=int, default=0, help="simulated return periods (default 0)")
     sp.add_argument("--stem", default="snapshot", help="output file stem (default snapshot)")
-    sp.set_defaults(func=_cmd_synth)
 
-    sp = sub.add_parser("bench", parents=[common], help="model comparison on synthetic markets")
+    sp = _subcommand(sub, "bench", "model comparison on synthetic markets", _cmd_bench,
+                     "--seed", "--out-dir", "--format")
     sp.add_argument("--suite", required=True, help="bench suite JSON")
-    sp.set_defaults(func=_cmd_bench)
 
     return p
 

@@ -27,9 +27,13 @@ surface E = {X : g(X) = 0} by alternating two cheap projections:
 
 A monotone Armijo arc search on s |-> P_feas(X - s alpha grad f) keeps the
 objective trace non-increasing, so convergence of f is a certificate the
-caller can check.  Because the Neumann step is only first order, the guard
-in solve_nicm rescales volatilities by a common time-scale factor whenever
-max_i |v_i| approaches one, and reports residuals in original units.
+caller can check.  The equality move is exactly covariant under a change
+of units v -> s v: Y = K X scales by s^2 and the quadratic's a, b, c by
+s^6, s^4, s^2, so lambda -> lambda / s^2 and the move lambda Y is the
+same.  Only the restoration's tolerance tests carry units, and they are
+measured against the comonotonic bound: |g| <= RESTORATION_TOL *
+max(1, (sum_i |v_i|)^2).  Wherever sum_i |v_i| <= 1 this is the absolute
+RESTORATION_TOL.
 
 Cost per iteration: each trial point evaluates f and grad f once, at the
 price of one n x n x k product (A_hat X); the restoration sweeps and the
@@ -46,7 +50,6 @@ is meaningful evidence of correctness.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -57,15 +60,12 @@ from .core import (
     CorrMatrix,
     FactorLoadings,
     MarketSpec,
-    IndexConstraint,
     _corr_array,
     _loadings_array,
     assemble_correlation,
     constraint_normal,
     hollow_form,
 )
-
-logger = logging.getLogger(__name__)
 
 # Spectral (Barzilai-Borwein) step bounds.
 STEP_MIN = 1e-10
@@ -78,10 +78,6 @@ MAX_BACKTRACKS = 40
 # Restoration: |g| tolerance and sweep budget of the alternation.
 RESTORATION_TOL = 1e-10
 MAX_RESTORATION_ITER = 100
-
-# Rescale volatilities when max |sigma_i w_i| reaches this level; the
-# first-order equality projection degrades as the entries approach one.
-V_RESCALE_AT = 0.9
 
 _INSENSITIVE = (
     "variance constraint is insensitive to the loadings at this point "
@@ -102,12 +98,15 @@ class SolverConfig:
     """Factor count and stopping tolerances of the nearest-matrix solver.
 
     var_tol bounds the admissible constraint residual |g| of a converged
-    solution.  fn_tol stops the outer loop once the objective improvement
-    of an accepted step falls below it; the test is absolute, so on large
-    objectives (n in the hundreds) it is a small relative one and a solve
-    can run into max_outer_iter, which a larger fn_tol (CLI --tol-fn)
-    avoids.  The method constants (Armijo, backtracking, spectral step
-    bounds, restoration tolerance and sweep budget) are module constants.
+    solution, in the units of the spec's index variance; the restoration
+    meets RESTORATION_TOL * max(1, (sum_i |sigma_i w_i|)^2), below the
+    default var_tol unless sum_i |sigma_i w_i| exceeds 100.  fn_tol stops
+    the outer loop once the objective improvement of an accepted step
+    falls below it; the test is absolute, so on large objectives (n in the
+    hundreds) it is a small relative one and a solve can run into
+    max_outer_iter, which a larger fn_tol (CLI --tol-fn) avoids.  The
+    method constants (Armijo, backtracking, spectral step bounds,
+    restoration tolerance and sweep budget) are module constants.
     """
 
     k: int = 1
@@ -149,7 +148,6 @@ class SolverResult:
     restorations: int
     wall_time: float
     converged: bool
-    time_scale: float = 1.0
     message: str = ""
 
     def to_dict(self) -> dict:
@@ -162,7 +160,6 @@ class SolverResult:
             "restorations": self.restorations,
             "wall_time": self.wall_time,
             "converged": self.converged,
-            "time_scale": self.time_scale,
             "message": self.message,
             "n": self.X_star.n,
             "k": self.X_star.k,
@@ -303,7 +300,7 @@ def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
     return _residual_raw(arr, spec.scaled_weights(), spec.market.variance)
 
 
-def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarray | None:
+def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float, tol: float) -> np.ndarray | None:
     """One-shot restoration for boundary-pinned alternation fixed points.
 
     When rows sit on the ball the two projections fight each other: the
@@ -311,7 +308,7 @@ def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarra
     alternation converges at a rate that approaches one.  The cure is to
     treat the pair as a single curve lam |-> clip(X + lam K X) and solve
     the scalar residual equation on it directly.  Returns the feasible
-    point, or None when no sign change brackets a root.
+    point (|g| <= tol), or None when no sign change brackets a root.
     """
     from scipy.optimize import brentq
 
@@ -324,7 +321,7 @@ def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarra
         return _residual_raw(clipped(lam), v, target)
 
     phi0 = phi(0.0)
-    if abs(phi0) <= RESTORATION_TOL:
+    if abs(phi0) <= tol:
         return clipped(0.0)
     lo, hi = 0.0, None
     for sign in (1.0, -1.0):
@@ -343,7 +340,7 @@ def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarra
         return None
     lam_star = brentq(phi, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     out = clipped(lam_star)
-    if abs(_residual_raw(out, v, target)) <= RESTORATION_TOL:
+    if abs(_residual_raw(out, v, target)) <= tol:
         return out
     return None
 
@@ -354,11 +351,15 @@ def _project_feasible_raw(
     # Every correlation matrix is the Gram matrix of unit vectors z_i, so
     # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
     # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
-    # outside that range is infeasible for every k.
+    # outside that range is infeasible for every k.  Every tolerance is
+    # relative to the comonotonic bound, so the restoration is scale-free.
     absv = np.abs(v)
     total = float(absv.sum())
+    max_var = total ** 2
+    unit = max(1.0, max_var)
+    tol = RESTORATION_TOL * unit
     min_var = max(0.0, 2.0 * float(absv.max()) - total) ** 2
-    if target < min_var - RESTORATION_TOL:
+    if target < min_var - tol:
         raise RestorationError(
             f"index variance target {target:g} is below the attainable minimum "
             f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
@@ -368,12 +369,11 @@ def _project_feasible_raw(
     # (every pairwise correlation equal to one).  The variance surface is
     # tangent to the ball there, so alternating projections stall; build
     # the point directly instead.
-    max_var = total ** 2
-    if target >= max_var - RESTORATION_TOL:
+    if target >= max_var - tol:
         com = np.zeros_like(arr)
         com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
         resid = _residual_raw(com, v, target)
-        if abs(resid) <= RESTORATION_TOL:
+        if abs(resid) <= tol:
             return com
         raise RestorationError(
             f"index variance target {target:g} exceeds the comonotonic bound "
@@ -389,15 +389,15 @@ def _project_feasible_raw(
     # Row slack 1e-12 instead of exact membership: at targets sitting on
     # the comonotonic bound the fixed point straddles the ball boundary by
     # a few ulp.  The point returned is the exact clip of the converged
-    # one; with large |v| even that clip can move g past RESTORATION_TOL,
-    # in which case the alternation goes on.
+    # one; even that clip can move g past tol, in which case the
+    # alternation goes on.
     resid = _residual_raw(cur, v, target)
     merits: list[float] = []
     for sweep in range(MAX_RESTORATION_ITER):
         r2 = np.einsum("ij,ij->i", cur, cur)
-        if abs(resid) <= RESTORATION_TOL and np.all(r2 <= 1.0 + 1e-12):
+        if abs(resid) <= tol and np.all(r2 <= 1.0 + 1e-12):
             out = _project_omega_raw(cur)
-            if abs(_residual_raw(out, v, target)) <= RESTORATION_TOL:
+            if abs(_residual_raw(out, v, target)) <= tol:
                 return out
         # Line-search trial points can be rejected cheaply: the alternation
         # converges linearly at a rate set by the intersection angle, and a
@@ -406,10 +406,10 @@ def _project_feasible_raw(
         # short mark a hopeless attempt.  The solve-level restoration keeps
         # the full sweep allowance (fastfail=False).
         if fastfail:
-            merit = abs(resid) + max(0.0, float(np.max(r2)) - 1.0)
+            merit = abs(resid) / unit + max(0.0, float(np.max(r2)) - 1.0)
             merits.append(merit)
             if len(merits) > 20 and merit > 0.05 * merits[-21]:
-                rescued = _rescue_boundary(cur, v, target)
+                rescued = _rescue_boundary(cur, v, target, tol)
                 if rescued is not None:
                     return rescued
                 raise RestorationError(
@@ -425,11 +425,11 @@ def _project_feasible_raw(
             # The rows collapsed towards zero until the move overflowed.
             raise RestorationError(_INSENSITIVE, residual=resid)
         resid = g
-    rescued = _rescue_boundary(cur, v, target)
+    rescued = _rescue_boundary(cur, v, target, tol)
     if rescued is not None:
         return rescued
     raise RestorationError(
-        f"restoration did not reach |g| <= {RESTORATION_TOL:g} inside Omega "
+        f"restoration did not reach |g| <= {tol:g} inside Omega "
         f"within {MAX_RESTORATION_ITER} sweeps (last residual {resid!r})",
         residual=resid,
     )
@@ -441,9 +441,11 @@ def project_feasible(X, spec: MarketSpec) -> np.ndarray:
     The first equality projection selects the branch (the root with the
     shorter move) and locks it; afterwards the restoration alternates
     P_Omega and the locked-branch P_E until the residual drops below
-    RESTORATION_TOL (1e-10) with all rows inside Omega.  The returned
-    rows satisfy ||X_i||^2 <= 1 + 1e-12 and |g| <= RESTORATION_TOL.
-    Already-feasible points are returned unchanged.
+    tol = RESTORATION_TOL * max(1, (sum_i |v_i|)^2) with all rows inside
+    Omega, v = sigma o w.  The returned rows satisfy ||X_i||^2 <= 1 + 1e-12
+    and |g| <= tol, which is 1e-10 wherever sum_i |v_i| <= 1; the bound
+    scales with the variance units, so volatilities may be quoted in any
+    units.  Already-feasible points are returned unchanged.
 
     Raises RestorationError carrying the final residual when the target
     lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
@@ -507,18 +509,6 @@ def initial_loadings(A, k: int) -> FactorLoadings:
     return FactorLoadings(X0)
 
 
-def _rescaled_spec(spec: MarketSpec) -> tuple[MarketSpec, float]:
-    """Common time-scale change so that max |sigma_i w_i| < V_RESCALE_AT."""
-    vmax = float(np.max(np.abs(spec.scaled_weights())))
-    if vmax < V_RESCALE_AT:
-        return spec, 1.0
-    scale = vmax / (V_RESCALE_AT * 0.5)
-    m = spec.market
-    con = IndexConstraint(m.name, m.weights, m.variance / (scale * scale))
-    logger.info("rescaling volatilities by 1/%.4g (max |sigma_i w_i| = %.4g)", scale, vmax)
-    return MarketSpec(spec.sigma / scale, (con,)), scale
-
-
 def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> SolverResult:
     """Nearest factor-structured correlation matrix to the target A.
 
@@ -529,8 +519,12 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     f trace non-increasing, |g(X*)| <= var_tol, min_i h_i(X*) >= -1e-12,
     and C_star = C(X*) PSD by construction.  converged=False (with the
     reason in message) is returned when the iteration limit is hit before
-    the improvement test fires; a restoration failure from the starting
-    point propagates as RestorationError.
+    the improvement test fires, or when the final residual exceeds
+    var_tol; a restoration failure from the starting point propagates as
+    RestorationError.  Where sum_i |sigma_i w_i| >= 1 before and after,
+    scaling sigma by s and the index variance by s^2 leaves every move
+    unchanged up to rounding (see the module docstring); var_tol stays
+    absolute, in the units of the index variance.
 
     Parameters
     ----------
@@ -548,10 +542,9 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     if A_corr.n != spec.n:
         raise ValueError(f"target is {A_corr.n} x {A_corr.n} for {spec.n} assets")
 
-    work_spec, scale = _rescaled_spec(spec)
     A_hat, a2 = _target_offdiag(A_corr)
-    v = work_spec.scaled_weights()
-    target = work_spec.market.variance
+    v = spec.scaled_weights()
+    target = spec.market.variance
     restorations = 0
 
     def tangential(gr: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -632,14 +625,10 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
             message = "objective improvement below tolerance"
             break
 
-    # Residual is reported against the original (unscaled) market spec.
     residual = _residual(X, spec)
     if converged and abs(residual) > config.var_tol:
         converged = False
-        message = (
-            f"constraint residual {residual!r} exceeds var_tol after rescaling "
-            f"(time scale {scale:g})"
-        )
+        message = f"constraint residual {residual!r} exceeds var_tol"
 
     return SolverResult(
         X_star=FactorLoadings(X),
@@ -651,7 +640,6 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         restorations=restorations,
         wall_time=time.perf_counter() - t0,
         converged=converged,
-        time_scale=scale,
         message=message,
     )
 
@@ -682,11 +670,10 @@ def reference_solve(
     if n > 30:
         raise ValueError(f"reference solver is meant for small instances (n <= 30), got n = {n}")
 
-    work_spec, scale = _rescaled_spec(spec)
     A_hat = A_arr.copy()
     np.fill_diagonal(A_hat, 0.0)
-    v = work_spec.scaled_weights()
-    target = work_spec.market.variance
+    v = spec.scaled_weights()
+    target = spec.market.variance
     K = np.outer(v, v)
     np.fill_diagonal(K, 0.0)
 
@@ -748,7 +735,7 @@ def reference_solve(
     X = project_omega(X)
     fn = objective(X, A_arr)
     residual = _residual(X, spec)
-    converged = abs(residual) <= config.var_tol * max(1.0, scale * scale)
+    converged = abs(residual) <= config.var_tol
 
     return SolverResult(
         X_star=FactorLoadings(X),
@@ -760,6 +747,5 @@ def reference_solve(
         restorations=0,
         wall_time=time.perf_counter() - t0,
         converged=converged,
-        time_scale=scale,
         message="augmented-lagrangian reference",
     )

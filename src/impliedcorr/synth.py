@@ -48,6 +48,8 @@ from .io import MarketSnapshot
 # exponent of the index weights (smaller = more concentrated).
 VOL_RANGE = (0.1, 0.6)
 WEIGHT_TAIL = 1.5
+# Uniform band of the pairwise reversion speeds of the mean-reverting target.
+THETA_RANGE = (0.0, 0.4)
 
 
 def _seed_label(seed) -> str:
@@ -186,7 +188,6 @@ def estimate_target_matrix(
     returns,
     mode: str = "historical",
     window: int | None = None,
-    theta_range: tuple[float, float] = (0.0, 0.4),
     seed=None,
 ) -> CorrMatrix:
     """Solver target from a T x n return panel.
@@ -194,7 +195,7 @@ def estimate_target_matrix(
     mode="historical" is the sample correlation matrix over the trailing
     window.  mode="mean_reverting" blends the window estimate toward the
     full-sample per-pair correlation with pairwise uniform reversion
-    speeds from theta_range (seeded; symmetric by construction).  Any
+    speeds from THETA_RANGE (seeded; symmetric by construction).  Any
     other mode raises ValueError.  Neither estimate is guaranteed PSD
     once the window is short relative to n.
     """
@@ -212,13 +213,10 @@ def estimate_target_matrix(
     _check_nonconstant(returns, "return")
     rho_bar = _sample_corr(returns)
     n = rho.shape[0]
-    lo, hi = theta_range
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError(f"theta_range must lie inside [0, 1], got {theta_range}")
     rng = np.random.default_rng(seed)
     theta = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
-    theta[iu] = rng.uniform(lo, hi, size=iu[0].size)
+    theta[iu] = rng.uniform(*THETA_RANGE, size=iu[0].size)
     theta = theta + theta.T
 
     blended = theta * rho + (1.0 - theta) * rho_bar

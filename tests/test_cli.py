@@ -78,6 +78,31 @@ def test_unknown_command_is_usage_error(capsys):
     assert "error:" in err
 
 
+# Each subcommand's otherwise valid argv, and the shared options it reads.
+SUBCOMMANDS = {
+    "check": (["--matrix", "m.csv"], {"--tol-var", "--format"}),
+    "equicorr": (["--spec", "s.json"], {"--tol-var", "--out-dir", "--format"}),
+    "adjust": (["--snapshot", "s.json"], {"--tol-var", "--out-dir", "--format"}),
+    "nearest": (["--snapshot", "s.json"], {"--config", "--tol-var", "--tol-fn", "--out-dir", "--format"}),
+    "repair": (["--snapshot", "s.json"], {"--config", "--tol-var", "--tol-fn", "--out-dir", "--format"}),
+    "economic": (["--snapshot", "s.json"], {"--out-dir", "--format"}),
+    "vg-convert": (["--params", "p.json"], {"--out-dir", "--format"}),
+    "synth": (["-n", "4", "--k-true", "1", "--out-dir", "d"], {"--seed", "--out-dir", "--format"}),
+    "bench": (["--suite", "b.json"], {"--seed", "--out-dir", "--format"}),
+}
+SHARED = {"--config": "c.json", "--seed": "1", "--tol-var": "1e-6", "--tol-fn": "1e-3",
+          "--out-dir": "d", "--format": "json"}
+UNREAD = [(cmd, flag) for cmd, (_, reads) in SUBCOMMANDS.items() for flag in SHARED if flag not in reads]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
+    argv, _ = SUBCOMMANDS[command]
+    code, _, err = run_json(capsys, [command, *argv, flag, SHARED[flag]])
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_missing_file_is_io_error(capsys):
     code, _, err = run_json(capsys, ["check", "--matrix", "/no/such/file.csv"])
     assert code == 3

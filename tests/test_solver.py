@@ -62,6 +62,11 @@ def random_target(rng, n):
     return np.clip(A, -0.99, 0.99) + np.eye(n) * (1.0 - np.clip(A, -0.99, 0.99)[0, 0]) * 0.0
 
 
+def restoration_bound(spec):
+    """The documented |g| bound of project_feasible: 1e-10 * max(1, (sum |v_i|)^2)."""
+    return RESTORATION_TOL * max(1.0, float(np.sum(np.abs(spec.scaled_weights()))) ** 2)
+
+
 def fd_gradient(f, X, h=1e-6):
     G = np.zeros_like(X)
     for i in range(X.shape[0]):
@@ -399,24 +404,29 @@ def test_project_feasible_negative_weights_comonotonic_point():
 
 
 def test_project_feasible_final_clip_keeps_tolerance():
-    # Vols quoted in percent: with |v| in the tens the exact clip of the
-    # converged point moved g to -1.99e-10, past the 1e-10 tolerance.
+    # Vols quoted in percent and beyond: the exact clip of the converged
+    # point can move g past the tolerance, so the clip is re-checked; the
+    # tolerance scales with (sum |v_i|)^2, about 1.6e3 at scale 100.
     snap, _ = generate_synthetic_market(5, 2, 0.0, seed=217)
     con = snap.spec.constraints[0]
-    spec = MarketSpec(snap.spec.sigma * 100.0, (IndexConstraint(con.name, con.weights, con.variance * 1e4),))
     T = np.random.default_rng(217).normal(scale=0.6, size=(5, 2))
-    Z = project_feasible(T, spec)
-    assert abs(_residual(Z, spec)) <= RESTORATION_TOL
-    assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
+    for scale in (1e2, 1e4, 1e6):
+        spec = MarketSpec(
+            snap.spec.sigma * scale,
+            (IndexConstraint(con.name, con.weights, con.variance * scale**2),),
+        )
+        Z = project_feasible(T, spec)
+        assert abs(_residual(Z, spec)) <= restoration_bound(spec)
+        assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
 
 
 @st.composite
 def long_short_restorations(draw):
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, 3))
-    sigma = draw(arrays(np.float64, n, elements=st.floats(0.05, 4.0)))
-    size = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
-    sign = draw(arrays(np.bool_, n))
+    sigma = draw(arrays(np.float64, n, elements=st.floats(0.05, 4.0), fill=st.nothing()))
+    size = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0), fill=st.nothing()))
+    sign = draw(arrays(np.bool_, n, fill=st.nothing()))
     w = np.where(sign, size, -size)
     assume(abs(w.sum()) > 0.25)
     w /= w.sum()
@@ -425,7 +435,7 @@ def long_short_restorations(draw):
     lo = max(0.0, 2.0 * float(v.max()) - float(v.sum())) ** 2
     hi = float(v.sum()) ** 2
     t = draw(st.floats(0.01, 0.99))
-    X = draw(arrays(np.float64, (n, k), elements=st.floats(-1.5, 1.5)))
+    X = draw(arrays(np.float64, (n, k), elements=st.floats(-1.5, 1.5), fill=st.nothing()))
     spec = MarketSpec(sigma, (IndexConstraint("m", w, lo + t * (hi - lo)),))
     return spec, X
 
@@ -439,7 +449,7 @@ def test_project_feasible_contract_on_long_short_specs(case):
     except RestorationError:
         return
     assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
-    assert abs(_residual(Z, spec)) <= RESTORATION_TOL
+    assert abs(_residual(Z, spec)) <= restoration_bound(spec)
 
 
 def test_initial_loadings_identity_target_is_zero():
@@ -564,19 +574,26 @@ def test_solve_nicm_agrees_with_reference_on_small_instances():
 
 def test_solve_nicm_rescales_large_scaled_weights():
     # annualized-vol convention pushed to a monthly-variance target:
-    # max |sigma_i w_i| near 1 triggers the internal change of time scale
+    # max |sigma_i w_i| near 1, and the same market in units 2^10 and 2^20
+    # times larger, where the restoration's tolerance scales with them
     sigma = np.array([2.0, 1.8])
     w = np.array([0.5, 0.5])
     v = sigma * w
     var = 0.9 * float(np.sum(v)) ** 2
-    spec = MarketSpec(sigma, (IndexConstraint("m", w, var),))
     A = np.array([[1.0, 0.3], [0.3, 1.0]])
-    res = solve_nicm(A, spec, SolverConfig(k=1))
-    assert res.time_scale > 1.0
-    assert res.converged
-    # residual is reported in the original units
-    assert abs(residual(res.X_star.values, spec)) <= 1e-6
-    assert abs(res.constraint_residual) <= 1e-6
+    results = []
+    for s in (1.0, 2.0**10, 2.0**20):
+        spec = MarketSpec(sigma * s, (IndexConstraint("m", w, var * s * s),))
+        res = solve_nicm(A, spec, SolverConfig(k=1))
+        assert res.converged
+        # residual is reported in the spec's units
+        assert abs(residual(res.X_star.values, spec)) <= 1e-6
+        assert abs(res.constraint_residual) <= 1e-6
+        results.append(res)
+    base, *scaled = results
+    for res in scaled:
+        assert (res.outer_iterations, res.restorations) == (base.outer_iterations, base.restorations)
+        assert abs(res.fn - base.fn) <= 1e-12 * base.fn
 
 
 def test_solve_nicm_input_validation():

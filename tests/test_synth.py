@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from impliedcorr import synth
 from impliedcorr.core import check_feasibility
 from impliedcorr.synth import (
     estimate_factor_correlations,
@@ -141,14 +142,16 @@ def test_estimate_rejects_hyphenated_mode():
         estimate_target_matrix(R, mode="mean-reverting", window=50, seed=3)
 
 
-def test_estimate_theta_range_endpoints():
+def test_estimate_theta_range_endpoints(monkeypatch):
     rng = np.random.default_rng(409)
     R = rng.normal(size=(150, 4))
     # theta = 0 everywhere: pure full-sample estimate
-    zero = estimate_target_matrix(R, mode="mean_reverting", window=50, theta_range=(0.0, 0.0), seed=1)
+    monkeypatch.setattr(synth, "THETA_RANGE", (0.0, 0.0))
+    zero = estimate_target_matrix(R, mode="mean_reverting", window=50, seed=1)
     np.testing.assert_array_equal(zero.values, estimate_target_matrix(R).values)
     # theta = 1 everywhere: pure window estimate
-    one = estimate_target_matrix(R, mode="mean_reverting", window=50, theta_range=(1.0, 1.0), seed=1)
+    monkeypatch.setattr(synth, "THETA_RANGE", (1.0, 1.0))
+    one = estimate_target_matrix(R, mode="mean_reverting", window=50, seed=1)
     np.testing.assert_array_equal(one.values, estimate_target_matrix(R, window=50).values)
 
 
@@ -157,8 +160,6 @@ def test_estimate_target_validation():
     R = rng.normal(size=(50, 3))
     with pytest.raises(ValueError, match="mode must be"):
         estimate_target_matrix(R, mode="ewma")
-    with pytest.raises(ValueError, match="theta_range"):
-        estimate_target_matrix(R, mode="mean_reverting", theta_range=(-0.1, 0.4))
     with pytest.raises(ValueError, match="T x n"):
         estimate_target_matrix(R[:, 0])
     with pytest.raises(ValueError, match="T x n"):
