@@ -74,7 +74,6 @@ class BenchSuite:
     periods: int = 0
     window: int | None = None
     var_tol: float = 1e-6
-    fn_tol: float = 1e-3
     measure_time: bool = True
 
     def __post_init__(self) -> None:
@@ -196,7 +195,7 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
             C = res.C_Q.values
             record["alpha"] = float(res.alpha_hat)
         elif cell.model == "nicm":
-            config = SolverConfig(k=cell.k, var_tol=suite.var_tol, fn_tol=suite.fn_tol)
+            config = SolverConfig(k=cell.k, var_tol=suite.var_tol)
             res = solve_nicm(A, spec, config)
             C = res.C_star.values
             record["iterations"] = int(res.outer_iterations)

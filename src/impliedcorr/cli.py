@@ -100,8 +100,6 @@ def _solver_config(args, k: int | None = None) -> SolverConfig:
         base["k"] = k
     if args.tol_var is not None:
         base["var_tol"] = args.tol_var
-    if args.tol_fn is not None:
-        base["fn_tol"] = args.tol_fn
     return SolverConfig.from_dict(base)
 
 
@@ -313,7 +311,6 @@ _SHARED = {
     "--config": dict(help="solver config JSON file"),
     "--seed": dict(type=int, help="RNG seed (fallback: IMPLIEDCORR_SEED, then 0)"),
     "--tol-var": dict(type=float, help=f"variance constraint tolerance (default {SolverConfig.var_tol:g})"),
-    "--tol-fn": dict(type=float, help=f"objective improvement tolerance (default {SolverConfig.fn_tol:g})"),
     "--out-dir": dict(help="directory for output files"),
     "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
 }
@@ -359,7 +356,7 @@ def _build_parser() -> _Parser:
         ("repair", "repair an infeasible matrix via the nearest-matrix solve", _cmd_repair),
     ):
         sp = _subcommand(sub, name, help_text, func,
-                         "--config", "--tol-var", "--tol-fn", "--out-dir", "--format")
+                         "--config", "--tol-var", "--out-dir", "--format")
         sp.add_argument("--target", help="target matrix CSV")
         sp.add_argument("--spec", help="market spec JSON")
         sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")

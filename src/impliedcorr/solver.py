@@ -12,34 +12,32 @@ nearest to A that is both PSD by construction and consistent with the
 option-implied index variance.
 
 The solver is a spectral projected gradient method with inexact
-restoration: each outer iterate moves along the negative gradient with a
-Barzilai-Borwein step, and the trial point is *restored* to the
-intersection of Omega (the row-norm ball products) and the variance
-surface E = {X : g(X) = 0} by alternating two cheap projections:
+restoration (Martinez & Pilotta, JOTA 104 (2000)): each outer iterate
+moves along the negative gradient with a Barzilai-Borwein step, and the
+trial point is *restored* to the intersection of Omega (the row-norm ball
+products) and the variance surface E = {X : g(X) = 0} along one clipped
+curve, lam |-> P_Omega(X + lam K X) with K = v v' o J and v = sigma o w.
+P_Omega rescales only the rows whose squared norm exceeds one.  A curve
+search walks phi(lam) = g(P_Omega(X + lam K X)) out from its first-order
+root and refines a sign change by Illinois regula falsi; without one it
+moves to the sampled point nearest E and searches again from there.
 
-* P_Omega rescales only the rows whose squared norm exceeds one.
-* P_E moves along the first-order (Neumann) direction of the constraint,
-  X_E = X + lambda (v v' o J) X with v = sigma o w, where lambda solves
-  the scalar quadratic obtained by substituting X_E into g.  The quadratic
-  has two roots; the restoration picks a branch on first use and keeps it
-  for all subsequent projections of the same run, which prevents the
-  alternation from oscillating between the two sheets of the surface.
-
-A monotone Armijo arc search on s |-> P_feas(X - s alpha grad f) keeps the
-objective trace non-increasing, so convergence of f is a certificate the
-caller can check.  The equality move is exactly covariant under a change
-of units v -> s v: Y = K X scales by s^2 and the quadratic's a, b, c by
-s^6, s^4, s^2, so lambda -> lambda / s^2 and the move lambda Y is the
-same.  Only the restoration's tolerance tests carry units, and they are
-measured against the comonotonic bound: |g| <= RESTORATION_TOL *
-max(1, (sum_i |v_i|)^2).  Wherever sum_i |v_i| <= 1 this is the absolute
-RESTORATION_TOL.
+The outer step holds the sphere rows it would push outward and is
+tangential to E, so the restoration only absorbs second-order drift.  A
+monotone Armijo arc search on s |-> P_feas(X - s alpha d) keeps the
+objective trace non-increasing, and the loop stops once an accepted step
+improves f by less than FN_RTOL * f.  Under a change of units v -> s v,
+K X scales by s^2 and the first-order root by 1 / s^2, so the curve's
+points stay the same.  Only the tolerances carry units, and they are
+relative to the comonotonic bound: |g| <= RESTORATION_TOL * max(1,
+(sum_i |v_i|)^2), with roots refined to ROOT_TOL times the same bound.
 
 Cost per iteration: each trial point evaluates f and grad f once, at the
-price of one n x n x k product (A_hat X); the restoration sweeps and the
-tangential projection are O(n k), and no n x n matrix is formed except
-on the cancellation fallback of _objective_and_gradient near f = 0.  The
-O(n^3) work of a solve is the eigendecomposition of its spectral start.
+price of one n x n x k product (A_hat X); each curve sample and each pass
+of the tangential projection is O(n k), and no n x n matrix is formed
+except on the cancellation fallback of _objective_and_gradient near
+f = 0.  The O(n^3) work of a solve is the eigendecomposition of its
+spectral start.
 
 reference_solve is an independent cross-check for small instances: an
 augmented Lagrangian on the same objective and constraints, minimized with
@@ -57,6 +55,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
+    EPS_FEAS,
     CorrMatrix,
     FactorLoadings,
     MarketSpec,
@@ -75,8 +74,13 @@ STEP_MAX = 1e10
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 40
-# Restoration: |g| tolerance and sweep budget of the alternation.
+# The outer loop stops once an accepted step improves f by less than
+# FN_RTOL * f.
+FN_RTOL = 1e-5
+# Restoration: |g| tolerance, the root tolerance of one curve search (both
+# times max(1, (sum_i |v_i|)^2)) and the budget of curve searches.
 RESTORATION_TOL = 1e-10
+ROOT_TOL = 1e-16
 MAX_RESTORATION_ITER = 100
 
 _INSENSITIVE = (
@@ -100,26 +104,21 @@ class SolverConfig:
     var_tol bounds the admissible constraint residual |g| of a converged
     solution, in the units of the spec's index variance; the restoration
     meets RESTORATION_TOL * max(1, (sum_i |sigma_i w_i|)^2), below the
-    default var_tol unless sum_i |sigma_i w_i| exceeds 100.  fn_tol stops
-    the outer loop once the objective improvement of an accepted step
-    falls below it; the test is absolute, so on large objectives (n in the
-    hundreds) it is a small relative one and a solve can run into
-    max_outer_iter, which a larger fn_tol (CLI --tol-fn) avoids.  The
-    method constants (Armijo, backtracking, spectral step bounds,
-    restoration tolerance and sweep budget) are module constants.
+    default var_tol unless sum_i |sigma_i w_i| exceeds 100.  The outer
+    loop stops once an accepted step improves f by less than FN_RTOL * f,
+    or after max_outer_iter iterations.  The method constants are module
+    constants.
     """
 
     k: int = 1
     var_tol: float = 1e-6
-    fn_tol: float = 1e-3
     max_outer_iter: int = 200
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        for name in ("var_tol", "fn_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.var_tol <= 0.0:
+            raise ValueError(f"var_tol must be positive, got {self.var_tol!r}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
 
@@ -234,64 +233,6 @@ def project_omega(X) -> np.ndarray:
     return _project_omega_raw(_loadings_array(X))
 
 
-def _project_equality_raw(arr: np.ndarray, v: np.ndarray, target: float) -> tuple[np.ndarray, float, float]:
-    """First-order projection onto the index variance surface.
-
-    The move direction is the constraint normal pulled back through the
-    factor structure: X_E(lambda) = X + lambda Y with Y = K X.  With the
-    hollow form H(L, R) = v' [(L R') o J] v = <L, K R>, the model variance
-    along the move is H(X, X) + 2 lambda H(X, Y) + lambda^2 H(Y, Y) + v'v,
-    and H(X, Y) = ||Y||^2, so g = 0 becomes the scalar quadratic
-
-        a lambda^2 + b lambda + c = 0,
-        a = <Y, K Y>,   b = 2 ||Y||_F^2,   c = <X, Y> + v'v - sigma_m^2,
-
-    solved with the numerically stable quadratic formula.  Returns the
-    direction Y and both roots (lam_plus, lam_minus); the move is
-    X + lambda Y, and callers choose a branch and stick with it.  Both
-    moves run along Y, so the shorter one has the smaller |lambda|.
-
-    Degenerate cases: a = 0 falls back to the linear root -c/b on both
-    branches; a = b = 0 with the constraint unmet means it is insensitive
-    to moves along K X and raises RestorationError.  A negative
-    discriminant (surface unreachable at first order from X) keeps the
-    real part -b/(2a) on both branches so the alternation can continue
-    from the closest approach.
-    """
-    Y = constraint_normal(v, arr)
-    a = float(np.vdot(Y, constraint_normal(v, Y)))
-    b = 2.0 * float(np.vdot(Y, Y))
-    c = float(np.vdot(arr, Y)) + float(v @ v) - target
-
-    if a == 0.0:
-        if b == 0.0:
-            if c == 0.0:
-                # Constraint already satisfied and flat along K X; stay put.
-                lam_plus = lam_minus = 0.0
-            else:
-                raise RestorationError(_INSENSITIVE, residual=-c)
-        else:
-            lam_plus = lam_minus = -c / b
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            # Closest approach of the quadratic to zero.
-            lam_plus = lam_minus = -b / (2.0 * a)
-        elif b == 0.0:
-            r = math.sqrt(disc) / (2.0 * a)
-            lam_plus, lam_minus = r, -r
-        else:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            r1, r2 = q / a, c / q
-            # Label by the textbook formula: plus root carries +sqrt(disc).
-            if b > 0.0:
-                lam_plus, lam_minus = r2, r1
-            else:
-                lam_plus, lam_minus = r1, r2
-
-    return Y, float(lam_plus), float(lam_minus)
-
-
 def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
     return target - (hollow_form(v, arr, arr) + float(v @ v))
 
@@ -300,54 +241,83 @@ def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
     return _residual_raw(arr, spec.scaled_weights(), spec.market.variance)
 
 
-def _rescue_boundary(arr: np.ndarray, v: np.ndarray, target: float, tol: float) -> np.ndarray | None:
-    """One-shot restoration for boundary-pinned alternation fixed points.
+def _curve_sample(cur: np.ndarray, Y: np.ndarray, v: np.ndarray, target: float, lam: float) -> tuple:
+    """The sample (lam, phi(lam), P_Omega(cur + lam Y)), phi being g there."""
+    P = _project_omega_raw(cur + lam * Y)
+    g = _residual_raw(P, v, target)
+    if not math.isfinite(g):
+        raise RestorationError(_INSENSITIVE)
+    return lam, g, P
 
-    When rows sit on the ball the two projections fight each other: the
-    constraint step pushes rows out, the clip pulls them back, and the
-    alternation converges at a rate that approaches one.  The cure is to
-    treat the pair as a single curve lam |-> clip(X + lam K X) and solve
-    the scalar residual equation on it directly.  Returns the feasible
-    point (|g| <= tol), or None when no sign change brackets a root.
+
+# perfbench's tracer counts curve searches and root refinements by the
+# names _project_equality_raw and _rescue_boundary.
+def _rescue_boundary(
+    cur: np.ndarray, Y: np.ndarray, v: np.ndarray, target: float, eps: float, a: tuple, b: tuple
+) -> tuple:
+    """Illinois regula falsi on phi between the samples a and b.
+
+    phi(a) and phi(b) have opposite signs.  The bracket shrinks until
+    |phi| <= eps or no float is left strictly inside it; returns the
+    sample with the smallest |phi|.
     """
-    from scipy.optimize import brentq
-
-    Y = constraint_normal(v, arr)
-
-    def clipped(lam: float) -> np.ndarray:
-        return _project_omega_raw(arr + lam * Y)
-
-    def phi(lam: float) -> float:
-        return _residual_raw(clipped(lam), v, target)
-
-    phi0 = phi(0.0)
-    if abs(phi0) <= tol:
-        return clipped(0.0)
-    lo, hi = 0.0, None
-    for sign in (1.0, -1.0):
-        mag = 1e-8
-        prev = 0.0
-        while mag <= 1e8:
-            lam = sign * mag
-            if phi(lam) * phi0 < 0.0:
-                lo, hi = prev, lam
-                break
-            prev = lam
-            mag *= 10.0
-        if hi is not None:
+    best = min(a, b, key=lambda s: abs(s[1]))
+    (la, fa, _), (lb, fb, _) = a, b
+    side = 0
+    while abs(best[1]) > eps:
+        lc = (la * fb - lb * fa) / (fb - fa)
+        if not min(la, lb) < lc < max(la, lb):
             break
-    if hi is None:
-        return None
-    lam_star = brentq(phi, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-    out = clipped(lam_star)
-    if abs(_residual_raw(out, v, target)) <= tol:
-        return out
-    return None
+        c = _curve_sample(cur, Y, v, target, lc)
+        best = min(best, c, key=lambda s: abs(s[1]))
+        # An endpoint kept twice in a row has its value halved, so the
+        # secant cannot stall on one side of the root.
+        if (c[1] > 0.0) == (fb > 0.0):
+            lb, fb = c[0], c[1]
+            fa *= 0.5 if side == -1 else 1.0
+            side = -1
+        else:
+            la, fa = c[0], c[1]
+            fb *= 0.5 if side == 1 else 1.0
+            side = 1
+    return best
 
 
-def _project_feasible_raw(
-    arr: np.ndarray, v: np.ndarray, target: float, fastfail: bool = False
-) -> np.ndarray:
+def _project_equality_raw(
+    cur: np.ndarray, v: np.ndarray, target: float, eps: float
+) -> tuple[np.ndarray, float]:
+    """One search along the clipped curve lam |-> P_Omega(cur + lam Y), Y = K cur.
+
+    Along the unclipped move g = g(cur) - 2 lam ||Y||^2 + O(lam^2), so the
+    walk on phi(lam) = g(P_Omega(cur + lam Y)) starts at the first-order
+    root g / (2 ||Y||^2).  It halves lam while |phi| does not shrink, then
+    doubles it while phi keeps its sign and |phi| keeps shrinking.  A sign
+    change is refined to |phi| <= eps; otherwise the sample nearest the
+    surface is returned (cur itself if none is nearer), with its residual.
+    Raises RestorationError when Y = 0: g is then insensitive to the curve.
+    """
+    Y = constraint_normal(v, cur)
+    g0 = _residual_raw(cur, v, target)
+    yy = float(np.vdot(Y, Y))
+    if yy == 0.0 or not math.isfinite(g0 / yy):
+        raise RestorationError(_INSENSITIVE, residual=g0)
+    near, far = _curve_sample(cur, Y, v, target, g0 / (2.0 * yy)), None
+    while abs(near[1]) >= abs(g0):
+        if np.array_equal(cur + 0.5 * near[0] * Y, cur):
+            return cur, g0
+        far, near = near, _curve_sample(cur, Y, v, target, 0.5 * near[0])
+    prev = (0.0, g0, cur)
+    while (near[1] > 0.0) == (g0 > 0.0) and abs(near[1]) > eps:
+        nxt = far or _curve_sample(cur, Y, v, target, 2.0 * near[0])
+        far = None
+        if (nxt[1] > 0.0) == (g0 > 0.0) and abs(nxt[1]) >= abs(near[1]):
+            return near[2], near[1]
+        prev, near = near, nxt
+    _, g, P = _rescue_boundary(cur, Y, v, target, eps, prev, near)
+    return P, g
+
+
+def _project_feasible_raw(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarray:
     # Every correlation matrix is the Gram matrix of unit vectors z_i, so
     # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
     # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
@@ -367,8 +337,8 @@ def _project_feasible_raw(
         )
     # Targets at the comonotonic bound admit exactly one feasible point
     # (every pairwise correlation equal to one).  The variance surface is
-    # tangent to the ball there, so alternating projections stall; build
-    # the point directly instead.
+    # tangent to the ball there, so no curve crosses it; build the point
+    # directly instead.
     if target >= max_var - tol:
         com = np.zeros_like(arr)
         com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
@@ -381,56 +351,22 @@ def _project_feasible_raw(
             residual=resid,
         )
 
-    # Lock the branch of the shorter first move (tie to plus).
-    Y, lam_plus, lam_minus = _project_equality_raw(arr, v, target)
-    minus = abs(lam_minus) < abs(lam_plus)
-    cur = arr + (lam_minus if minus else lam_plus) * Y
-
-    # Row slack 1e-12 instead of exact membership: at targets sitting on
-    # the comonotonic bound the fixed point straddles the ball boundary by
-    # a few ulp.  The point returned is the exact clip of the converged
-    # one; even that clip can move g past tol, in which case the
-    # alternation goes on.
+    cur = _project_omega_raw(arr)
     resid = _residual_raw(cur, v, target)
-    merits: list[float] = []
-    for sweep in range(MAX_RESTORATION_ITER):
-        r2 = np.einsum("ij,ij->i", cur, cur)
-        if abs(resid) <= tol and np.all(r2 <= 1.0 + 1e-12):
-            out = _project_omega_raw(cur)
-            if abs(_residual_raw(out, v, target)) <= tol:
-                return out
-        # Line-search trial points can be rejected cheaply: the alternation
-        # converges linearly at a rate set by the intersection angle, and a
-        # sweep budget of 100 only suffices when each 20-sweep window cuts
-        # the combined infeasibility by well over 95%.  Windows that fall
-        # short mark a hopeless attempt.  The solve-level restoration keeps
-        # the full sweep allowance (fastfail=False).
-        if fastfail:
-            merit = abs(resid) / unit + max(0.0, float(np.max(r2)) - 1.0)
-            merits.append(merit)
-            if len(merits) > 20 and merit > 0.05 * merits[-21]:
-                rescued = _rescue_boundary(cur, v, target, tol)
-                if rescued is not None:
-                    return rescued
-                raise RestorationError(
-                    f"restoration stalled after {sweep + 1} sweeps "
-                    f"(residual {resid!r} not improving)",
-                    residual=resid,
-                )
-        cur = _project_omega_raw(cur)
-        Y, lam_plus, lam_minus = _project_equality_raw(cur, v, target)
-        cur = cur + (lam_minus if minus else lam_plus) * Y
-        g = _residual_raw(cur, v, target)
-        if not math.isfinite(g):
-            # The rows collapsed towards zero until the move overflowed.
+    for _ in range(MAX_RESTORATION_ITER):
+        if abs(resid) <= tol:
+            return cur
+        cur, g = _project_equality_raw(cur, v, target, ROOT_TOL * unit)
+        if abs(g) >= abs(resid):
+            # No point of the curve is nearer the surface: cur is a
+            # critical point of g on Omega (the rows collapsed, say).
             raise RestorationError(_INSENSITIVE, residual=resid)
         resid = g
-    rescued = _rescue_boundary(cur, v, target, tol)
-    if rescued is not None:
-        return rescued
+    if abs(resid) <= tol:
+        return cur
     raise RestorationError(
         f"restoration did not reach |g| <= {tol:g} inside Omega "
-        f"within {MAX_RESTORATION_ITER} sweeps (last residual {resid!r})",
+        f"within {MAX_RESTORATION_ITER} curve searches (last residual {resid!r})",
         residual=resid,
     )
 
@@ -438,20 +374,19 @@ def _project_feasible_raw(
 def project_feasible(X, spec: MarketSpec) -> np.ndarray:
     """Restore a point to Omega intersected with the variance surface.
 
-    The first equality projection selects the branch (the root with the
-    shorter move) and locks it; afterwards the restoration alternates
-    P_Omega and the locked-branch P_E until the residual drops below
-    tol = RESTORATION_TOL * max(1, (sum_i |v_i|)^2) with all rows inside
-    Omega, v = sigma o w.  The returned rows satisfy ||X_i||^2 <= 1 + 1e-12
-    and |g| <= tol, which is 1e-10 wherever sum_i |v_i| <= 1; the bound
+    The point is clipped to Omega, then searched along the clipped curve
+    of the module docstring until |g| <= tol = RESTORATION_TOL *
+    max(1, (sum_i |v_i|)^2), v = sigma o w; bracketed roots are refined
+    to ROOT_TOL times the same bound.  The returned rows satisfy
+    ||X_i||^2 <= 1 + 1e-12.  tol is 1e-10 wherever sum_i |v_i| <= 1 and
     scales with the variance units, so volatilities may be quoted in any
     units.  Already-feasible points are returned unchanged.
 
     Raises RestorationError carrying the final residual when the target
     lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
-    (sum|v_i|)^2] of v'Cv, when the alternation does not converge within
-    MAX_RESTORATION_ITER sweeps, or when it collapses the rows so far that
-    the constraint no longer responds to them.
+    (sum|v_i|)^2] of v'Cv, when MAX_RESTORATION_ITER curve searches do
+    not reach tol, or when g is insensitive to the curve (K X vanishes,
+    or no point of the curve is nearer the surface).
     """
     arr = _loadings_array(X)
     v = spec.scaled_weights()
@@ -517,14 +452,16 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
 
     A successful result satisfies, with X* the returned loadings:
     f trace non-increasing, |g(X*)| <= var_tol, min_i h_i(X*) >= -1e-12,
-    and C_star = C(X*) PSD by construction.  converged=False (with the
-    reason in message) is returned when the iteration limit is hit before
-    the improvement test fires, or when the final residual exceeds
-    var_tol; a restoration failure from the starting point propagates as
-    RestorationError.  Where sum_i |sigma_i w_i| >= 1 before and after,
-    scaling sigma by s and the index variance by s^2 leaves every move
-    unchanged up to rounding (see the module docstring); var_tol stays
-    absolute, in the units of the index variance.
+    and C_star = C(X*) PSD by construction.  The loop stops when an
+    accepted step improves f by less than FN_RTOL * f, or when the arc
+    search finds no acceptable step.  converged=False (with the reason in
+    message) is returned when max_outer_iter is hit first, or when the
+    final residual exceeds var_tol; a restoration failure from the
+    starting point propagates as RestorationError.  Where
+    sum_i |sigma_i w_i| >= 1 before and after, scaling sigma by s and the
+    index variance by s^2 leaves every move unchanged up to rounding (see
+    the module docstring); var_tol stays absolute, in the units of the
+    index variance.
 
     Parameters
     ----------
@@ -533,7 +470,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     spec : MarketSpec
         Volatilities and the index variance constraint.
     config : SolverConfig, optional
-        Factor count k, tolerances and the outer iteration limit.
+        Factor count k, var_tol and the outer iteration limit.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -547,16 +484,27 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     target = spec.market.variance
     restorations = 0
 
-    def tangential(gr: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        # Remove the component along the constraint normal grad g = -2 K Y
-        # (the factor -2 cancels inside the projection).  Steps along the
-        # result leave g unchanged to first order, so the restoration only
-        # has to absorb second-order drift and long moves survive it.
-        N = constraint_normal(v, Y)
-        nn = float(np.sum(N * N))
-        if nn == 0.0:
-            return gr
-        return gr - (float(np.sum(gr * N)) / nn) * N
+    def tangential(gr: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # Hold the sphere rows that the step X - s d pushes outward (their
+        # radial components leave grad f and K X), then remove the
+        # component along grad g = -2 K X; where that turns the step
+        # outward on another sphere row, hold it too.  Steps along the
+        # result leave g and the held rows' norms unchanged to first order,
+        # so the restoration only absorbs second-order drift.
+        N = constraint_normal(v, X)
+        r2 = np.einsum("ij,ij->i", X, X)
+        sphere = r2 >= 1.0 - EPS_FEAS
+        held = sphere & (np.einsum("ij,ij->i", X, gr) < 0.0)
+        while True:
+            u = held / np.where(held, r2, 1.0)
+            gh = gr - (u * np.einsum("ij,ij->i", X, gr))[:, None] * X
+            Nh = N - (u * np.einsum("ij,ij->i", X, N))[:, None] * X
+            nn = float(np.vdot(Nh, Nh))
+            d = gh if nn == 0.0 else gh - (float(np.vdot(gh, Nh)) / nn) * Nh
+            out = sphere & ~held & (np.einsum("ij,ij->i", X, d) < 0.0)
+            if not np.any(out):
+                return d
+            held |= out
 
     X = initial_loadings(A_corr, config.k).values
     X = _project_feasible_raw(X, v, target)
@@ -582,13 +530,10 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         else:
             s = 1.0
         direction = tangential(grad, X)
-        accepted = False
-        T = X
-        fT = f
         for _ in range(MAX_BACKTRACKS):
             try:
                 trial = _project_omega_raw(X - (s * alpha) * direction)
-                T = _project_feasible_raw(trial, v, target, fastfail=True)
+                T = _project_feasible_raw(trial, v, target)
                 restorations += 1
             except RestorationError:
                 s *= BACKTRACK
@@ -596,10 +541,9 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
             fT, gT = _objective_and_gradient(T, A_hat, a2)
             descent = float(np.sum(grad * (T - X)))
             if descent < 0.0 and fT <= f + ARMIJO_C1 * descent:
-                accepted = True
                 break
             s *= BACKTRACK
-        if not accepted:
+        else:
             converged = True
             message = "arc search exhausted without an acceptable step (projected stationary point)"
             outer -= 1
@@ -620,9 +564,9 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         else:
             alpha = min(max(float(np.sum(dX * dX)) / sty, STEP_MIN), STEP_MAX)
 
-        if improvement < config.fn_tol:
+        if improvement < FN_RTOL * f:
             converged = True
-            message = "objective improvement below tolerance"
+            message = "relative objective improvement below tolerance"
             break
 
     residual = _residual(X, spec)

@@ -139,7 +139,7 @@ def test_03_converged_runs_satisfy_constraint():
 
 
 def test_04_agrees_with_reference_solver():
-    cfg = SolverConfig(k=1, fn_tol=1e-9, max_outer_iter=500)
+    cfg = SolverConfig(k=1, max_outer_iter=500)
     count = 0
     seed = 0
     worst = 0.0
@@ -246,7 +246,7 @@ def test_09_zero_premium_recovers_the_truth():
     worst_alpha = 0.0
     for i in range(10):
         snap, C_true = generate_synthetic_market(20, 1, 0.0, seed=900 + i)
-        res = solve_nicm(C_true.values, snap.spec, SolverConfig(k=1, fn_tol=1e-12))
+        res = solve_nicm(C_true.values, snap.spec, SolverConfig(k=1))
         assert res.converged
         assert res.fn <= 1e-6
         worst_fn = max(worst_fn, res.fn)

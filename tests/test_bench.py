@@ -217,6 +217,9 @@ def test_suite_from_dict():
         BenchSuite.from_dict({"n": 12})
     with pytest.raises(ValueError, match="unknown suite fields"):
         BenchSuite.from_dict({"cells": [{"model": "equicorr"}], "gpu": True})
+    # the solver stops on a relative improvement of its own
+    with pytest.raises(ValueError, match="unknown suite fields.*fn_tol"):
+        BenchSuite.from_dict({"cells": [{"model": "nicm"}], "fn_tol": 1e-3})
 
 
 def test_render_table_and_csv_shapes():

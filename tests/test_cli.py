@@ -57,14 +57,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 def test_solve_path_leaves_scipy_linalg_unloaded():
     # Importing scipy.linalg raises the repair command's peak RSS by about
     # half (51 MB to 78 MB at n = 500); the solve and the feasibility check
-    # run on numpy alone.  This market needs no boundary rescue, the one
-    # solve step that loads scipy.
+    # run on numpy alone.  Market 808 of acceptance 08's hard-repair corpus
+    # keeps its rows on the sphere, so its restorations refine roots along
+    # the clipped curve; that runs on numpy alone too.
     run_fresh(
         "import sys, impliedcorr as ic\n"
         "snap, _ = ic.generate_synthetic_market(50, 3, 0.1, seed=7)\n"
         "res = ic.solve_nicm(snap.target, snap.spec, ic.SolverConfig(k=2))\n"
         "assert res.converged and ic.check_feasibility(res.C_star, snap.spec).feasible\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "snap, C = ic.generate_synthetic_market(10, 2, 0.0, seed=808)\n"
+        "con = snap.spec.constraints[0]\n"
+        "spec = ic.MarketSpec(snap.spec.sigma, (ic.IndexConstraint(con.name, con.weights, 0.35 * con.variance),))\n"
+        "A = ic.adjusted_ex_post(C.values, spec, workaround=False).C_Q.values\n"
+        "res = ic.solve_nicm(A, spec, ic.SolverConfig(k=3))\n"
+        "assert res.converged and ic.check_feasibility(res.C_star, spec).feasible\n"
+        "assert 'scipy.linalg' not in sys.modules and 'scipy.optimize' not in sys.modules\n"
     )
 
 
@@ -83,8 +90,8 @@ SUBCOMMANDS = {
     "check": (["--matrix", "m.csv"], {"--tol-var", "--format"}),
     "equicorr": (["--spec", "s.json"], {"--tol-var", "--out-dir", "--format"}),
     "adjust": (["--snapshot", "s.json"], {"--tol-var", "--out-dir", "--format"}),
-    "nearest": (["--snapshot", "s.json"], {"--config", "--tol-var", "--tol-fn", "--out-dir", "--format"}),
-    "repair": (["--snapshot", "s.json"], {"--config", "--tol-var", "--tol-fn", "--out-dir", "--format"}),
+    "nearest": (["--snapshot", "s.json"], {"--config", "--tol-var", "--out-dir", "--format"}),
+    "repair": (["--snapshot", "s.json"], {"--config", "--tol-var", "--out-dir", "--format"}),
     "economic": (["--snapshot", "s.json"], {"--out-dir", "--format"}),
     "vg-convert": (["--params", "p.json"], {"--out-dir", "--format"}),
     "synth": (["-n", "4", "--k-true", "1", "--out-dir", "d"], {"--seed", "--out-dir", "--format"}),
@@ -184,7 +191,7 @@ def test_nearest_from_snapshot(tmp_path, capsys):
     near_dir = str(tmp_path / "near")
     code, out, _ = run_json(
         capsys,
-        ["nearest", "--snapshot", snap_path, "-k", "2", "--tol-fn", "1e-10", "--out-dir", near_dir],
+        ["nearest", "--snapshot", snap_path, "-k", "2", "--out-dir", near_dir],
     )
     assert code == 0
     assert out["converged"] is True
@@ -211,14 +218,17 @@ def test_nearest_csv_rows_quote_json_cells(tmp_path, capsys):
 
 
 def test_config_naming_removed_field_exits_1(tmp_path, capsys):
+    # armijo_c1 became a module constant; fn_tol gave way to the solver's
+    # relative improvement test
     spec = write_spec(tmp_path, 0.03)
     m = str(tmp_path / "C.csv")
     write_matrix_csv(m, np.eye(2))
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"k": 1, "armijo_c1": 1e-4}))
-    code, _, err = run_json(capsys, ["nearest", "--target", m, "--spec", spec, "--config", str(cfg)])
-    assert code == 1
-    assert "unknown solver config fields" in err and "armijo_c1" in err
+    for field in ("armijo_c1", "fn_tol"):
+        cfg.write_text(json.dumps({"k": 1, field: 1e-4}))
+        code, _, err = run_json(capsys, ["nearest", "--target", m, "--spec", spec, "--config", str(cfg)])
+        assert code == 1
+        assert "unknown solver config fields" in err and field in err
 
 
 def test_config_k_applies_unless_k_flag_given(tmp_path, capsys):
