@@ -26,9 +26,7 @@ from .core import (
     MarketSpec,
     assemble_correlation,
     check_feasibility,
-    inequality_slack,
     portfolio_variance,
-    residual_variances,
 )
 from .economic import (
     AlphaSolution,
@@ -46,14 +44,11 @@ from .io import (
     read_market_spec,
     read_matrix_csv,
     read_solver_config,
-    read_vector_csv,
     read_vg_params,
     save_snapshot,
     write_loadings_csv,
     write_market_spec,
     write_matrix_csv,
-    write_vector_csv,
-    write_vg_params,
 )
 from .solver import (
     RestorationError,
@@ -111,7 +106,6 @@ __all__ = [
     "estimate_factor_correlations",
     "estimate_target_matrix",
     "generate_synthetic_market",
-    "inequality_slack",
     "initial_loadings",
     "load_snapshot",
     "objective",
@@ -124,10 +118,8 @@ __all__ = [
     "read_market_spec",
     "read_matrix_csv",
     "read_solver_config",
-    "read_vector_csv",
     "read_vg_params",
     "reference_solve",
-    "residual_variances",
     "risk_neutral_loadings",
     "run_bench",
     "save_snapshot",
@@ -138,6 +130,4 @@ __all__ = [
     "write_loadings_csv",
     "write_market_spec",
     "write_matrix_csv",
-    "write_vector_csv",
-    "write_vg_params",
 ]

@@ -14,8 +14,7 @@ Subcommands:
 * bench       deterministic model comparison on synthetic markets
 
 Exit codes: 0 success, 1 validation error, 2 non-convergence (or bench
-failures), 3 I/O error.  The seed can also be supplied through the
-IMPLIEDCORR_SEED environment variable; an explicit --seed wins.
+failures), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .io import (
     write_loadings_csv,
     write_market_spec,
     write_matrix_csv,
-    write_vector_csv,
     _dump_json,
     _load_json,
 )
@@ -80,18 +78,6 @@ def _emit(args, obj: dict) -> None:
             writer.writerow([key, str(val)])
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("IMPLIEDCORR_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"IMPLIEDCORR_SEED={env!r} is not an integer") from None
-    return 0
 
 
 def _solver_config(args, k: int | None = None) -> SolverConfig:
@@ -265,7 +251,7 @@ def _cmd_vg_convert(args) -> int:
             c_path = os.path.join(args.out_dir, "vg_C_centered.csv")
             s_path = os.path.join(args.out_dir, "vg_sigma.csv")
             write_matrix_csv(c_path, C_cen.values)
-            write_vector_csv(s_path, "sigma", sigma)
+            write_matrix_csv(s_path, np.reshape(sigma, (-1, 1)), ["sigma"])
             out["paths"] = {"C_centered": c_path, "sigma": s_path}
     if args.spec is not None:
         spec = read_market_spec(args.spec)
@@ -281,12 +267,11 @@ def _cmd_vg_convert(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
     snapshot, _ = generate_synthetic_market(
-        args.n, args.k_true, args.crp, seed, periods=args.periods
+        args.n, args.k_true, args.crp, args.seed, periods=args.periods
     )
     path = save_snapshot(snapshot, args.out_dir, stem=args.stem)
-    _emit(args, {"snapshot": path, "seed": seed, "date": snapshot.date})
+    _emit(args, {"snapshot": path, "seed": args.seed, "date": snapshot.date})
     return EXIT_OK
 
 
@@ -309,7 +294,7 @@ def _cmd_bench(args) -> int:
 
 _SHARED = {
     "--config": dict(help="solver config JSON file"),
-    "--seed": dict(type=int, help="RNG seed (fallback: IMPLIEDCORR_SEED, then 0)"),
+    "--seed": dict(type=int, help="RNG seed (synth default 0; bench default: the suite's seed)"),
     "--tol-var": dict(type=float, help=f"variance constraint tolerance (default {SolverConfig.var_tol:g})"),
     "--out-dir": dict(help="directory for output files"),
     "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
@@ -373,7 +358,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--params", required=True, help="model parameters JSON")
     sp.add_argument("--spec", help="market spec JSON to transform alongside")
 
-    sp = _subcommand(sub, "synth", "generate a synthetic market", _cmd_synth, "--seed", "--format")
+    sp = _subcommand(sub, "synth", "generate a synthetic market", _cmd_synth, "--seed", "--format",
+                     seed=0)
     sp.add_argument("--out-dir", required=True, help="directory for the snapshot files")
     sp.add_argument("-n", type=int, required=True, help="number of assets")
     sp.add_argument("--k-true", type=int, required=True, help="true factor count")

@@ -26,10 +26,9 @@ matrix is calibrated to one index at a time.
 
 This module holds the shared value types (loadings, correlation matrices,
 market specs) and the elementary operations the model layers build on:
-assembling C(X), residual idiosyncratic variances, portfolio variance and a
-combined feasibility report.  It also holds the two O(n k) kernels of the
-index variance algebra, with v = sigma o w and
-K = v v' o J = v v' - diag(v^2):
+assembling C(X), portfolio variance and a combined feasibility report.
+It also holds the two O(n k) kernels of the index variance algebra, with
+v = sigma o w and K = v v' o J = v v' - diag(v^2):
 
 * :func:`hollow_form` evaluates v' [(L R') o J] v = <L, K R>, so the model
   index variance at X is hollow_form(v, X, X) + v'v;
@@ -70,8 +69,7 @@ class FactorLoadings:
     Instances are value objects: the wrapped array is copied and marked
     read-only.  Membership of Omega is *not* enforced on construction.
     Solver iterates legitimately pass through infeasible points, so the
-    container must be able to represent them; use :meth:`in_omega` or
-    :func:`inequality_slack` to test.
+    container must be able to represent them; :meth:`in_omega` tests it.
     """
 
     values: np.ndarray
@@ -97,12 +95,9 @@ class FactorLoadings:
     def k(self) -> int:
         return self.values.shape[1]
 
-    def row_norms_sq(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.values, self.values)
-
     def in_omega(self, eps: float = EPS_FEAS) -> bool:
         """True when every row satisfies ||X_i||^2 <= 1 + eps."""
-        return bool(np.all(self.row_norms_sq() <= 1.0 + eps))
+        return bool(np.all(np.einsum("ij,ij->i", self.values, self.values) <= 1.0 + eps))
 
 
 @dataclass(frozen=True)
@@ -291,24 +286,6 @@ def constraint_normal(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     return v[:, None] * (X.T @ v) - (v * v)[:, None] * X
 
 
-def residual_variances(X) -> np.ndarray:
-    """Idiosyncratic variances h_i = 1 - ||X_i||^2 of the factor model.
-
-    Raises ValueError naming the first offending row if X lies outside
-    Omega beyond EPS_FEAS; tiny negative values inside the tolerance are
-    clipped to zero so downstream square roots stay real.
-    """
-    r2 = FactorLoadings(_loadings_array(X)).row_norms_sq()
-    over = r2 > 1.0 + EPS_FEAS
-    if np.any(over):
-        i = int(np.argmax(over))
-        raise ValueError(
-            f"row {i} has squared norm {r2[i]!r} > 1: loadings lie outside "
-            "the feasible region"
-        )
-    return np.clip(1.0 - r2, 0.0, None)
-
-
 def portfolio_variance(C, spec: MarketSpec) -> float:
     """Model index variance w' diag(sigma) C diag(sigma) w."""
     arr = _corr_array(C)
@@ -316,16 +293,6 @@ def portfolio_variance(C, spec: MarketSpec) -> float:
         raise ValueError(f"matrix is {arr.shape[0]} x {arr.shape[0]} for {spec.n} assets")
     v = spec.scaled_weights()
     return float(v @ arr @ v)
-
-
-def inequality_slack(X) -> np.ndarray:
-    """Slack h_i(X) = 1 - ||X_i||^2 of the Omega membership inequalities.
-
-    Unlike :func:`residual_variances` this never raises and never clips;
-    negative entries measure how far a row lies outside Omega.
-    """
-    arr = _loadings_array(X)
-    return 1.0 - np.einsum("ij,ij->i", arr, arr)
 
 
 def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> FeasibilityReport:

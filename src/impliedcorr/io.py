@@ -4,8 +4,8 @@ Conventions, chosen so that identical inputs produce byte-identical files:
 
 * Matrices are headerless CSV, one row per line, shortest round-trip float
   formatting (repr), newline line endings, trailing newline.
-* Vectors are single-column CSV whose first line names the field.
-* Factor loadings are CSV with a header row of factor names.
+* Factor loadings are the same table after a header row of factor names,
+  and a vector is a one-column table whose header names the field.
 * Structured objects (market specs, model parameters, solver configs and
   results, snapshots) are JSON with two-space indentation and sorted keys.
 * A market snapshot is a JSON document holding the market spec inline and
@@ -31,37 +31,6 @@ from .vg import VGParams
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a headerless CSV matrix; errors carry path and line number."""
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            try:
-                row = [float(tok) for tok in tokens]
-            except ValueError:
-                bad = next(t for t in tokens if not _is_float(t))
-                raise ValueError(f"{path}:{lineno}: cannot parse {bad.strip()!r} as a number") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: row has {len(row)} entries, expected {width}"
-                )
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    return np.array(rows)
-
-
 def _is_float(tok: str) -> bool:
     try:
         float(tok)
@@ -70,81 +39,60 @@ def _is_float(tok: str) -> bool:
         return False
 
 
-def write_matrix_csv(path: str, M) -> None:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in M:
-            fh.write(",".join(_fmt(x) for x in row))
-            fh.write("\n")
+def _read_csv(path: str, header: bool) -> tuple[list[str] | None, list[list[float]]]:
+    """Parse a CSV table of numbers, after a row of column names if header.
 
-
-def read_vector_csv(path: str) -> tuple[str, np.ndarray]:
-    """Read a single-column CSV; the first line names the field."""
-    values: list[float] = []
-    name = None
+    Blank lines are skipped and every row must be as wide as the first row
+    (or the header).  Errors carry the path and the line number.
+    """
+    names: list[str] | None = None
+    rows: list[list[float]] = []
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if name is None:
-                if _is_float(line):
-                    raise ValueError(
-                        f"{path}:1: vector files start with a header naming the field, "
-                        f"got the number {line!r}"
-                    )
-                name = line
+            tokens = line.split(",")
+            if header and names is None:
+                names = [t.strip() for t in tokens]
+                if all(_is_float(t) for t in names):
+                    raise ValueError(f"{path}:{lineno}: expected a header row of column names")
+                width = len(names)
                 continue
             try:
-                values.append(float(line))
+                row = list(map(float, tokens))
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: cannot parse {line!r} as a number") from None
-    if name is None:
-        raise ValueError(f"{path}: empty vector file")
-    if not values:
-        raise ValueError(f"{path}: vector {name!r} has no values")
-    return name, np.array(values)
+                bad = next(t for t in tokens if not _is_float(t))
+                raise ValueError(f"{path}:{lineno}: cannot parse {bad.strip()!r} as a number") from None
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError(f"{path}:{lineno}: row has {len(row)} entries, expected {width}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: header but no rows" if names else f"{path}: empty file")
+    return names, rows
 
 
-def write_vector_csv(path: str, name: str, values) -> None:
-    values = np.asarray(values, dtype=float).ravel()
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Read a headerless CSV matrix; errors carry path and line number."""
+    return np.array(_read_csv(path, header=False)[1])
+
+
+def write_matrix_csv(path: str, M, names: list[str] | None = None) -> None:
+    """Write M one row per line in repr format, after a header row if names."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(name + "\n")
-        for x in values:
-            fh.write(_fmt(x) + "\n")
+        if names is not None:
+            fh.write(",".join(names) + "\n")
+        for row in M.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_loadings_csv(path: str) -> tuple[list[str], FactorLoadings]:
     """Read loadings with a factor-name header row."""
-    names: list[str] | None = None
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if names is None:
-                if all(_is_float(t) for t in tokens):
-                    raise ValueError(
-                        f"{path}:1: loadings files start with a header row of factor names"
-                    )
-                names = tokens
-                continue
-            try:
-                row = [float(t) for t in tokens]
-            except ValueError:
-                bad = next(t for t in tokens if not _is_float(t))
-                raise ValueError(f"{path}:{lineno}: cannot parse {bad!r} as a number") from None
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: row has {len(row)} entries for {len(names)} factors"
-                )
-            rows.append(row)
-    if names is None:
-        raise ValueError(f"{path}: empty loadings file")
-    if not rows:
-        raise ValueError(f"{path}: loadings file has a header but no rows")
+    names, rows = _read_csv(path, header=True)
     return names, FactorLoadings(np.array(rows))
 
 
@@ -154,11 +102,7 @@ def write_loadings_csv(path: str, X, names: list[str] | None = None) -> None:
         names = [f"factor_{d + 1}" for d in range(arr.shape[1])]
     if len(names) != arr.shape[1]:
         raise ValueError(f"{len(names)} factor names for {arr.shape[1]} columns")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in arr:
-            fh.write(",".join(_fmt(x) for x in row))
-            fh.write("\n")
+    write_matrix_csv(path, arr, names)
 
 
 def _dump_json(path: str, obj: dict) -> None:
@@ -239,20 +183,6 @@ def read_vg_params(path: str) -> VGParams:
         nu=float(d["nu"]),
         C_dir=CorrMatrix(C) if C is not None else None,
     )
-
-
-def write_vg_params(path: str, params: VGParams) -> None:
-    d = {
-        "xi": [float(x) for x in params.xi],
-        "omega": [float(x) for x in params.omega],
-        "theta": [float(x) for x in params.theta],
-        "nu": float(params.nu),
-        "C_dir": None,
-    }
-    if params.C_dir is not None:
-        write_matrix_csv(os.path.join(os.path.dirname(os.path.abspath(path)), "C_dir.csv"), params.C_dir.values)
-        d["C_dir"] = "C_dir.csv"
-    _dump_json(path, d)
 
 
 def read_solver_config(path: str) -> SolverConfig:

@@ -532,8 +532,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         direction = tangential(grad, X)
         for _ in range(MAX_BACKTRACKS):
             try:
-                trial = _project_omega_raw(X - (s * alpha) * direction)
-                T = _project_feasible_raw(trial, v, target)
+                T = _project_feasible_raw(X - (s * alpha) * direction, v, target)
                 restorations += 1
             except RestorationError:
                 s *= BACKTRACK
@@ -588,12 +587,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     )
 
 
-def reference_solve(
-    A,
-    spec: MarketSpec,
-    k: int,
-    config: SolverConfig | None = None,
-) -> SolverResult:
+def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> SolverResult:
     """Independent augmented-Lagrangian solver for small cross-checks.
 
     Minimizes the same objective under the same constraints with a
@@ -602,13 +596,15 @@ def reference_solve(
     using scipy's L-BFGS-B as inner solver on the flattened loadings.  It
     starts from the same spectral point as solve_nicm so both methods
     descend into the same basin, but shares none of the projection or
-    line-search machinery.  Intended for n up to about 25.
+    line-search machinery.  The factor count and var_tol come from config
+    (default SolverConfig()).  Intended for n up to about 25.
     """
     from scipy.optimize import minimize
 
     t0 = time.perf_counter()
     if config is None:
-        config = SolverConfig(k=k)
+        config = SolverConfig()
+    k = config.k
     A_arr = _corr_array(A)
     n = A_arr.shape[0]
     if n > 30:

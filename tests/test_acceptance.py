@@ -154,7 +154,7 @@ def test_04_agrees_with_reference_solver():
         P = np.clip((P + P.T) / 2.0, -0.99, 0.99)
         np.fill_diagonal(P, 1.0)
         res = solve_nicm(P, snap.spec, cfg)
-        ref = reference_solve(P, snap.spec, k=1)
+        ref = reference_solve(P, snap.spec, cfg)
         assert res.converged
         assert abs(res.fn - ref.fn) <= 1e-3
         worst = max(worst, abs(res.fn - ref.fn))

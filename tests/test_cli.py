@@ -17,9 +17,7 @@ from impliedcorr.io import (
     write_loadings_csv,
     write_market_spec,
     write_matrix_csv,
-    write_vg_params,
 )
-from impliedcorr.vg import VGParams
 
 
 def write_spec(tmp_path, var=0.03, name="spec.json"):
@@ -29,6 +27,18 @@ def write_spec(tmp_path, var=0.03, name="spec.json"):
     )
     path = str(tmp_path / name)
     write_market_spec(path, spec)
+    return path
+
+
+def write_vg_params(tmp_path, C_dir=None):
+    """Model parameters for two assets with theta = (1, -1), nu = 0.5."""
+    d = {"xi": [0.0, 0.0], "omega": [1.0, 1.0], "theta": [1.0, -1.0], "nu": 0.5, "C_dir": None}
+    if C_dir is not None:
+        write_matrix_csv(str(tmp_path / "C_dir.csv"), C_dir)
+        d["C_dir"] = "C_dir.csv"
+    path = str(tmp_path / "vg.json")
+    with open(path, "w") as fh:
+        json.dump(d, fh)
     return path
 
 
@@ -295,13 +305,7 @@ def test_economic_cli(tmp_path, capsys):
 
 
 def test_vg_convert(tmp_path, capsys):
-    from impliedcorr.core import CorrMatrix
-
-    params = VGParams(
-        np.zeros(2), np.ones(2), np.array([1.0, -1.0]), 0.5, CorrMatrix(np.eye(2))
-    )
-    p = str(tmp_path / "vg.json")
-    write_vg_params(p, params)
+    p = write_vg_params(tmp_path, np.eye(2))
     out_dir = str(tmp_path / "out")
     code, out, _ = run_json(capsys, ["vg-convert", "--params", p, "--out-dir", out_dir])
     assert code == 0
@@ -309,6 +313,9 @@ def test_vg_convert(tmp_path, capsys):
     assert out["mean"] == [1.0, -1.0]
     C = read_matrix_csv(os.path.join(out_dir, "vg_C_centered.csv"))
     assert C[0, 1] == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    # sigma is a one-column table headed by its name, one repr per line
+    with open(os.path.join(out_dir, "vg_sigma.csv"), "rb") as fh:
+        assert fh.read() == ("sigma\n" + "".join(repr(x) + "\n" for x in out["sigma"])).encode()
     # with a spec: adjusted variance = var - nu (w'theta)^2; w'theta = 0 here
     spec = write_spec(tmp_path, 0.03)
     code, out, _ = run_json(capsys, ["vg-convert", "--params", p, "--spec", spec])
@@ -317,8 +324,7 @@ def test_vg_convert(tmp_path, capsys):
 
 
 def test_vg_convert_needs_something_to_do(tmp_path, capsys):
-    p = str(tmp_path / "vg.json")
-    write_vg_params(p, VGParams(np.zeros(2), np.ones(2), np.zeros(2), 0.5))
+    p = write_vg_params(tmp_path)
     code, _, err = run_json(capsys, ["vg-convert", "--params", p])
     assert code == 1
     assert "nothing to convert" in err
@@ -337,22 +343,14 @@ def test_synth_deterministic_and_requires_out_dir(tmp_path, capsys):
     code, _, err = run_json(capsys, ["synth", "-n", "5", "--k-true", "2"])
     assert code == 1
     assert "--out-dir" in err
-
-
-def test_seed_env_fallback_and_precedence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("IMPLIEDCORR_SEED", "9")
+    # --seed wins; without it the seed is 0
     argv = ["synth", "-n", "4", "--k-true", "1", "--crp", "0.0"]
-    code, out, _ = run_json(capsys, argv + ["--out-dir", str(tmp_path / "env")])
+    code, out, _ = run_json(capsys, argv + ["--seed", "3", "--out-dir", str(tmp_path / "cli")])
     assert code == 0
-    assert out["seed"] == 9
-    code, out, _ = run_json(
-        capsys, argv + ["--seed", "3", "--out-dir", str(tmp_path / "cli")]
-    )
-    assert out["seed"] == 3
-    monkeypatch.setenv("IMPLIEDCORR_SEED", "elephant")
-    code, _, err = run_json(capsys, argv + ["--out-dir", str(tmp_path / "bad")])
-    assert code == 1
-    assert "not an integer" in err
+    assert (out["seed"], out["date"]) == (3, "synthetic-3")
+    code, out, _ = run_json(capsys, argv + ["--out-dir", str(tmp_path / "default")])
+    assert code == 0
+    assert (out["seed"], out["date"]) == (0, "synthetic-0")
 
 
 def test_bench_cli(tmp_path, capsys):

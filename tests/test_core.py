@@ -15,9 +15,7 @@ from impliedcorr.core import (
     check_feasibility,
     constraint_normal,
     hollow_form,
-    inequality_slack,
     portfolio_variance,
-    residual_variances,
 )
 
 
@@ -148,16 +146,6 @@ def test_assemble_psd_for_loadings_in_ball():
         assert C.min_eigenvalue() >= -1e-12
 
 
-def test_residual_variances():
-    np.testing.assert_allclose(residual_variances([[0.6, 0.8]]), [0.0], atol=1e-15)
-    np.testing.assert_allclose(residual_variances([[0.5]]), [0.75])
-    with pytest.raises(ValueError, match="row 1"):
-        residual_variances([[0.1], [1.2]])
-    # a few ulp outside the ball clips to zero instead of going negative
-    h = residual_variances([[1.0 + 1e-16]])
-    assert h[0] == 0.0
-
-
 def test_portfolio_variance_hand_values():
     spec = spec2(0.03)
     assert portfolio_variance(np.eye(2), spec) == pytest.approx(0.02)
@@ -182,13 +170,6 @@ def test_portfolio_variance_quadratic_form_oracle():
             for j in range(n)
         )
         assert portfolio_variance(C, spec) == pytest.approx(direct, rel=1e-12)
-
-
-def test_inequality_slack():
-    np.testing.assert_allclose(inequality_slack([[0.9, 0.9]]), [-0.62])
-    # never raises on infeasible rows
-    s = inequality_slack([[2.0], [0.0]])
-    np.testing.assert_allclose(s, [-3.0, 1.0])
 
 
 def test_check_feasibility_flags_each_violation():

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from impliedcorr.core import CorrMatrix, FactorLoadings, IndexConstraint, MarketSpec
+from impliedcorr.core import FactorLoadings, IndexConstraint, MarketSpec
 from impliedcorr.io import (
     MarketSnapshot,
     load_snapshot,
@@ -15,18 +18,14 @@ from impliedcorr.io import (
     read_market_spec,
     read_matrix_csv,
     read_solver_config,
-    read_vector_csv,
     read_vg_params,
     save_snapshot,
     write_loadings_csv,
     write_market_spec,
     write_matrix_csv,
-    write_vector_csv,
-    write_vg_params,
 )
 from impliedcorr.solver import SolverConfig
 from impliedcorr.synth import generate_synthetic_market
-from impliedcorr.vg import VGParams
 
 
 def spec2(var=0.03):
@@ -56,7 +55,7 @@ def test_matrix_read_errors(tmp_path):
     with pytest.raises(ValueError, match="row has 1 entries, expected 2"):
         read_matrix_csv(str(p))
     p.write_text("\n\n")
-    with pytest.raises(ValueError, match="empty matrix file"):
+    with pytest.raises(ValueError, match="empty file"):
         read_matrix_csv(str(p))
 
 
@@ -67,28 +66,38 @@ def test_matrix_skips_blank_lines(tmp_path):
 
 
 def test_vector_round_trip(tmp_path):
-    p = str(tmp_path / "v.csv")
-    vals = np.array([0.1, -2.5e-8, 3.0])
-    write_vector_csv(p, "sigma", vals)
-    name, out = read_vector_csv(p)
-    assert name == "sigma"
-    np.testing.assert_array_equal(out, vals)
-
-
-def test_vector_read_errors(tmp_path):
+    # a vector is a one-column table whose header names the field
     p = tmp_path / "v.csv"
-    p.write_text("0.5\n0.6\n")
-    with pytest.raises(ValueError, match="start with a header"):
-        read_vector_csv(str(p))
-    p.write_text("")
-    with pytest.raises(ValueError, match="empty vector file"):
-        read_vector_csv(str(p))
-    p.write_text("sigma\n")
-    with pytest.raises(ValueError, match="has no values"):
-        read_vector_csv(str(p))
-    p.write_text("sigma\nnan_but_words\n")
-    with pytest.raises(ValueError, match=":2: cannot parse"):
-        read_vector_csv(str(p))
+    vals = np.array([0.1, -2.5e-8, 3.0])
+    write_matrix_csv(str(p), vals[:, None], ["sigma"])
+    assert p.read_text() == "sigma\n0.1\n-2.5e-08\n3.0\n"
+    name, out = read_loadings_csv(str(p))
+    assert name == ["sigma"]
+    np.testing.assert_array_equal(out.values[:, 0], vals)
+
+
+# Every finite double, -0.0, subnormals and values near the overflow edge.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    M=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_finite, fill=st.nothing()),
+    named=st.booleans(),
+)
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, M, named):
+    p = str(tmp_path_factory.mktemp("csv") / "m.csv")
+    if named:
+        names = [f"c{j}" for j in range(M.shape[1])]
+        write_matrix_csv(p, M, names)
+        back_names, X = read_loadings_csv(p)
+        assert back_names == names
+        back = X.values
+    else:
+        write_matrix_csv(p, M)
+        back = read_matrix_csv(p)
+    assert back.shape == M.shape
+    assert back.tobytes() == M.tobytes()
 
 
 def test_loadings_round_trip(tmp_path):
@@ -107,16 +116,19 @@ def test_loadings_round_trip(tmp_path):
 def test_loadings_read_errors(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("0.1,0.2\n0.3,0.4\n")
-    with pytest.raises(ValueError, match="header row of factor names"):
+    with pytest.raises(ValueError, match=rf"{p}:1: expected a header row of column names"):
         read_loadings_csv(str(p))
     p.write_text("a,b\n0.1\n")
-    with pytest.raises(ValueError, match="row has 1 entries for 2 factors"):
+    with pytest.raises(ValueError, match=rf"{p}:2: row has 1 entries, expected 2"):
+        read_loadings_csv(str(p))
+    p.write_text("sigma\nnan_but_words\n")
+    with pytest.raises(ValueError, match=rf"{p}:2: cannot parse 'nan_but_words'"):
         read_loadings_csv(str(p))
     p.write_text("")
-    with pytest.raises(ValueError, match="empty loadings file"):
+    with pytest.raises(ValueError, match=rf"{p}: empty file"):
         read_loadings_csv(str(p))
     p.write_text("a,b\n")
-    with pytest.raises(ValueError, match="header but no rows"):
+    with pytest.raises(ValueError, match=rf"{p}: header but no rows"):
         read_loadings_csv(str(p))
     with pytest.raises(ValueError, match="2 factor names for 1 columns"):
         write_loadings_csv(str(p), np.array([[0.1], [0.2]]), ["a", "b"])
@@ -163,22 +175,26 @@ def test_market_spec_dict_errors():
         market_spec_from_dict(bad)
 
 
+def write_vg_json(path, xi, omega, theta, nu, C_dir=None):
+    path.write_text(json.dumps(
+        {"xi": xi, "omega": omega, "theta": theta, "nu": nu, "C_dir": C_dir}, indent=2, sort_keys=True
+    ) + "\n")
+
+
 def test_vg_params_round_trip(tmp_path):
-    C = CorrMatrix(np.array([[1.0, 0.25], [0.25, 1.0]]))
-    p = VGParams(np.array([0.01, -0.02]), np.array([0.3, 0.4]), np.array([0.1, -0.3]), 0.7, C)
-    path = str(tmp_path / "vg.json")
-    write_vg_params(path, p)
-    back = read_vg_params(path)
-    np.testing.assert_array_equal(back.xi, p.xi)
-    np.testing.assert_array_equal(back.omega, p.omega)
-    np.testing.assert_array_equal(back.theta, p.theta)
-    assert back.nu == p.nu
-    np.testing.assert_array_equal(back.C_dir.values, C.values)
-    assert (tmp_path / "C_dir.csv").exists()
+    C = np.array([[1.0, 0.25], [0.25, 1.0]])
+    write_matrix_csv(str(tmp_path / "C_dir.csv"), C)
+    path = tmp_path / "vg.json"
+    write_vg_json(path, [0.01, -0.02], [0.3, 0.4], [0.1, -0.3], 0.7, "C_dir.csv")
+    back = read_vg_params(str(path))
+    np.testing.assert_array_equal(back.xi, [0.01, -0.02])
+    np.testing.assert_array_equal(back.omega, [0.3, 0.4])
+    np.testing.assert_array_equal(back.theta, [0.1, -0.3])
+    assert back.nu == 0.7
+    np.testing.assert_array_equal(back.C_dir.values, C)
     # without the matrix
-    p2 = VGParams(np.zeros(2), np.ones(2), np.zeros(2), 0.5)
-    write_vg_params(path, p2)
-    assert read_vg_params(path).C_dir is None
+    write_vg_json(path, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], 0.5)
+    assert read_vg_params(str(path)).C_dir is None
 
 
 def test_vg_params_read_errors(tmp_path):

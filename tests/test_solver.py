@@ -17,11 +17,11 @@ from hypothesis.extra.numpy import arrays
 from impliedcorr.baselines import adjusted_ex_post
 from impliedcorr.core import (
     CorrMatrix,
+    FactorLoadings,
     IndexConstraint,
     MarketSpec,
     assemble_correlation,
     constraint_normal,
-    inequality_slack,
     portfolio_variance,
 )
 from impliedcorr.solver import (
@@ -243,7 +243,7 @@ def test_project_feasible_lands_in_both_sets():
         X = rng.normal(scale=0.8, size=(n, k))
         Z = project_feasible(X, spec)
         assert abs(residual(Z, spec)) <= RESTORATION_TOL
-        assert np.min(inequality_slack(Z)) >= -1e-12
+        assert FactorLoadings(Z).in_omega(eps=1e-12)
 
 
 def test_project_feasible_keeps_feasible_points():
@@ -351,7 +351,7 @@ def test_solve_nicm_hard_repair_market_857_restores_its_start():
     res = solve_nicm(A, spec, SolverConfig(k=1))
     assert res.converged, res.message
     assert abs(res.constraint_residual) <= 1e-6
-    assert np.min(inequality_slack(res.X_star)) >= -1e-12
+    assert res.X_star.in_omega(eps=1e-12)
 
 
 def test_solve_nicm_hard_repairs_converge_in_large_units():
@@ -408,7 +408,7 @@ def test_project_feasible_negative_weights_comonotonic_point():
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap),))
     Z = project_feasible(np.full((3, 2), 0.1), spec)
     assert abs(residual(Z, spec)) <= 1e-10
-    assert np.min(inequality_slack(Z)) >= -1e-12
+    assert FactorLoadings(Z).in_omega(eps=1e-12)
 
 
 def test_project_feasible_final_clip_keeps_tolerance():
@@ -544,7 +544,7 @@ def test_solve_nicm_invariants_on_synthetic_markets():
         # monotone objective trace
         assert np.all(np.diff(res.fn_trace) <= 0.0)
         assert abs(res.constraint_residual) <= 1e-6
-        assert np.min(inequality_slack(res.X_star)) >= -1e-12
+        assert res.X_star.in_omega(eps=1e-12)
         assert res.C_star.is_psd()
         np.testing.assert_array_equal(np.diag(res.C_star.values), np.ones(12))
 
@@ -572,7 +572,7 @@ def test_solve_nicm_agrees_with_reference_on_small_instances():
         np.fill_diagonal(A, 1.0)
         config = SolverConfig(k=1, max_outer_iter=500)
         res = solve_nicm(A, snap.spec, config)
-        ref = reference_solve(A, snap.spec, 1, config)
+        ref = reference_solve(A, snap.spec, config)
         if not (res.converged and ref.converged):
             continue
         assert res.fn <= ref.fn + 1e-3
@@ -634,7 +634,14 @@ def test_reference_solve_size_guard():
         (IndexConstraint("m", np.full(31, 1.0 / 31), 0.02),),
     )
     with pytest.raises(ValueError, match="small"):
-        reference_solve(np.eye(31), spec, 1)
+        reference_solve(np.eye(31), spec)
+
+
+def test_reference_solve_takes_k_from_config():
+    snap, _ = generate_synthetic_market(5, 2, 0.1, np.random.SeedSequence(3))
+    assert reference_solve(snap.target, snap.spec).X_star.k == 1
+    config = SolverConfig(k=3)
+    assert reference_solve(snap.target, snap.spec, config).X_star.k == config.k
 
 
 def test_result_to_dict_is_json_ready():
