@@ -36,8 +36,11 @@ Cost per iteration: each trial point evaluates f and grad f once, at the
 price of one n x n x k product (A_hat X); each curve sample and each pass
 of the tangential projection is O(n k), and no n x n matrix is formed
 except on the cancellation fallback of _objective_and_gradient near
-f = 0.  The O(n^3) work of a solve is the eigendecomposition of its
-spectral start.
+f = 0.  The spectral start costs O(n^2 (k + 8)) per step of a subspace
+iteration, about ten steps when the top k eigenvalues stand clear of the
+rest; only a start the iteration cannot certify within n / (2 (k + 8))
+steps, or a target too small for one step, pays for a full O(n^3)
+eigendecomposition.
 
 reference_solve is an independent cross-check for small instances: an
 augmented Lagrangian on the same objective and constraints, minimized with
@@ -55,6 +58,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
+    _EPS,
     EPS_FEAS,
     CorrMatrix,
     FactorLoadings,
@@ -82,6 +86,11 @@ FN_RTOL = 1e-5
 RESTORATION_TOL = 1e-10
 ROOT_TOL = 1e-16
 MAX_RESTORATION_ITER = 100
+# Spectral start: the subspace iteration carries RITZ_EXTRA vectors beyond
+# the k wanted, and stops once each of the top k Ritz residuals is at most
+# RITZ_RTOL times the largest |Ritz value|.
+RITZ_EXTRA = 8
+RITZ_RTOL = 1e-12
 
 _INSENSITIVE = (
     "variance constraint is insensitive to the loadings at this point "
@@ -395,6 +404,76 @@ def project_feasible(X, spec: MarketSpec) -> np.ndarray:
     return _project_feasible_raw(arr, v, spec.market.variance)
 
 
+def _weyl_block(n: int, b: int) -> np.ndarray:
+    """Deterministic n x b start block, entry (i, j) = frac((i + 1) a_j) - 1/2.
+
+    a_j = g^-(j + 1), with g > 1 the root of g^(b + 1) = g + 1: the
+    generalized golden ratio of the R_b quasi-random sequence (Roberts,
+    2018), whose columns are equidistributed and far from any fixed
+    subspace.  Closed form, so numpy.random is not loaded.
+    """
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (b + 1))
+    return np.modf(np.outer(np.arange(1.0, n + 1.0), g ** -np.arange(1.0, b + 1.0)))[0] - 0.5
+
+
+def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top k eigenpairs of the symmetric A (values descending), or None.
+
+    Subspace iteration with Rayleigh-Ritz (Saad, Numerical Methods for
+    Large Eigenvalue Problems, 2011, ch. 5) on a block of b = k + RITZ_EXTRA
+    vectors: Z = A Q, Ritz pairs (theta, U) of the b x b matrix Q'Z, then
+    Q <- qr(Z U).  It stops once the top k Ritz residuals are at most
+    RITZ_RTOL max|theta|, within a budget of n // (2 b) steps, each costing
+    2 n^2 b flops, so a failed attempt costs about n^3 flops, a third of a
+    full eigendecomposition or less.  A budget of 0 returns None at once.
+
+    The iteration finds the b eigenvalues largest in magnitude, but the
+    start needs the k largest, so the pairs are returned only under an
+    a-posteriori certificate.  With R = A W - W diag(theta) for the Ritz
+    vectors W, r = ||R||_F and rho = ||R_top k||_F:
+
+    * the b Ritz values lie within r of b distinct eigenvalues, and the top
+      k within rho of k distinct ones (Kahan; Parlett, The Symmetric
+      Eigenvalue Problem, thm 11.5.1);
+    * so every eigenvalue outside the first matching has |lam| <= tail =
+      sqrt(||A||_F^2 - sum_i (|theta_i| - r)_+^2), and those matched to
+      theta_(k+1), ... are at most theta_(k+1) + r.
+
+    When theta_k - rho exceeds both tail and theta_(k+1) + r, at most k
+    eigenvalues lie above theta_k - rho and the top k Ritz values are
+    within rho of them: the pairs are the top k of A, and the gap at k is
+    resolved.  Both residual norms carry a rounding floor of
+    b n eps ||A||_F, and ||A||_F^2 a relative n^2 eps.
+    """
+    n = A.shape[0]
+    b = k + RITZ_EXTRA
+    budget = n // (2 * b)
+    if budget == 0:
+        return None
+    a2 = float(np.vdot(A, A))
+    floor = b * n * _EPS * math.sqrt(a2)
+    top = slice(b - 1, b - 1 - k, -1)
+    Q = np.linalg.qr(_weyl_block(n, b))[0]
+    for _ in range(budget):
+        Z = A @ Q
+        H = Q.T @ Z
+        theta, U = np.linalg.eigh(0.5 * (H + H.T))
+        W, AW = Q @ U, Z @ U
+        R = AW - W * theta
+        res = np.sqrt(np.einsum("ij,ij->j", R, R))
+        if np.all(res[top] <= RITZ_RTOL * float(np.max(np.abs(theta)))):
+            r = float(np.linalg.norm(res)) + floor
+            rho = float(np.linalg.norm(res[top])) + floor
+            tail2 = a2 * (1.0 + n * n * _EPS) - float(np.sum(np.maximum(np.abs(theta) - r, 0.0) ** 2))
+            edge = float(theta[b - k]) - rho
+            if edge > math.sqrt(max(tail2, 0.0)) and edge > float(theta[b - k - 1]) + r:
+                return theta[top], W[:, top]
+        Q = np.linalg.qr(AW[:, np.argsort(-np.abs(theta), kind="stable")])[0]
+    return None
+
+
 def initial_loadings(A, k: int) -> FactorLoadings:
     """Spectral starting point for the solver.
 
@@ -412,22 +491,32 @@ def initial_loadings(A, k: int) -> FactorLoadings:
     or imaginary, in which case the cap (or zero, for iota_d = 1 exactly)
     is used alone; a degenerate denominator likewise falls back to the
     cap.  For the identity target all columns are zero.
+
+    The top k eigenpairs come from a certified subspace iteration
+    (:func:`_subspace_eigenpairs`, O(n^2 (k + 8)) per step) and, when it
+    cannot certify them within its budget or the target is too small for
+    one step (n < 2 (k + 8)), from np.linalg.eigh.  Each eigenvector's
+    sign is fixed so that its largest-magnitude entry is positive.
     """
     A_arr = _corr_array(A)
     n = A_arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    evals, evecs = np.linalg.eigh(A_arr)
-    order = np.argsort(-evals, kind="stable")
+    pairs = _subspace_eigenpairs(A_arr, k)
+    if pairs is None:
+        evals, evecs = np.linalg.eigh(A_arr)
+        order = np.argsort(-evals, kind="stable")[:k]
+        pairs = evals[order], evecs[:, order]
+    evals, evecs = pairs
 
     X0 = np.zeros((n, k))
     for d in range(k):
-        e = evecs[:, order[d]]
+        e = evecs[:, d]
         # Deterministic eigenvector sign: largest-magnitude entry positive.
         imax = int(np.argmax(np.abs(e)))
         if e[imax] < 0.0:
             e = -e
-        iota = float(evals[order[d]])
+        iota = float(evals[d])
         norm2 = float(e @ e)
         num = (iota - 1.0) * norm2
         den = k * (norm2 * norm2 - float(np.sum(e**4)))

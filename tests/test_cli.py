@@ -85,6 +85,31 @@ def test_solve_path_leaves_scipy_linalg_unloaded():
     )
 
 
+def test_csv_repair_leaves_numpy_random_unloaded(tmp_path):
+    # The spectral start's block is closed-form; a default_rng block loaded
+    # numpy.random and raised the repair command's peak RSS by about 2 MB.
+    # At n = 60 and k = 2 the subspace iteration runs (n >= 2 (k + 8)).
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 2))
+    X *= 0.9 / np.linalg.norm(X, axis=1, keepdims=True)
+    A = X @ X.T + rng.normal(scale=0.02, size=(60, 60))
+    A = (A + A.T) / 2.0
+    np.fill_diagonal(A, 1.0)
+    write_matrix_csv(str(tmp_path / "A.csv"), A)
+    sigma = np.full(60, 0.2)
+    w = np.full(60, 1.0 / 60.0)
+    v = sigma * w
+    spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.9 * float(v @ A @ v)),))
+    write_market_spec(str(tmp_path / "spec.json"), spec)
+    argv = ["repair", "--target", str(tmp_path / "A.csv"), "--spec", str(tmp_path / "spec.json"), "-k", "2"]
+    run_fresh(
+        "import sys\n"
+        "from impliedcorr.cli import cli_dispatch\n"
+        f"assert cli_dispatch({argv!r}) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+
+
 def test_no_command_prints_help():
     assert cli_dispatch([]) == 1
 

@@ -1,8 +1,10 @@
 """Core types, factor assembly and feasibility checks."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +13,7 @@ from impliedcorr.core import (
     FactorLoadings,
     IndexConstraint,
     MarketSpec,
+    _factor_min_eigenvalue,
     assemble_correlation,
     check_feasibility,
     constraint_normal,
@@ -259,3 +262,64 @@ def test_hollow_form_matches_dense_and_inner_product(inputs):
     h = hollow_form(v, L, R)
     assert abs(h - dense) <= 1e-12 * scale
     assert abs(h - inner) <= 1e-12 * scale
+
+
+@st.composite
+def adversarial_loadings(draw):
+    """Loadings with rows on the sphere, zero rows, rows up to 1.5 outside
+    Omega and duplicated rows; dyadic entries make bisection midpoints land
+    exactly on some h_i = 1 - ||X_i||^2."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 5))
+    entries = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]))
+    X = draw(arrays(np.float64, (n, k), elements=entries, fill=st.nothing()))
+    # Each row is kept as drawn if inside the ball (-1), clipped to the
+    # sphere otherwise, or rescaled to the drawn radius.
+    radii = st.one_of(st.just(-1.0), st.just(1.0), st.just(0.0), st.floats(0.0, 1.5))
+    rad = draw(arrays(np.float64, n, elements=radii, fill=st.nothing()))
+    norm = np.linalg.norm(X, axis=1)
+    safe = np.where(norm > 0.0, norm, 1.0)
+    X = X * np.where(rad < 0.0, 1.0 / np.maximum(norm, 1.0), rad / safe)[:, None]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        X[i] = X[j]
+    return X
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(adversarial_loadings())
+# h_1 = 0.5 is the first midpoint of the bracket [0, 1]: a count that puts
+# 1 / (h_1 - lam) into M returns 0.5 here instead of 0.3292.
+@example(np.array([[0.5, 0.5], [-1.0 / 5**0.5, -2.0 / 5**0.5]]))
+def test_factor_min_eigenvalue_matches_dense_solver(X):
+    n, k = X.shape
+    lam = _factor_min_eigenvalue(X, budget=math.inf)
+    ref = float(np.linalg.eigvalsh(assemble_correlation(X).values)[0])
+    # Rounding model, with s = max_i |h_i| + ||X||_F^2 >= ||C||_2: a
+    # backward-stable eigensolver is exact for a matrix within about
+    # n eps s of C, forming X X' moves C by k eps ||X||_F^2, and the
+    # bisection stops at eps s.  8 (n + k) eps s covers all three; here it
+    # is at most 7.2e-12, below 1e-12 n for every n drawn.
+    r = np.einsum("ij,ij->i", X, X)
+    s = float(np.max(np.abs(1.0 - r)) + r.sum())
+    assert abs(lam - ref) <= 8 * (n + k) * np.finfo(float).eps * s
+
+
+def test_min_eigenvalue_has_one_implementation():
+    rng = np.random.default_rng(31)
+    X = random_ball_rows(rng, 60, 2)
+    C = assemble_correlation(X)
+    # At n = 60 the factor bisection costs fewer flops than eigvalsh, and
+    # every caller gets its value.
+    lam = _factor_min_eigenvalue(X, budget=math.inf)
+    assert C.min_eigenvalue() == lam
+    assert check_feasibility(C).min_eigenvalue == lam
+    assert C.is_psd()
+    # The same matrix without its loadings (read from CSV, say) and small
+    # assembled matrices, where the bisection costs more, use eigvalsh.
+    dense = float(np.linalg.eigvalsh(C.values)[0])
+    assert CorrMatrix(C.values).min_eigenvalue() == dense
+    assert check_feasibility(C.values).min_eigenvalue == dense
+    assert abs(lam - dense) <= 1e-13
+    X10 = random_ball_rows(rng, 10, 3)
+    C10 = assemble_correlation(X10)
+    assert C10.min_eigenvalue() == float(np.linalg.eigvalsh(C10.values)[0])

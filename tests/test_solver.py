@@ -7,6 +7,7 @@ independent augmented Lagrangian on small instances.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from impliedcorr import solver
 from impliedcorr.baselines import adjusted_ex_post
 from impliedcorr.core import (
     CorrMatrix,
@@ -21,14 +23,17 @@ from impliedcorr.core import (
     IndexConstraint,
     MarketSpec,
     assemble_correlation,
+    check_feasibility,
     constraint_normal,
     portfolio_variance,
 )
 from impliedcorr.solver import (
     RESTORATION_TOL,
+    RITZ_EXTRA,
     RestorationError,
     SolverConfig,
     _residual,
+    _subspace_eigenpairs,
     initial_loadings,
     objective,
     objective_gradient,
@@ -523,6 +528,86 @@ def test_initial_loadings_properties(case):
         if np.any(col != 0.0):
             # sign convention: the largest-magnitude entry is positive
             assert col.max() > 0.0 and col.max() >= -col.min()
+
+
+def eigh_start(A, k):
+    """initial_loadings with the subspace iteration switched off."""
+    with mock.patch.object(solver, "_subspace_eigenpairs", lambda A, k: None):
+        return initial_loadings(A, k).values
+
+
+def spectral_target(seed, n, top, rest):
+    """Eigenvalues top on random orthonormal vectors Q, the others in [-rest, rest].
+
+    A = Q diag(top) Q' + rest P diag(u) P with P = I - Q Q' and u uniform
+    on [-1, 1]: P Q = 0, so the columns of Q are eigenvectors, and the
+    second term has norm at most rest on their complement.
+    """
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, len(top))))[0]
+    P = np.eye(n) - Q @ Q.T
+    A = (Q * top) @ Q.T + rest * (P * rng.uniform(-1.0, 1.0, n)) @ P
+    return (A + A.T) / 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(0.0, 0.05))
+def test_subspace_start_agrees_with_eigh_where_the_gap_is_clear(seed, k, rest):
+    # Top k eigenvalues 10 (k + 1), ..., 20, the rest within +-rest: a
+    # clear gap at k and between the top k, and a budget of 8 steps.
+    n = 16 * (k + RITZ_EXTRA)
+    A = spectral_target(seed, n, 10.0 * np.arange(k + 1, 1, -1), rest)
+    assert _subspace_eigenpairs(A, k) is not None
+    np.testing.assert_allclose(initial_loadings(A, k).values, eigh_start(A, k), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, k, top",
+    [
+        # 10 eigenvalues at -40 (more than b - k = 8), above 10 in magnitude:
+        # the block settles inside their eigenspace.
+        (600, 1, [10.0] + [-40.0] * 10),
+        # lam_2 - lam_3 = 1e-12: the gap at k is below the residual floor.
+        (300, 2, [20.0, 10.0, 10.0 - 1e-12]),
+    ],
+)
+def test_uncertified_subspace_start_is_the_eigh_start(n, k, top):
+    # In both cases the top-k Ritz residuals reach RITZ_RTOL within the
+    # budget; the certificate is what rejects them.
+    A = spectral_target(0, n, np.array(top), 0.01)
+    assert _subspace_eigenpairs(A, k) is None
+    np.testing.assert_array_equal(initial_loadings(A, k).values, eigh_start(A, k))
+
+
+def test_repair_path_runs_no_dense_eigensolver(monkeypatch):
+    # The solve and the feasibility report of an n = 200 repair with a
+    # clear gap at k = 3 run no eigendecomposition of an n x n matrix.
+    n = 200
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((n, 3))
+    X *= 0.95 / np.linalg.norm(X, axis=1, keepdims=True)
+    A = assemble_correlation(X).values
+    sigma = rng.uniform(0.1, 0.4, n)
+    w = rng.uniform(0.1, 1.0, n)
+    w /= w.sum()
+    v = sigma * w
+    spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.9 * float(v @ A @ v)),))
+
+    def small_only(fn):
+        def guarded(a, *args, **kwargs):
+            if np.shape(a)[0] >= n:
+                raise AssertionError(f"{fn.__name__} of an n x n matrix on the repair path")
+            return fn(a, *args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(np.linalg, "eigh", small_only(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only(np.linalg.eigvalsh))
+    res = solve_nicm(A, spec, SolverConfig(k=3))
+    assert res.converged, res.message
+    assert check_feasibility(res.C_star, spec).feasible
+    with pytest.raises(AssertionError, match="n x n"):
+        np.linalg.eigvalsh(A)
 
 
 def test_solver_config_validation():
