@@ -10,10 +10,14 @@ Conventions, chosen so that identical inputs produce byte-identical files:
   results, snapshots) are JSON with two-space indentation and sorted keys.
 * A market snapshot is a JSON document holding the market spec inline and
   referring to bulky arrays (target matrix, loadings, return panels) by
-  sibling-relative CSV paths.
+  sibling-relative CSV paths.  Two keys may name one file: a truth matrix
+  with the same bits as the target is written once, as the target's file.
+  A loaded snapshot parses each of these files on the first read of a
+  field that needs it, and parses a file named by two keys once.
 
 Readers raise ValueError with file and line context on malformed input and
-name the offending files on cross-file dimension mismatches.
+name the offending files on cross-file dimension mismatches; for a
+snapshot's CSV fields, both come at the field's first read.
 """
 
 from __future__ import annotations
@@ -102,6 +106,17 @@ def write_loadings_csv(path: str, X, names: list[str] | None = None) -> None:
         names = [f"factor_{d + 1}" for d in range(arr.shape[1])]
     if len(names) != arr.shape[1]:
         raise ValueError(f"{len(names)} factor names for {arr.shape[1]} columns")
+    # The reader splits the header on commas and lines, strips each name,
+    # skips a blank line and rejects a header of numbers.
+    header = ",".join(names)
+    if (
+        [t.strip() for t in header.split(",")] != list(names)
+        or "\n" in header
+        or "\r" in header
+        or not header
+        or all(_is_float(t) for t in names)
+    ):
+        raise ValueError(f"factor names {names!r} would not read back from a CSV header")
     write_matrix_csv(path, arr, names)
 
 
@@ -193,6 +208,38 @@ def read_solver_config(path: str) -> SolverConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
+class _Deferred:
+    """A snapshot field held as a loader, load(snapshot) -> value."""
+
+    __slots__ = ("load",)
+
+    def __init__(self, load) -> None:
+        self.load = load
+
+
+class _FileField:
+    """A MarketSnapshot field that load_snapshot binds to a CSV file.
+
+    A value given at construction is stored as is.  A _Deferred value is
+    replaced by what its loader returns on the field's first read; a
+    loader that raises leaves it in place, so every read raises.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, snapshot, owner=None):
+        if snapshot is None:
+            return None  # the dataclass default
+        value = snapshot.__dict__[self.name]
+        if isinstance(value, _Deferred):
+            value = snapshot.__dict__[self.name] = value.load(snapshot)
+        return value
+
+    def __set__(self, snapshot, value) -> None:
+        snapshot.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class MarketSnapshot:
     """One dated market observation plus optional estimation inputs.
@@ -202,24 +249,31 @@ class MarketSnapshot:
     solver, loadings are physical-measure factor correlations for the
     economic route, the return panels feed the estimators, and truth (for
     synthetic snapshots) is the generating correlation matrix.
+
+    A snapshot from :func:`load_snapshot` parses each array field on its
+    first read and keeps the result.  That read raises ValueError if the
+    file is malformed or its shape disagrees with the spec; factor_returns
+    is also checked then against the loadings and the asset return panel.
     """
 
     date: str
     spec: MarketSpec
-    target: np.ndarray | None = None
-    loadings: FactorLoadings | None = None
-    factor_names: list[str] | None = None
-    asset_returns: np.ndarray | None = None
-    factor_returns: np.ndarray | None = None
-    truth: np.ndarray | None = None
+    target: np.ndarray | None = _FileField()
+    loadings: FactorLoadings | None = _FileField()
+    factor_names: list[str] | None = _FileField()
+    asset_returns: np.ndarray | None = _FileField()
+    factor_returns: np.ndarray | None = _FileField()
+    truth: np.ndarray | None = _FileField()
     meta: dict = field(default_factory=dict)
 
 
 def load_snapshot(path: str) -> MarketSnapshot:
-    """Load a snapshot JSON and every CSV it references.
+    """Load a snapshot JSON; its CSV fields are parsed on first read.
 
-    Validates the schema version and all cross-file dimensions, naming the
-    files involved in any mismatch.
+    Validates the schema version and the inline spec at once.  Each array
+    field is parsed and checked against the spec on its first read, which
+    raises ValueError naming the files involved in any mismatch; a file
+    named by two keys is parsed once, and both fields hold its array.
     """
     d = _load_json(path)
     version = d.get("schema_version")
@@ -232,74 +286,89 @@ def load_snapshot(path: str) -> MarketSnapshot:
         raise ValueError(f"{path}: snapshot needs 'date' and an inline 'spec'")
     spec = market_spec_from_dict(d["spec"], context=f"{path} (spec)")
     base = os.path.dirname(os.path.abspath(path))
-
-    def sibling(key: str) -> tuple[str, np.ndarray] | None:
-        ref = d.get(key)
-        if ref is None:
-            return None
-        full = os.path.join(base, ref)
-        return full, read_matrix_csv(full)
-
     n = spec.n
-    target = sibling("target")
-    if target is not None and target[1].shape != (n, n):
-        raise ValueError(
-            f"{target[0]}: target matrix has shape {target[1].shape}, expected "
-            f"({n}, {n}) from the spec in {path}"
-        )
-    truth = sibling("truth")
-    if truth is not None and truth[1].shape != (n, n):
-        raise ValueError(
-            f"{truth[0]}: truth matrix has shape {truth[1].shape}, expected "
-            f"({n}, {n}) from the spec in {path}"
-        )
-    asset_returns = sibling("asset_returns")
-    if asset_returns is not None and asset_returns[1].shape[1] != n:
-        raise ValueError(
-            f"{asset_returns[0]}: return panel has {asset_returns[1].shape[1]} "
-            f"columns for {n} assets in {path}"
-        )
-    factor_returns = sibling("factor_returns")
+    parsed: dict = {}
 
-    loadings = None
-    factor_names = None
-    ref = d.get("loadings")
-    if ref is not None:
-        full = os.path.join(base, ref)
-        factor_names, loadings = read_loadings_csv(full)
-        if loadings.n != n:
-            raise ValueError(
-                f"{full}: loadings have {loadings.n} rows for {n} assets in {path}"
-            )
-    if factor_returns is not None and loadings is not None:
-        if factor_returns[1].shape[1] != loadings.k:
-            raise ValueError(
-                f"{factor_returns[0]}: {factor_returns[1].shape[1]} factor return "
-                f"columns for {loadings.k} loading columns in {path}"
-            )
-    if asset_returns is not None and factor_returns is not None:
-        if asset_returns[1].shape[0] != factor_returns[1].shape[0]:
-            raise ValueError(
-                f"{asset_returns[0]} and {factor_returns[0]} disagree on the "
-                f"number of periods ({asset_returns[1].shape[0]} vs "
-                f"{factor_returns[1].shape[0]})"
-            )
+    def parse(key: str, header: bool = False):
+        full = os.path.join(base, d[key])
+        if (full, header) not in parsed:
+            parsed[full, header] = read_loadings_csv(full) if header else read_matrix_csv(full)
+        return full, parsed[full, header]
 
-    return MarketSnapshot(
-        date=str(d["date"]),
-        spec=spec,
-        target=None if target is None else target[1],
-        loadings=loadings,
-        factor_names=factor_names,
-        asset_returns=None if asset_returns is None else asset_returns[1],
-        factor_returns=None if factor_returns is None else factor_returns[1],
-        truth=None if truth is None else truth[1],
-        meta=dict(d.get("meta", {})),
-    )
+    def square(key: str):
+        def load(snap):
+            full, M = parse(key)
+            if M.shape != (n, n):
+                raise ValueError(
+                    f"{full}: {key} matrix has shape {M.shape}, expected "
+                    f"({n}, {n}) from the spec in {path}"
+                )
+            return M
+
+        return load
+
+    def asset_returns(snap):
+        full, R = parse("asset_returns")
+        if R.shape[1] != n:
+            raise ValueError(f"{full}: return panel has {R.shape[1]} columns for {n} assets in {path}")
+        return R
+
+    def loadings(snap):
+        full, (_, X) = parse("loadings", header=True)
+        if X.n != n:
+            raise ValueError(f"{full}: loadings have {X.n} rows for {n} assets in {path}")
+        return X
+
+    def factor_names(snap):
+        snap.loadings  # runs the loadings' shape check
+        return parse("loadings", header=True)[1][0]
+
+    def factor_returns(snap):
+        full, F = parse("factor_returns")
+        X = snap.loadings
+        if X is not None and F.shape[1] != X.k:
+            raise ValueError(
+                f"{full}: {F.shape[1]} factor return columns for {X.k} loading columns in {path}"
+            )
+        R = snap.asset_returns
+        if R is not None and R.shape[0] != F.shape[0]:
+            raise ValueError(
+                f"{parse('asset_returns')[0]} and {full} disagree on the "
+                f"number of periods ({R.shape[0]} vs {F.shape[0]})"
+            )
+        return F
+
+    # Each field's loader, under the key that names its file.
+    loaders = {
+        "target": ("target", square("target")),
+        "truth": ("truth", square("truth")),
+        "asset_returns": ("asset_returns", asset_returns),
+        "factor_returns": ("factor_returns", factor_returns),
+        "loadings": ("loadings", loadings),
+        "factor_names": ("loadings", factor_names),
+    }
+    fields = {name: _Deferred(load) for name, (key, load) in loaders.items() if d.get(key) is not None}
+    return MarketSnapshot(date=str(d["date"]), spec=spec, meta=dict(d.get("meta", {})), **fields)
+
+
+def _same_bits(a, b) -> bool:
+    """Whether a and b are float arrays of one shape and the same bits.
+
+    Unlike ==, this tells -0.0 from 0.0 and NaN payloads apart, so a file
+    written for a serves b exactly.  No array is copied.
+    """
+    if a is None or b is None:
+        return False
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def save_snapshot(snapshot: MarketSnapshot, out_dir: str, stem: str = "snapshot") -> str:
-    """Write the snapshot JSON plus sibling CSVs; returns the JSON path."""
+    """Write the snapshot JSON plus sibling CSVs; returns the JSON path.
+
+    A truth with the same bits as the target is not written again: its
+    key names the target's file.
+    """
     os.makedirs(out_dir, exist_ok=True)
     d: dict = {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
@@ -323,7 +392,10 @@ def save_snapshot(snapshot: MarketSnapshot, out_dir: str, stem: str = "snapshot"
     emit("target", snapshot.target)
     emit("asset_returns", snapshot.asset_returns)
     emit("factor_returns", snapshot.factor_returns)
-    emit("truth", snapshot.truth)
+    if _same_bits(snapshot.truth, snapshot.target):
+        d["truth"] = d["target"]
+    else:
+        emit("truth", snapshot.truth)
     if snapshot.loadings is not None:
         name = f"{stem}_loadings.csv"
         write_loadings_csv(os.path.join(out_dir, name), snapshot.loadings, snapshot.factor_names)

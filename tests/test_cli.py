@@ -186,6 +186,32 @@ def test_check_csv_format(tmp_path, capsys):
     assert lines["feasible"] == "True"
 
 
+def test_snapshot_commands_read_only_the_fields_they_use(tmp_path, capsys):
+    # check --matrix reads only the snapshot's spec and adjust its target
+    # and spec, so a corrupt return panel or loadings file fails neither.
+    code, out, _ = run_json(
+        capsys, ["synth", "-n", "6", "--k-true", "2", "--crp", "-0.1", "--periods", "9", "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    snap = out["snapshot"]
+    m = str(tmp_path / "C.csv")
+    write_matrix_csv(m, np.eye(6))
+    commands = (["check", "--snapshot", snap, "--matrix", m], ["adjust", "--snapshot", snap, "--no-workaround"])
+
+    def run_all():
+        results = []
+        for argv in commands:
+            code = cli_dispatch(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    clean = run_all()
+    assert [code for code, _ in clean] == [0, 0]
+    (tmp_path / "snapshot_asset_returns.csv").write_text("0.1,oops\n")
+    (tmp_path / "snapshot_loadings.csv").write_text("not,a,header\n0.1,0.2\n")
+    assert run_all() == clean
+
+
 def test_equicorr_hand_value(tmp_path, capsys):
     spec = write_spec(tmp_path, 0.03)
     out_dir = str(tmp_path / "out")

@@ -1,6 +1,8 @@
 """CSV and JSON persistence: exact round trips and located error messages."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import impliedcorr.io
 from impliedcorr.core import FactorLoadings, IndexConstraint, MarketSpec
 from impliedcorr.io import (
     MarketSnapshot,
@@ -132,6 +135,12 @@ def test_loadings_read_errors(tmp_path):
         read_loadings_csv(str(p))
     with pytest.raises(ValueError, match="2 factor names for 1 columns"):
         write_loadings_csv(str(p), np.array([[0.1], [0.2]]), ["a", "b"])
+    # names the header could not carry are refused, not written
+    for names in (["a,b"], [" a"], ["a\nb"], ["a\rb"], [""], ["1.5"], ["nan"]):
+        with pytest.raises(ValueError, match="would not read back from a CSV header"):
+            write_loadings_csv(str(p), np.array([[0.1], [0.2]]), names)
+    write_loadings_csv(str(p), np.array([[0.1, 0.2]]), ["1.5", "mkt"])
+    assert read_loadings_csv(str(p))[0] == ["1.5", "mkt"]
 
 
 def test_market_spec_round_trip(tmp_path):
@@ -239,8 +248,16 @@ def test_snapshot_round_trip(tmp_path):
     np.testing.assert_array_equal(back.asset_returns, snap.asset_returns)
     np.testing.assert_array_equal(back.factor_returns, snap.factor_returns)
     assert back.meta == snap.meta
-    for suffix in ("_target", "_truth", "_loadings", "_asset_returns", "_factor_returns"):
+    for suffix in ("_target", "_loadings", "_asset_returns", "_factor_returns"):
         assert (tmp_path / f"snap{suffix}.csv").exists()
+    # the synthetic truth is the target: one file under both keys
+    assert not (tmp_path / "snap_truth.csv").exists()
+    assert json.loads((tmp_path / "snap.json").read_text())["truth"] == "snap_target.csv"
+    # a truth that differs gets its own file
+    other = MarketSnapshot(date=snap.date, spec=snap.spec, target=snap.target, truth=np.eye(6))
+    path = save_snapshot(other, str(tmp_path / "other"))
+    assert json.loads((tmp_path / "other" / "snapshot.json").read_text())["truth"] == "snapshot_truth.csv"
+    np.testing.assert_array_equal(load_snapshot(path).truth, np.eye(6))
 
 
 def test_snapshot_minimal(tmp_path):
@@ -302,33 +319,211 @@ def test_snapshot_schema_and_field_errors(tmp_path):
 
 
 def test_snapshot_dimension_errors(tmp_path):
+    # Each field's shape is checked at its first read, not by load_snapshot.
     snap, _ = generate_synthetic_market(4, 2, 0.1, seed=7, periods=12)
     path = save_snapshot(snap, str(tmp_path))
+    # the truth in its own file, so that its shape can differ from the target's
+    write_matrix_csv(str(tmp_path / "snapshot_truth.csv"), snap.truth)
+    _edit_snapshot_json(path, truth="snapshot_truth.csv")
 
     write_matrix_csv(str(tmp_path / "snapshot_target.csv"), np.eye(3))
+    back = load_snapshot(path)
     with pytest.raises(ValueError, match=r"target matrix has shape \(3, 3\)"):
-        load_snapshot(path)
+        back.target
     write_matrix_csv(str(tmp_path / "snapshot_target.csv"), snap.target)
 
     write_matrix_csv(str(tmp_path / "snapshot_truth.csv"), np.eye(5))
+    back = load_snapshot(path)
     with pytest.raises(ValueError, match="truth matrix has shape"):
-        load_snapshot(path)
+        back.truth
     write_matrix_csv(str(tmp_path / "snapshot_truth.csv"), snap.truth)
 
     write_matrix_csv(str(tmp_path / "snapshot_asset_returns.csv"), np.zeros((12, 3)))
+    back = load_snapshot(path)
     with pytest.raises(ValueError, match="3 columns for 4 assets"):
-        load_snapshot(path)
+        back.asset_returns
     write_matrix_csv(str(tmp_path / "snapshot_asset_returns.csv"), snap.asset_returns)
 
     write_loadings_csv(str(tmp_path / "snapshot_loadings.csv"), np.zeros((3, 2)))
+    back = load_snapshot(path)
     with pytest.raises(ValueError, match="3 rows for 4 assets"):
-        load_snapshot(path)
+        back.loadings
+    with pytest.raises(ValueError, match="3 rows for 4 assets"):
+        back.factor_names
     write_loadings_csv(str(tmp_path / "snapshot_loadings.csv"), snap.loadings, snap.factor_names)
 
     write_matrix_csv(str(tmp_path / "snapshot_factor_returns.csv"), np.zeros((12, 3)))
+    back = load_snapshot(path)
     with pytest.raises(ValueError, match="3 factor return columns for 2 loading columns"):
-        load_snapshot(path)
+        back.factor_returns
 
     write_matrix_csv(str(tmp_path / "snapshot_factor_returns.csv"), np.zeros((9, 2)))
+    back = load_snapshot(path)
     with pytest.raises(ValueError, match="disagree on the number of periods"):
-        load_snapshot(path)
+        back.factor_returns
+
+
+def test_snapshot_fields_parse_on_first_read(tmp_path, monkeypatch):
+    snap, _ = generate_synthetic_market(5, 2, 0.1, seed=11, periods=8)
+    path = save_snapshot(snap, str(tmp_path))
+    parsed = []
+    read = impliedcorr.io.read_matrix_csv
+
+    def counting_read(p):
+        parsed.append(os.path.basename(p))
+        return read(p)
+
+    monkeypatch.setattr(impliedcorr.io, "read_matrix_csv", counting_read)
+    back = load_snapshot(path)
+    assert parsed == []
+    back.spec, back.meta, back.date
+    assert parsed == []
+    # the target file serves both keys and is parsed once
+    assert back.target.tobytes() == snap.target.tobytes()
+    assert back.truth.tobytes() == snap.truth.tobytes()
+    back.target, back.truth
+    assert parsed == ["snapshot_target.csv"]
+
+
+def test_snapshot_corrupt_field_fails_only_its_reads(tmp_path):
+    snap, _ = generate_synthetic_market(4, 2, 0.1, seed=5, periods=6)
+    path = save_snapshot(snap, str(tmp_path))
+    returns = tmp_path / "snapshot_asset_returns.csv"
+    returns.write_text(returns.read_text().replace(",", ",oops", 1))
+    loadings = tmp_path / "snapshot_loadings.csv"
+    loadings.write_text("factor_1,factor_2\n0.1\n")
+    back = load_snapshot(path)
+    assert back.target.tobytes() == snap.target.tobytes()
+    for _ in range(2):  # a failed parse is not cached
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(returns))}:1: cannot parse 'oops"):
+            back.asset_returns
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(loadings))}:2: row has 1 entries"):
+        back.loadings
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(loadings))}:2: row has 1 entries"):
+        back.factor_names
+
+
+def test_snapshot_reads_separate_truth_file(tmp_path):
+    # Snapshots written before truth could share the target's file keep a
+    # snapshot_truth.csv of their own.
+    snap, _ = generate_synthetic_market(5, 3, 0.05, seed=9, periods=7)
+    path = save_snapshot(snap, str(tmp_path))
+    write_matrix_csv(str(tmp_path / "snapshot_truth.csv"), snap.truth)
+    _edit_snapshot_json(path, truth="snapshot_truth.csv")
+    back = load_snapshot(path)
+    assert back.truth is not back.target
+    for got, want in (
+        (back.target, snap.target),
+        (back.truth, snap.truth),
+        (back.loadings.values, snap.loadings.values),
+        (back.asset_returns, snap.asset_returns),
+        (back.factor_returns, snap.factor_returns),
+    ):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert back.factor_names == snap.factor_names
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+def _header_reads_back(path, names, X):
+    """Whether a loadings table under this header reads back unchanged."""
+    write_matrix_csv(path, X, names)
+    try:
+        back_names, back = read_loadings_csv(path)
+    except ValueError:
+        return False
+    return back_names == names and _bits(back.values) == _bits(X)
+
+
+@st.composite
+def _market_specs(draw):
+    n = draw(st.integers(1, 4))
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    sigma = draw(hnp.arrays(np.float64, n, elements=positive, fill=st.nothing()))
+    w = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0), fill=st.nothing()))
+    w[-1] = 1.0 - np.sum(w[:-1])
+    return MarketSpec(sigma, (IndexConstraint(draw(st.text()), w, draw(positive)),))
+
+
+@st.composite
+def _snapshots(draw):
+    spec = draw(_market_specs())
+    n, k, periods = spec.n, draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def maybe(shape):
+        arrays = hnp.arrays(np.float64, shape, elements=_finite, fill=st.nothing())
+        return draw(st.none() | arrays)
+
+    target = maybe((n, n))
+    truth = draw(st.sampled_from(["absent", "own", "target", "zero sign"]))
+    if truth == "absent":
+        truth = None
+    elif truth == "own" or target is None:
+        truth = maybe((n, n))
+    elif truth == "target":
+        truth = target.copy()
+    else:
+        # bits that differ from the target's only in the sign of a zero
+        zero, other = (0.0, -0.0) if draw(st.booleans()) else (-0.0, 0.0)
+        target[0, 0] = zero
+        truth = target.copy()
+        truth[0, 0] = other
+    loadings = maybe((n, k))
+    return MarketSnapshot(
+        date=draw(st.text()),
+        spec=spec,
+        target=target,
+        loadings=None if loadings is None else FactorLoadings(loadings),
+        factor_names=None if loadings is None else draw(st.none() | st.lists(st.text(), min_size=k, max_size=k)),
+        asset_returns=maybe((periods, n)),
+        factor_returns=maybe((periods, k)),
+        truth=truth,
+        meta=draw(st.dictionaries(st.text(), st.none() | st.booleans() | st.integers() | _finite | st.text(), max_size=3)),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=_market_specs())
+def test_market_spec_json_round_trip_is_bit_exact(spec):
+    back = market_spec_from_dict(json.loads(json.dumps(market_spec_to_dict(spec))))
+    assert _bits(back.sigma) == _bits(spec.sigma)
+    assert _bits(back.market.weights) == _bits(spec.market.weights)
+    assert _bits(back.market.variance) == _bits(spec.market.variance)
+    assert back.market.name == spec.market.name
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(snap=_snapshots())
+def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, snap):
+    out = tmp_path_factory.mktemp("snap")
+    try:
+        path = save_snapshot(snap, str(out))
+    except ValueError as exc:
+        # only factor names that a CSV header would not carry are refused
+        assert "would not read back" in str(exc)
+        assert not _header_reads_back(str(out / "probe.csv"), snap.factor_names, snap.loadings.values)
+        return
+    back = load_snapshot(path)
+    assert back.date == snap.date
+    assert _bits(back.spec.sigma) == _bits(snap.spec.sigma)
+    assert _bits(back.spec.market.weights) == _bits(snap.spec.market.weights)
+    assert _bits(back.spec.market.variance) == _bits(snap.spec.market.variance)
+    assert back.spec.market.name == snap.spec.market.name
+    for name in ("target", "truth", "asset_returns", "factor_returns"):
+        want = getattr(snap, name)
+        got = getattr(back, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert _bits(got) == _bits(want), name
+    assert (back.loadings is None) == (snap.loadings is None)
+    if snap.loadings is not None:
+        assert _bits(back.loadings.values) == _bits(snap.loadings.values)
+        k = snap.loadings.k
+        assert back.factor_names == (snap.factor_names or [f"factor_{d + 1}" for d in range(k)])
+    assert repr(sorted(back.meta.items())) == repr(sorted(snap.meta.items()))
+    # a truth with the target's bits is written once
+    shared = snap.truth is not None and snap.target is not None and _bits(snap.truth) == _bits(snap.target)
+    assert (out / "snapshot_truth.csv").exists() == (snap.truth is not None and not shared)
