@@ -3,7 +3,13 @@
 Conventions, chosen so that identical inputs produce byte-identical files:
 
 * Matrices are headerless CSV, one row per line, shortest round-trip float
-  formatting (repr), newline line endings, trailing newline.
+  formatting (repr), newline line endings, trailing newline.  A square
+  matrix with the bits of its transpose is formatted from its upper
+  triangle, so each mirrored pair costs one repr and the bytes are the same.
+  numpy's C reader parses the rows; it rounds correctly, as float() does,
+  so a file reads back with the bits it was written from.  Its grammar is
+  narrower than float()'s: digit separators (1_0) and non-ASCII digits
+  are errors.
 * Factor loadings are the same table after a header row of factor names,
   and a vector is a one-column table whose header names the field.
 * Structured objects (market specs, model parameters, solver configs and
@@ -25,6 +31,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,61 +51,112 @@ def _is_float(tok: str) -> bool:
         return False
 
 
-def _read_csv(path: str, header: bool) -> tuple[list[str] | None, list[list[float]]]:
+def _parses(text: str) -> bool:
+    """Whether numpy's text reader takes text as one row of float64s."""
+    if not text.strip():
+        return False
+    try:
+        np.loadtxt([text], delimiter=",", comments=None)
+        return True
+    except ValueError:
+        return False
+
+
+def _read_csv(path: str, header: bool) -> tuple[list[str] | None, np.ndarray]:
     """Parse a CSV table of numbers, after a row of column names if header.
 
     Blank lines are skipped and every row must be as wide as the first row
-    (or the header).  Errors carry the path and the line number.
+    (or the header).  numpy's C reader parses the rows from the stream of
+    lines; only when it fails is the file scanned again, line by line, for
+    an error that carries the path and the line number.
     """
-    names: list[str] | None = None
-    rows: list[list[float]] = []
-    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line for line in fh if not line.isspace())
+        names = [t.strip() for t in next(lines, "").split(",")] if header else None
+        first = next(lines, None)
+        detail = "not a table of numbers"
+        if first is not None and not (names and all(map(_is_float, names))):
+            try:
+                rows = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                detail = str(exc)
+            else:
+                if names is None or rows.shape[1] == len(names):
+                    return names, rows
+    _raise_located(path, header, detail)
+
+
+def _raise_located(path: str, header: bool, detail: str) -> NoReturn:
+    """Raise the first error of a table that _read_csv rejected, by line."""
+    names = width = None
+    nrows = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             tokens = line.split(",")
             if header and names is None:
                 names = [t.strip() for t in tokens]
-                if all(_is_float(t) for t in names):
+                if all(map(_is_float, names)):
                     raise ValueError(f"{path}:{lineno}: expected a header row of column names")
                 width = len(names)
                 continue
-            try:
-                row = list(map(float, tokens))
-            except ValueError:
-                bad = next(t for t in tokens if not _is_float(t))
-                raise ValueError(f"{path}:{lineno}: cannot parse {bad.strip()!r} as a number") from None
+            bad = None if _parses(line) else next((t for t in tokens if not _parses(t)), None)
+            if bad is not None:
+                raise ValueError(f"{path}:{lineno}: cannot parse {bad.strip()!r} as a number")
             if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}:{lineno}: row has {len(row)} entries, expected {width}")
-            rows.append(row)
-    if not rows:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise ValueError(f"{path}:{lineno}: row has {len(tokens)} entries, expected {width}")
+            nrows += 1
+    if not nrows:
         raise ValueError(f"{path}: header but no rows" if names else f"{path}: empty file")
-    return names, rows
+    raise ValueError(f"{path}: {detail}")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
     """Read a headerless CSV matrix; errors carry path and line number."""
-    return np.array(_read_csv(path, header=False)[1])
+    return _read_csv(path, header=False)[1]
+
+
+def _same_bits(a, b) -> bool:
+    """Whether a and b are float arrays of one shape and the same bits.
+
+    Unlike ==, this tells -0.0 from 0.0 and NaN payloads apart, so a file
+    written for a serves b exactly.  No array is copied.
+    """
+    if a is None or b is None:
+        return False
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def write_matrix_csv(path: str, M, names: list[str] | None = None) -> None:
-    """Write M one row per line in repr format, after a header row if names."""
+    """Write M one row per line in repr format, after a header row if names.
+
+    A square M with the bits of its transpose is formatted from its upper
+    triangle: row i begins with column i of the rows above, whose strings
+    are kept only until that row is written.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    symmetric = _same_bits(M, M.T)
+    pending: list[list[str]] = []  # per row above, its unwritten strings, last column first
     with open(path, "w", encoding="utf-8") as fh:
         if names is not None:
             fh.write(",".join(names) + "\n")
-        for row in M.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for i, row in enumerate(M):
+            if not symmetric:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
+                continue
+            upper = list(map(repr, row[i:].tolist()))
+            fh.write(",".join(list(map(list.pop, pending)) + upper) + "\n")
+            pending.append(upper[:0:-1])
 
 
 def read_loadings_csv(path: str) -> tuple[list[str], FactorLoadings]:
     """Read loadings with a factor-name header row."""
     names, rows = _read_csv(path, header=True)
-    return names, FactorLoadings(np.array(rows))
+    return names, FactorLoadings(rows)
 
 
 def write_loadings_csv(path: str, X, names: list[str] | None = None) -> None:
@@ -149,10 +208,12 @@ def market_spec_to_dict(spec: MarketSpec) -> dict:
 
 
 def market_spec_from_dict(d: dict, context: str = "market spec") -> MarketSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"{context}: a market spec must be a JSON object, got {type(d).__name__}")
     try:
         sigma = d["sigma"]
         raw_cons = d["constraints"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"{context}: missing field {exc}") from None
     if not isinstance(raw_cons, list) or len(raw_cons) != 1:
         count = len(raw_cons) if isinstance(raw_cons, list) else type(raw_cons).__name__
@@ -276,6 +337,8 @@ def load_snapshot(path: str) -> MarketSnapshot:
     named by two keys is parsed once, and both fields hold its array.
     """
     d = _load_json(path)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: a snapshot must be a JSON object, got {type(d).__name__}")
     version = d.get("schema_version")
     if version != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(
@@ -285,6 +348,12 @@ def load_snapshot(path: str) -> MarketSnapshot:
     if "spec" not in d or "date" not in d:
         raise ValueError(f"{path}: snapshot needs 'date' and an inline 'spec'")
     spec = market_spec_from_dict(d["spec"], context=f"{path} (spec)")
+    meta = d.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: snapshot 'meta' must be a JSON object, got {type(meta).__name__}")
+    for key in ("target", "truth", "loadings", "asset_returns", "factor_returns"):
+        if d.get(key) is not None and not isinstance(d[key], str):
+            raise ValueError(f"{path}: snapshot {key!r} must name a CSV file, got {type(d[key]).__name__}")
     base = os.path.dirname(os.path.abspath(path))
     n = spec.n
     parsed: dict = {}
@@ -348,19 +417,7 @@ def load_snapshot(path: str) -> MarketSnapshot:
         "factor_names": ("loadings", factor_names),
     }
     fields = {name: _Deferred(load) for name, (key, load) in loaders.items() if d.get(key) is not None}
-    return MarketSnapshot(date=str(d["date"]), spec=spec, meta=dict(d.get("meta", {})), **fields)
-
-
-def _same_bits(a, b) -> bool:
-    """Whether a and b are float arrays of one shape and the same bits.
-
-    Unlike ==, this tells -0.0 from 0.0 and NaN payloads apart, so a file
-    written for a serves b exactly.  No array is copied.
-    """
-    if a is None or b is None:
-        return False
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return MarketSnapshot(date=str(d["date"]), spec=spec, meta=dict(meta), **fields)
 
 
 def save_snapshot(snapshot: MarketSnapshot, out_dir: str, stem: str = "snapshot") -> str:

@@ -3,10 +3,11 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -62,9 +63,46 @@ def test_matrix_read_errors(tmp_path):
         read_matrix_csv(str(p))
 
 
+def test_matrix_read_errors_carry_the_file_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    # blank lines count: the line number is the file's, not the row's
+    p.write_text("\n1.0,2.0\n\n  \n1.0,oops\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:5: cannot parse 'oops' as a number$"):
+        read_matrix_csv(str(p))
+    p.write_text("1.0,2.0\n\n3.0,4.0\n5.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:4: row has 1 entries, expected 2$"):
+        read_matrix_csv(str(p))
+    p.write_text("1.0,2.0\n3.0,4.0,\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: cannot parse '' as a number$"):
+        read_matrix_csv(str(p))
+    # float() takes digit separators; numpy's reader, and so this one, does not
+    p.write_text("1.0,2.0\n\n1_0,4.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: cannot parse '1_0' as a number$"):
+        read_matrix_csv(str(p))
+    (tmp_path / "x.csv").write_text("a,b\n\n0.1,1_0\n")
+    with pytest.raises(ValueError, match=r"x\.csv:3: cannot parse '1_0' as a number$"):
+        read_loadings_csv(str(tmp_path / "x.csv"))
+
+
+def test_empty_tables_are_errors_without_warnings(tmp_path):
+    p = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("", "\n\n", " \n\t\n"):
+            p.write_text(text)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: empty file$"):
+                read_matrix_csv(str(p))
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: empty file$"):
+                read_loadings_csv(str(p))
+        for text in ("a,b\n", "\na,b\n \n\n"):
+            p.write_text(text)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: header but no rows$"):
+                read_loadings_csv(str(p))
+
+
 def test_matrix_skips_blank_lines(tmp_path):
     p = tmp_path / "m.csv"
-    p.write_text("1.0,0.5\n\n0.5,1.0\n")
+    p.write_text("1.0,0.5\n\n \t\n0.5,1.0\n\n")
     np.testing.assert_array_equal(read_matrix_csv(str(p)), [[1.0, 0.5], [0.5, 1.0]])
 
 
@@ -83,22 +121,44 @@ def test_vector_round_trip(tmp_path):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def _tables(draw):
+    """Matrices of any shape, bit-symmetric, or symmetric but for one 0.0/-0.0 mirror pair."""
+    kind = draw(st.sampled_from(["any", "symmetric", "mirrored zeros"]))
+    if kind == "any":
+        shapes = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+        return draw(hnp.arrays(np.float64, shapes, elements=_finite, fill=st.nothing()))
+    n = draw(st.integers(1 if kind == "symmetric" else 2, 6))
+    A = draw(hnp.arrays(np.float64, (n, n), elements=_finite, fill=st.nothing()))
+    M = np.where(np.tri(n, k=-1, dtype=bool), A.T, A)  # the upper triangle, mirrored bit for bit
+    if kind == "mirrored zeros":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        M[i, j], M[j, i] = 0.0, -0.0
+    return M
+
+
+def _reference_csv(M, names):
+    """The codec's bytes, formatted one element at a time."""
+    lines = [",".join(names)] if names is not None else []
+    lines += [",".join(map(repr, row)) for row in M.tolist()]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    M=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_finite, fill=st.nothing()),
-    named=st.booleans(),
-)
+@given(M=_tables(), named=st.booleans())
+@example(M=np.array([[-0.0]]), named=False)
+@example(M=np.array([[0.5, 0.0], [-0.0, 1.0]]), named=True)
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, M, named):
-    p = str(tmp_path_factory.mktemp("csv") / "m.csv")
+    p = tmp_path_factory.mktemp("csv") / "m.csv"
+    names = [f"c{j}" for j in range(M.shape[1])] if named else None
+    write_matrix_csv(str(p), M, names)
+    assert p.read_bytes() == _reference_csv(M, names)
     if named:
-        names = [f"c{j}" for j in range(M.shape[1])]
-        write_matrix_csv(p, M, names)
-        back_names, X = read_loadings_csv(p)
+        back_names, X = read_loadings_csv(str(p))
         assert back_names == names
         back = X.values
     else:
-        write_matrix_csv(p, M)
-        back = read_matrix_csv(p)
+        back = read_matrix_csv(str(p))
     assert back.shape == M.shape
     assert back.tobytes() == M.tobytes()
 
@@ -316,6 +376,22 @@ def test_snapshot_schema_and_field_errors(tmp_path):
     (tmp_path / "broken.json").write_text("{oops")
     with pytest.raises(ValueError, match="broken.json:1: invalid JSON"):
         load_snapshot(str(tmp_path / "broken.json"))
+
+
+def test_snapshot_field_type_errors(tmp_path):
+    snap, _ = generate_synthetic_market(4, 2, 0.1, seed=7, periods=12)
+    for changes, message in (
+        ({"meta": None}, ": snapshot 'meta' must be a JSON object, got NoneType"),
+        ({"target": 5}, ": snapshot 'target' must name a CSV file, got int"),
+        ({"spec": []}, " (spec): a market spec must be a JSON object, got list"),
+    ):
+        path = save_snapshot(snap, str(tmp_path))
+        _edit_snapshot_json(path, **changes)
+        with pytest.raises(ValueError, match=f"^{re.escape(path + message)}$"):
+            load_snapshot(path)
+    (tmp_path / "list.json").write_text("[]\n")
+    with pytest.raises(ValueError, match="list.json: a snapshot must be a JSON object, got list"):
+        load_snapshot(str(tmp_path / "list.json"))
 
 
 def test_snapshot_dimension_errors(tmp_path):
