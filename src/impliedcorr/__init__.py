@@ -57,8 +57,6 @@ from .solver import (
     initial_loadings,
     objective,
     objective_gradient,
-    project_feasible,
-    project_omega,
     reference_solve,
     solve_nicm,
 )
@@ -112,8 +110,6 @@ __all__ = [
     "objective_gradient",
     "orthogonalize_loadings",
     "portfolio_variance",
-    "project_feasible",
-    "project_omega",
     "read_loadings_csv",
     "read_market_spec",
     "read_matrix_csv",

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,24 +126,7 @@ class BenchRow:
     failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "k": self.k,
-            "target": self.target,
-            "t_mean": self.t_mean,
-            "t_sd": self.t_sd,
-            "fn_mean": self.fn_mean,
-            "fn_sd": self.fn_sd,
-            "vtol_mean": self.vtol_mean,
-            "vtol_max": self.vtol_max,
-            "iter_mean": self.iter_mean,
-            "iter_sd": self.iter_sd,
-            "alpha_mean": self.alpha_mean,
-            "alpha_sd": self.alpha_sd,
-            "instances": self.instances,
-            "infeasible": self.infeasible,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def _offdiag_sqdist(C: np.ndarray, A: np.ndarray) -> float:
@@ -270,26 +253,23 @@ def _fmt_cell(x, width: int) -> str:
     return str(x).rjust(width)
 
 
+# The table's columns: (BenchRow field, header, width).
+_COLUMNS = (
+    ("model", "model", 10), ("k", "k", 3), ("target", "target", 6),
+    ("t_mean", "t.mean", 10), ("t_sd", "t.sd", 10),
+    ("fn_mean", "fn.mean", 11), ("fn_sd", "fn.sd", 11),
+    ("vtol_mean", "vtol.mean", 10), ("vtol_max", "vtol.max", 10),
+    ("iter_mean", "it.mean", 8), ("iter_sd", "it.sd", 8),
+    ("alpha_mean", "a.mean", 9), ("alpha_sd", "a.sd", 9),
+    ("infeasible", "infeas", 6), ("failures", "fail", 5),
+)
+
+
 def render_table(rows: list[BenchRow]) -> str:
-    headers = [
-        ("model", 10), ("k", 3), ("target", 6),
-        ("t.mean", 10), ("t.sd", 10),
-        ("fn.mean", 11), ("fn.sd", 11),
-        ("vtol.mean", 10), ("vtol.max", 10),
-        ("it.mean", 8), ("it.sd", 8),
-        ("a.mean", 9), ("a.sd", 9),
-        ("infeas", 6), ("fail", 5),
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in headers)]
-    lines.append("  ".join("-" * w for _, w in headers))
+    lines = ["  ".join(header.rjust(w) for _, header, w in _COLUMNS)]
+    lines.append("  ".join("-" * w for _, _, w in _COLUMNS))
     for r in rows:
-        vals = [
-            r.model, r.k, r.target,
-            r.t_mean, r.t_sd, r.fn_mean, r.fn_sd,
-            r.vtol_mean, r.vtol_max, r.iter_mean, r.iter_sd,
-            r.alpha_mean, r.alpha_sd, r.infeasible, r.failures,
-        ]
-        lines.append("  ".join(_fmt_cell(v, w) for v, (_, w) in zip(vals, headers)))
+        lines.append("  ".join(_fmt_cell(getattr(r, name), w) for name, _, w in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 

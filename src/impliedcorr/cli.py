@@ -13,6 +13,12 @@ Subcommands:
 * synth       generate a synthetic market snapshot
 * bench       deterministic model comparison on synthetic markets
 
+check, adjust, nearest, repair and economic take each input (--matrix or
+--target, --loadings, --spec) from its file option when that is given,
+else from the --snapshot's field of the same role; a snapshot field is
+parsed only when it is used.  With --out-dir, every artifact's path is
+recorded in the printed record.
+
 Exit codes: 0 success, 1 validation error, 2 non-convergence (or bench
 failures), 3 I/O error.
 """
@@ -20,6 +26,7 @@ failures), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +35,7 @@ import numpy as np
 
 from .baselines import adjusted_ex_post, equicorrelation
 from .bench import BenchSuite, run_bench
-from .core import check_feasibility
+from .core import CorrMatrix, FactorLoadings, check_feasibility
 from .economic import economic_implied_corr
 from .io import (
     load_snapshot,
@@ -89,35 +96,58 @@ def _solver_config(args, k: int | None = None) -> SolverConfig:
     return SolverConfig.from_dict(base)
 
 
-def _load_target_and_spec(args) -> tuple[np.ndarray, object]:
-    """Resolve --target/--spec or --snapshot into (matrix, spec)."""
-    if args.snapshot is not None:
-        snap = load_snapshot(args.snapshot)
-        if snap.target is None:
-            raise ValueError(f"{args.snapshot}: snapshot carries no target matrix")
-        return snap.target, snap.spec
-    if args.target is None or args.spec is None:
-        raise CliUsageError("either --snapshot or both --target and --spec are required")
-    return read_matrix_csv(args.target), read_market_spec(args.spec)
+# Each input's reader and the snapshot field that stands in for its file.
+_INPUTS = {
+    "matrix": (read_matrix_csv, "target"),
+    "target": (read_matrix_csv, "target"),
+    "loadings": (lambda path: read_loadings_csv(path)[1], "loadings"),
+    "spec": (read_market_spec, "spec"),
+}
+
+
+def _inputs(args, *names: str, optional: tuple[str, ...] = ()) -> list:
+    """Each named input from its file option when given, else from the
+    --snapshot's field, which is parsed only then.  An optional input
+    that neither gives is None; a required one is an error."""
+    snap = None if args.snapshot is None else load_snapshot(args.snapshot)
+    required = [name for name in names if name not in optional]
+    if snap is None and any(getattr(args, name) is None for name in required):
+        flags = " and ".join(f"--{name}" for name in required)
+        raise CliUsageError(f"either --snapshot or {flags} must be given")
+    values = []
+    for name in names:
+        read, field = _INPUTS[name]
+        path = getattr(args, name)
+        if path is not None:
+            value = read(path)
+        else:
+            value = None if snap is None else getattr(snap, field)
+        if value is None and name in required:
+            raise ValueError(f"{args.snapshot}: snapshot carries no {field}")
+        values.append(value)
+    return values
+
+
+def _write_artifact(args, out: dict, key: str, name: str, write, *data, top: bool = False) -> None:
+    """With --out-dir, write(path, *data) to the file name there and record
+    the path as out["paths"][key], or as out[key] when top is set."""
+    if args.out_dir is None:
+        return
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, name)
+    write(path, *data)
+    (out if top else out.setdefault("paths", {}))[key] = path
+
+
+def _fields(record) -> dict:
+    """A result record's fields other than its matrices, loadings and arrays."""
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    matrices = (CorrMatrix, FactorLoadings, np.ndarray)
+    return {k: v for k, v in values.items() if not isinstance(v, matrices)}
 
 
 def _cmd_check(args) -> int:
-    spec = None
-    if args.snapshot is not None:
-        snap = load_snapshot(args.snapshot)
-        spec = snap.spec
-        if args.matrix is not None:
-            M = read_matrix_csv(args.matrix)
-        elif snap.target is not None:
-            M = snap.target
-        else:
-            raise ValueError(f"{args.snapshot}: snapshot carries no target matrix to check")
-    else:
-        if args.matrix is None:
-            raise CliUsageError("--matrix (or --snapshot) is required")
-        M = read_matrix_csv(args.matrix)
-        if args.spec is not None:
-            spec = read_market_spec(args.spec)
+    M, spec = _inputs(args, "matrix", "spec", optional=("spec",))
     report = check_feasibility(M, spec, tol=args.tol_var)
     _emit(args, report.to_dict())
     return EXIT_OK
@@ -126,75 +156,38 @@ def _cmd_check(args) -> int:
 def _cmd_equicorr(args) -> int:
     spec = read_market_spec(args.spec)
     res = equicorrelation(spec)
-    report = check_feasibility(res.C, spec, tol=args.tol_var)
-    out = {
-        "c_bar": res.c_bar,
-        "in_psd_range": res.in_psd_range,
-        "psd": report.psd,
-        "constraint_residuals": [float(r) for r in report.constraint_residuals],
-    }
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "equicorr_C.csv")
-        write_matrix_csv(path, res.C.values)
-        out["C"] = path
+    report = check_feasibility(res.C, spec, tol=args.tol_var).to_dict()
+    out = _fields(res) | {key: report[key] for key in ("psd", "constraint_residuals")}
+    _write_artifact(args, out, "C", "equicorr_C.csv", write_matrix_csv, res.C.values, top=True)
     _emit(args, out)
     return EXIT_OK
 
 
 def _cmd_adjust(args) -> int:
-    C_P, spec = _load_target_and_spec(args)
+    C_P, spec = _inputs(args, "target", "spec")
     res = adjusted_ex_post(C_P, spec, workaround=not args.no_workaround)
-    report = check_feasibility(res.C_Q, spec, tol=args.tol_var)
-    out = {
-        "alpha_hat": res.alpha_hat,
-        "used_lower_bound": res.used_lower_bound,
-        "crp_sign": res.crp_sign,
-        "scaling_consistent": res.scaling_consistent,
-        "psd": report.psd,
-        "min_eigenvalue": report.min_eigenvalue,
-        "constraint_residuals": [float(r) for r in report.constraint_residuals],
-    }
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "adjusted_C.csv")
-        write_matrix_csv(path, res.C_Q.values)
-        out["C"] = path
+    report = check_feasibility(res.C_Q, spec, tol=args.tol_var).to_dict()
+    out = _fields(res) | {key: report[key] for key in ("psd", "min_eigenvalue", "constraint_residuals")}
+    _write_artifact(args, out, "C", "adjusted_C.csv", write_matrix_csv, res.C_Q.values, top=True)
     _emit(args, out)
     return EXIT_OK
 
 
-def _write_solver_outputs(out_dir: str, stem: str, result) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "result": os.path.join(out_dir, f"{stem}_result.json"),
-        "C": os.path.join(out_dir, f"{stem}_C.csv"),
-        "X": os.path.join(out_dir, f"{stem}_X.csv"),
-    }
-    _dump_json(paths["result"], result.to_dict())
-    write_matrix_csv(paths["C"], result.C_star.values)
-    write_loadings_csv(paths["X"], result.X_star)
-    return paths
-
-
 def _cmd_nearest(args, stem: str = "nearest") -> int:
-    A, spec = _load_target_and_spec(args)
+    A, spec = _inputs(args, "target", "spec")
     config = _solver_config(args, k=args.k)
     result = solve_nicm(A, spec, config)
     out = result.to_dict()
-    if args.out_dir is not None:
-        out["paths"] = _write_solver_outputs(args.out_dir, stem, result)
+    _write_artifact(args, out, "result", f"{stem}_result.json", _dump_json, result.to_dict())
+    _write_artifact(args, out, "C", f"{stem}_C.csv", write_matrix_csv, result.C_star.values)
+    _write_artifact(args, out, "X", f"{stem}_X.csv", write_loadings_csv, result.X_star)
+    ok = result.converged
     if stem == "repair":
-        report = check_feasibility(
-            result.C_star, spec, tol=config.var_tol
-        )
+        report = check_feasibility(result.C_star, spec, tol=config.var_tol)
         out["feasibility"] = report.to_dict()
-        _emit(args, out)
-        if not (result.converged and report.feasible):
-            return EXIT_NONCONVERGENCE
-        return EXIT_OK
+        ok = ok and report.feasible
     _emit(args, out)
-    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 
 def _cmd_repair(args) -> int:
@@ -202,33 +195,11 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_economic(args) -> int:
-    if args.snapshot is not None:
-        snap = load_snapshot(args.snapshot)
-        if snap.loadings is None:
-            raise ValueError(f"{args.snapshot}: snapshot carries no loadings")
-        X_P, spec = snap.loadings, snap.spec
-    else:
-        if args.loadings is None or args.spec is None:
-            raise CliUsageError("either --snapshot or both --loadings and --spec are required")
-        _, X_P = read_loadings_csv(args.loadings)
-        spec = read_market_spec(args.spec)
+    X_P, spec = _inputs(args, "loadings", "spec")
     res = economic_implied_corr(X_P, spec)
-    out = {
-        "alpha_tilde": res.alpha_tilde,
-        "upsilon": res.upsilon,
-        "sigma_P_sq": res.sigma_P_sq,
-        "sigma_Delta_sq": res.sigma_Delta_sq,
-        "sigma_PDelta_sq": res.sigma_PDelta_sq,
-        "constraint_residual": res.constraint_residual,
-        "alpha_in_unit_interval": res.alpha_in_unit_interval,
-    }
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        c_path = os.path.join(args.out_dir, "economic_C.csv")
-        x_path = os.path.join(args.out_dir, "economic_XQ.csv")
-        write_matrix_csv(c_path, res.C.values)
-        write_loadings_csv(x_path, res.X_Q)
-        out["paths"] = {"C": c_path, "X_Q": x_path}
+    out = _fields(res)
+    _write_artifact(args, out, "C", "economic_C.csv", write_matrix_csv, res.C.values)
+    _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q)
     _emit(args, out)
     return EXIT_OK
 
@@ -246,22 +217,14 @@ def _cmd_vg_convert(args) -> int:
         mean, _ = vg_centered_moments(params)
         out["sigma"] = [float(s) for s in sigma]
         out["mean"] = [float(m) for m in mean]
-        if args.out_dir is not None:
-            os.makedirs(args.out_dir, exist_ok=True)
-            c_path = os.path.join(args.out_dir, "vg_C_centered.csv")
-            s_path = os.path.join(args.out_dir, "vg_sigma.csv")
-            write_matrix_csv(c_path, C_cen.values)
-            write_matrix_csv(s_path, np.reshape(sigma, (-1, 1)), ["sigma"])
-            out["paths"] = {"C_centered": c_path, "sigma": s_path}
+        _write_artifact(args, out, "C_centered", "vg_C_centered.csv", write_matrix_csv, C_cen.values)
+        _write_artifact(args, out, "sigma", "vg_sigma.csv", write_matrix_csv,
+                        np.reshape(sigma, (-1, 1)), ["sigma"])
     if args.spec is not None:
         spec = read_market_spec(args.spec)
         adjusted = vg_market_constraint(params, spec)
         out["adjusted_variances"] = [adjusted.market.variance]
-        if args.out_dir is not None:
-            os.makedirs(args.out_dir, exist_ok=True)
-            spec_path = os.path.join(args.out_dir, "vg_adjusted_spec.json")
-            write_market_spec(spec_path, adjusted)
-            out.setdefault("paths", {})["adjusted_spec"] = spec_path
+        _write_artifact(args, out, "adjusted_spec", "vg_adjusted_spec.json", write_market_spec, adjusted)
     _emit(args, out)
     return EXIT_OK
 

@@ -224,6 +224,8 @@ def objective_gradient(X, A) -> np.ndarray:
 
 
 def _project_omega_raw(arr: np.ndarray) -> np.ndarray:
+    """Nearest point of Omega: rows with squared norm above one are
+    rescaled, the others copied bit for bit, so the map is idempotent."""
     r2 = np.einsum("ij,ij->i", arr, arr)
     over = r2 > 1.0
     if not np.any(over):
@@ -231,15 +233,6 @@ def _project_omega_raw(arr: np.ndarray) -> np.ndarray:
     scale = np.ones(arr.shape[0])
     scale[over] = 1.0 / np.sqrt(r2[over])
     return arr * scale[:, None]
-
-
-def project_omega(X) -> np.ndarray:
-    """Nearest point of Omega: rescale rows with squared norm above one.
-
-    Rows already inside the ball are returned bit-identically, so the
-    projection is idempotent.
-    """
-    return _project_omega_raw(_loadings_array(X))
 
 
 def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
@@ -327,6 +320,20 @@ def _project_equality_raw(
 
 
 def _project_feasible_raw(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarray:
+    """Restore loadings to Omega intersected with the surface v'C(X)v = target.
+
+    The point is clipped to Omega, then searched along the clipped curve
+    of the module docstring until |g| <= tol = RESTORATION_TOL *
+    max(1, (sum_i |v_i|)^2); bracketed roots are refined to ROOT_TOL
+    times the same bound.  The returned rows satisfy ||X_i||^2 <= 1 +
+    1e-12, and already-feasible points are returned unchanged.
+
+    Raises RestorationError carrying the final residual when the target
+    lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
+    (sum|v_i|)^2] of v'Cv, when MAX_RESTORATION_ITER curve searches do
+    not reach tol, or when g is insensitive to the curve (K X vanishes,
+    or no point of the curve is nearer the surface).
+    """
     # Every correlation matrix is the Gram matrix of unit vectors z_i, so
     # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
     # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
@@ -378,30 +385,6 @@ def _project_feasible_raw(arr: np.ndarray, v: np.ndarray, target: float) -> np.n
         f"within {MAX_RESTORATION_ITER} curve searches (last residual {resid!r})",
         residual=resid,
     )
-
-
-def project_feasible(X, spec: MarketSpec) -> np.ndarray:
-    """Restore a point to Omega intersected with the variance surface.
-
-    The point is clipped to Omega, then searched along the clipped curve
-    of the module docstring until |g| <= tol = RESTORATION_TOL *
-    max(1, (sum_i |v_i|)^2), v = sigma o w; bracketed roots are refined
-    to ROOT_TOL times the same bound.  The returned rows satisfy
-    ||X_i||^2 <= 1 + 1e-12.  tol is 1e-10 wherever sum_i |v_i| <= 1 and
-    scales with the variance units, so volatilities may be quoted in any
-    units.  Already-feasible points are returned unchanged.
-
-    Raises RestorationError carrying the final residual when the target
-    lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
-    (sum|v_i|)^2] of v'Cv, when MAX_RESTORATION_ITER curve searches do
-    not reach tol, or when g is insensitive to the curve (K X vanishes,
-    or no point of the curve is nearer the surface).
-    """
-    arr = _loadings_array(X)
-    v = spec.scaled_weights()
-    if v.size != arr.shape[0]:
-        raise ValueError(f"spec has {v.size} assets, loadings have {arr.shape[0]} rows")
-    return _project_feasible_raw(arr, v, spec.market.variance)
 
 
 def _weyl_block(n: int, b: int) -> np.ndarray:
@@ -761,7 +744,7 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     X = x.reshape(n, k)
     # Snap the solution into Omega; the PHR terms leave at most tiny
     # violations, so the objective moves negligibly.
-    X = project_omega(X)
+    X = _project_omega_raw(X)
     fn = objective(X, A_arr)
     residual = _residual(X, spec)
     converged = abs(residual) <= config.var_tol

@@ -1,6 +1,7 @@
 """CLI dispatch: exit codes, emitted JSON/CSV, file artifacts, seed handling."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,9 +11,12 @@ import sys
 import numpy as np
 import pytest
 
+from impliedcorr import cli
 from impliedcorr.cli import cli_dispatch
-from impliedcorr.core import IndexConstraint, MarketSpec
+from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec
 from impliedcorr.io import (
+    load_snapshot,
+    read_market_spec,
     read_matrix_csv,
     write_loadings_csv,
     write_market_spec,
@@ -49,13 +53,28 @@ def run_json(capsys, argv):
     return code, payload, out.err
 
 
-def run_fresh(code):
+def fresh_process(*args):
+    """Run the interpreter on args in a new process that imports this package."""
     import impliedcorr
 
     src = os.path.dirname(os.path.dirname(impliedcorr.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cp = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_fresh(code):
+    cp = fresh_process("-c", code)
     assert cp.returncode == 0, cp.stderr
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    spec = write_spec(tmp_path)
+    cp = fresh_process("-m", "impliedcorr.cli", "equicorr", "--spec", spec)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["c_bar"] == pytest.approx(0.5, abs=1e-15)
+    cp = fresh_process("-m", "impliedcorr.cli", "equicorr")
+    assert cp.returncode == 1
+    assert "--spec" in cp.stderr
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -212,6 +231,89 @@ def test_snapshot_commands_read_only_the_fields_they_use(tmp_path, capsys):
     assert run_all() == clean
 
 
+@pytest.fixture
+def market(tmp_path, capsys):
+    """A synthetic n = 6 snapshot, its inputs as separate files, a spec with
+    0.8 times its index variance and an equicorrelated target.  The economic
+    route meets both specs with its loadings inside the unit ball."""
+    argv = ["synth", "-n", "6", "--k-true", "2", "--seed", "2", "--out-dir", str(tmp_path / "m")]
+    code, out, _ = run_json(capsys, argv)
+    assert code == 0
+    snap = load_snapshot(out["snapshot"])
+    con = snap.spec.market
+    files = {
+        "snapshot": out["snapshot"],
+        "spec": str(tmp_path / "spec.json"),
+        "low": str(tmp_path / "low.json"),
+        "target": str(tmp_path / "target.csv"),
+        "loadings": str(tmp_path / "loadings.csv"),
+        "other": str(tmp_path / "other.csv"),
+    }
+    write_market_spec(files["spec"], snap.spec)
+    low = IndexConstraint(con.name, con.weights, 0.8 * con.variance)
+    write_market_spec(files["low"], MarketSpec(snap.spec.sigma, (low,)))
+    write_matrix_csv(files["target"], snap.target)
+    write_loadings_csv(files["loadings"], snap.loadings, snap.factor_names)
+    write_matrix_csv(files["other"], np.full((6, 6), 0.3) + 0.7 * np.eye(6))
+    return files
+
+
+def summary(capsys, argv):
+    """Exit code and stdout record of argv, without its wall time."""
+    code, out, err = run_json(capsys, argv)
+    assert isinstance(out, dict), err
+    out.pop("wall_time", None)
+    return code, out
+
+
+# (command, file options given with --snapshot, the same inputs from files alone)
+OVERRIDES = [
+    ("adjust", ["--target", "other"], ["--target", "other", "--spec", "spec"]),
+    ("adjust", ["--spec", "low"], ["--target", "target", "--spec", "low"]),
+    ("check", ["--spec", "low"], ["--matrix", "target", "--spec", "low"]),
+    ("economic", ["--spec", "low"], ["--loadings", "loadings", "--spec", "low"]),
+    ("nearest", ["--target", "other"], ["--target", "other", "--spec", "spec"]),
+]
+
+
+@pytest.mark.parametrize("command, extra, alone", OVERRIDES, ids=[f"{c}-{e[0][2:]}" for c, e, _ in OVERRIDES])
+def test_file_option_wins_over_snapshot_field(market, capsys, command, extra, alone):
+    def argv(opts):
+        return [command, *[market.get(opt, opt) for opt in opts]]
+
+    code, from_snapshot = summary(capsys, argv(["--snapshot", "snapshot"]))
+    assert code == 0
+    code, mixed = summary(capsys, argv(["--snapshot", "snapshot", *extra]))
+    assert code == 0
+    assert summary(capsys, argv(alone)) == (0, mixed)
+    assert mixed != from_snapshot
+
+
+def test_snapshot_fields_stand_in_for_missing_file_options(market, capsys):
+    pairs = [
+        (["check", "--snapshot", "snapshot"], ["check", "--matrix", "target", "--spec", "spec"]),
+        (["economic", "--snapshot", "snapshot"], ["economic", "--loadings", "loadings", "--spec", "spec"]),
+    ]
+    for snap_argv, file_argv in pairs:
+        code, out = summary(capsys, [market.get(a, a) for a in snap_argv])
+        assert code == 0
+        assert summary(capsys, [market.get(a, a) for a in file_argv]) == (0, out)
+
+
+def test_missing_inputs_are_usage_errors(market, tmp_path, capsys):
+    for argv in (["check"], ["check", "--spec", market["spec"]], ["economic", "--loadings", market["loadings"]]):
+        code, _, err = run_json(capsys, argv)
+        assert code == 1
+        assert "either --snapshot" in err
+    bare = tmp_path / "m" / "no_loadings.json"
+    d = json.loads((tmp_path / "m" / "snapshot.json").read_text())
+    del d["loadings"]
+    bare.write_text(json.dumps(d))
+    code, _, err = run_json(capsys, ["economic", "--snapshot", str(bare)])
+    assert code == 1
+    assert str(bare) in err and "loadings" in err
+
+
 def test_equicorr_hand_value(tmp_path, capsys):
     spec = write_spec(tmp_path, 0.03)
     out_dir = str(tmp_path / "out")
@@ -233,12 +335,15 @@ def test_adjust_hand_value(tmp_path, capsys):
     m = str(tmp_path / "C.csv")
     write_matrix_csv(m, np.eye(2))
     spec = write_spec(tmp_path, 0.03)
-    code, out, _ = run_json(capsys, ["adjust", "--target", m, "--spec", spec])
+    out_dir = str(tmp_path / "out")
+    code, out, _ = run_json(capsys, ["adjust", "--target", m, "--spec", spec, "--out-dir", out_dir])
     assert code == 0
     assert out["alpha_hat"] == pytest.approx(0.5, abs=1e-15)
     assert out["crp_sign"] == 1
     assert out["psd"] is True
     assert abs(out["constraint_residuals"][0]) <= 1e-15
+    assert out["C"] == os.path.join(out_dir, "adjusted_C.csv")
+    np.testing.assert_allclose(read_matrix_csv(out["C"]), [[1.0, 0.5], [0.5, 1.0]], atol=1e-15)
 
 
 def test_nearest_from_snapshot(tmp_path, capsys):
@@ -321,22 +426,63 @@ def test_nearest_unreachable_target_exits_2(tmp_path, capsys):
     assert "comonotonic bound" in err
 
 
-def test_repair_fixes_indefinite_matrix(tmp_path, capsys):
-    A = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-    assert np.linalg.eigvalsh(A).min() < -0.5
+INDEFINITE = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+
+
+def repair_argv(tmp_path):
+    """repair argv for the indefinite 3 x 3 INDEFINITE and a reachable index variance."""
     m = str(tmp_path / "A.csv")
-    write_matrix_csv(m, A)
+    write_matrix_csv(m, INDEFINITE)
     spec3 = MarketSpec(
         np.full(3, 0.2),
         (IndexConstraint("market", np.full(3, 1.0 / 3.0), 0.015),),
     )
     spec = str(tmp_path / "spec3.json")
     write_market_spec(spec, spec3)
-    code, out, _ = run_json(capsys, ["repair", "--target", m, "--spec", spec, "-k", "2"])
+    return ["repair", "--target", m, "--spec", spec, "-k", "2"]
+
+
+def test_repair_fixes_indefinite_matrix(tmp_path, capsys):
+    assert np.linalg.eigvalsh(INDEFINITE).min() < -0.5
+    code, out, _ = run_json(capsys, repair_argv(tmp_path))
     assert code == 0
     assert out["converged"] is True
     assert out["feasibility"]["psd"] is True
     assert out["feasibility"]["feasible"] is True
+
+
+@pytest.mark.parametrize("stub, converged, feasible", [
+    ({"converged": False, "message": "stubbed"}, False, True),
+    ({"C_star": CorrMatrix(INDEFINITE)}, True, False),
+], ids=["not-converged", "infeasible"])
+def test_repair_exits_2_unless_converged_and_feasible(tmp_path, capsys, monkeypatch, stub, converged, feasible):
+    real = cli.solve_nicm
+
+    def stubbed(A, spec, config=None):
+        return dataclasses.replace(real(A, spec, config), **stub)
+
+    monkeypatch.setattr(cli, "solve_nicm", stubbed)
+    code, out, _ = run_json(capsys, repair_argv(tmp_path))
+    assert code == 2
+    assert (out["converged"], out["feasibility"]["feasible"]) == (converged, feasible)
+
+
+def test_tol_var_overrides_config_var_tol(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli.solve_nicm
+
+    def spy(A, spec, config=None):
+        seen.append(config)
+        return real(A, spec, config)
+
+    monkeypatch.setattr(cli, "solve_nicm", spy)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"k": 2, "var_tol": 1e-3}))
+    argv = repair_argv(tmp_path)[:-2] + ["--config", str(cfg)]
+    for extra, var_tol in (([], 1e-3), (["--tol-var", "1e-7"], 1e-7)):
+        code, _, _ = run_json(capsys, argv + extra)
+        assert code == 0
+        assert (seen[-1].k, seen[-1].var_tol) == (2, var_tol)
 
 
 def test_economic_cli(tmp_path, capsys):
@@ -369,9 +515,12 @@ def test_vg_convert(tmp_path, capsys):
         assert fh.read() == ("sigma\n" + "".join(repr(x) + "\n" for x in out["sigma"])).encode()
     # with a spec: adjusted variance = var - nu (w'theta)^2; w'theta = 0 here
     spec = write_spec(tmp_path, 0.03)
-    code, out, _ = run_json(capsys, ["vg-convert", "--params", p, "--spec", spec])
+    out_dir = str(tmp_path / "out_spec")
+    code, out, _ = run_json(capsys, ["vg-convert", "--params", p, "--spec", spec, "--out-dir", out_dir])
     assert code == 0
     assert out["adjusted_variances"] == [0.03]
+    assert sorted(out["paths"]) == ["C_centered", "adjusted_spec", "sigma"]
+    assert read_market_spec(out["paths"]["adjusted_spec"]).market.variance == 0.03
 
 
 def test_vg_convert_needs_something_to_do(tmp_path, capsys):
@@ -422,6 +571,19 @@ def test_bench_cli(tmp_path, capsys):
     code, out, _ = run_json(capsys, ["bench", "--suite", str(p), "--format", "csv"])
     assert code == 0
     assert out.splitlines()[0].startswith("model,k,target")
+
+
+def test_bench_seed_overrides_suite_seed(tmp_path, capsys):
+    suite = {"cells": [{"model": "equicorr"}], "n": 6, "k_true": 2, "instances": 2, "measure_time": False}
+
+    def bench(seed, *extra):
+        p = tmp_path / f"suite{seed}.json"
+        p.write_text(json.dumps(dict(suite, seed=seed)))
+        code, out, _ = run_json(capsys, ["bench", "--suite", str(p), "--format", "csv", *extra])
+        assert code == 0
+        return out
+
+    assert bench(7, "--seed", "3") == bench(3) != bench(7)
 
 
 def test_bench_cli_failures_exit_2(tmp_path, capsys):

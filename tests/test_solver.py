@@ -36,9 +36,9 @@ from impliedcorr.solver import (
     _subspace_eigenpairs,
     initial_loadings,
     objective,
+    _project_feasible_raw,
+    _project_omega_raw,
     objective_gradient,
-    project_feasible,
-    project_omega,
     reference_solve,
     solve_nicm,
 )
@@ -66,8 +66,13 @@ def random_target(rng, n):
     return np.clip(A, -0.99, 0.99) + np.eye(n) * (1.0 - np.clip(A, -0.99, 0.99)[0, 0]) * 0.0
 
 
+def restore(X, spec):
+    """The restoration of X onto Omega and spec's index variance surface."""
+    return _project_feasible_raw(np.asarray(X, dtype=float), spec.scaled_weights(), spec.market.variance)
+
+
 def restoration_bound(spec):
-    """The documented |g| bound of project_feasible: 1e-10 * max(1, (sum |v_i|)^2)."""
+    """The documented |g| bound of the restoration: 1e-10 * max(1, (sum |v_i|)^2)."""
     return RESTORATION_TOL * max(1.0, float(np.sum(np.abs(spec.scaled_weights()))) ** 2)
 
 
@@ -157,12 +162,12 @@ def test_project_omega_properties():
         n = int(rng.integers(1, 10))
         k = int(rng.integers(1, 4))
         X = rng.normal(scale=1.5, size=(n, k))
-        P = project_omega(X)
+        P = _project_omega_raw(X)
         r2 = np.einsum("ij,ij->i", P, P)
         assert np.all(r2 <= 1.0 + 1e-12)
         # idempotent up to one rounding of the boundary rows; inside rows
         # pass through bit-identically
-        np.testing.assert_allclose(project_omega(P), P, atol=1e-15)
+        np.testing.assert_allclose(_project_omega_raw(P), P, atol=1e-15)
         inside = np.einsum("ij,ij->i", X, X) <= 1.0
         np.testing.assert_array_equal(P[inside], X[inside])
         # projected rows keep their direction
@@ -182,7 +187,7 @@ def test_project_omega_nonexpansive():
         X = rng.normal(scale=1.5, size=(n, k))
         Y = rng.normal(scale=1.5, size=(n, k))
         d_before = float(np.linalg.norm(X - Y))
-        d_after = float(np.linalg.norm(project_omega(X) - project_omega(Y)))
+        d_after = float(np.linalg.norm(_project_omega_raw(X) - _project_omega_raw(Y)))
         assert d_after <= d_before + 1e-12
 
 
@@ -194,7 +199,7 @@ def test_project_equality_degenerate_direction_raises():
     # X = 0 makes K X vanish; the constraint cannot be reached along it
     spec = MarketSpec(np.array([0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
     with pytest.raises(RestorationError, match="insensitive"):
-        project_feasible(np.zeros((2, 1)), spec)
+        restore(np.zeros((2, 1)), spec)
 
 
 def test_project_feasible_reaches_targets_on_the_curve():
@@ -214,12 +219,12 @@ def test_project_feasible_reaches_targets_on_the_curve():
         X = rng.uniform(-0.5, 0.5, size=(n, k))
         K = np.outer(v, v)
         np.fill_diagonal(K, 0.0)
-        moved = project_omega(X + rng.normal(scale=5.0) * (K @ X))
+        moved = _project_omega_raw(X + rng.normal(scale=5.0) * (K @ X))
         var = float(v @ assemble_correlation(moved).values @ v)
         if var <= 1e-6:
             continue
         spec = MarketSpec(sigma, (IndexConstraint("market", w, var),))
-        Z = project_feasible(X, spec)
+        Z = restore(X, spec)
         assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
         assert abs(_residual(Z, spec)) <= 1e-14 * max(1.0, float(np.sum(np.abs(v))) ** 2)
         checked += 1
@@ -246,7 +251,7 @@ def test_project_feasible_lands_in_both_sets():
         k = int(rng.integers(1, 4))
         spec = random_spec(rng, n)
         X = rng.normal(scale=0.8, size=(n, k))
-        Z = project_feasible(X, spec)
+        Z = restore(X, spec)
         assert abs(residual(Z, spec)) <= RESTORATION_TOL
         assert FactorLoadings(Z).in_omega(eps=1e-12)
 
@@ -254,8 +259,8 @@ def test_project_feasible_lands_in_both_sets():
 def test_project_feasible_keeps_feasible_points():
     rng = np.random.default_rng(119)
     spec = random_spec(rng, 5)
-    X = project_feasible(rng.normal(scale=0.5, size=(5, 2)), spec)
-    Z = project_feasible(X, spec)
+    X = restore(rng.normal(scale=0.5, size=(5, 2)), spec)
+    Z = restore(X, spec)
     np.testing.assert_allclose(Z, X, atol=1e-12)
 
 
@@ -268,7 +273,7 @@ def test_project_feasible_comonotonic_target():
     cap = float(np.sum(v)) ** 2
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap),))
     rng = np.random.default_rng(121)
-    Z = project_feasible(rng.normal(size=(3, 2)), spec)
+    Z = restore(rng.normal(size=(3, 2)), spec)
     C = assemble_correlation(Z).values
     np.testing.assert_allclose(C, np.ones((3, 3)), atol=1e-9)
 
@@ -279,7 +284,7 @@ def test_project_feasible_beyond_comonotonic_raises():
     cap = float(np.sum(sigma * w)) ** 2
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap * 1.01),))
     with pytest.raises(RestorationError, match="comonotonic"):
-        project_feasible(np.full((2, 1), 0.3), spec)
+        restore(np.full((2, 1), 0.3), spec)
 
 
 def test_project_feasible_below_attainable_minimum_raises():
@@ -288,10 +293,10 @@ def test_project_feasible_below_attainable_minimum_raises():
     w = np.array([1.5, -0.5])
     spec = MarketSpec(sigma, (IndexConstraint("m", w, 0.03),))
     with pytest.raises(RestorationError, match="attainable minimum") as err:
-        project_feasible(np.full((2, 1), 0.3), spec)
+        restore(np.full((2, 1), 0.3), spec)
     assert err.value.residual == pytest.approx(0.03 - 0.04, abs=1e-15)
     spec = MarketSpec(sigma, (IndexConstraint("m", w, 0.05),))
-    Z = project_feasible(np.full((2, 1), 0.3), spec)
+    Z = restore(np.full((2, 1), 0.3), spec)
     assert abs(residual(Z, spec)) <= 1e-10
 
 
@@ -305,7 +310,7 @@ def test_project_feasible_collapsing_rows_raise_insensitive():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RestorationError, match="insensitive") as err:
-            project_feasible(np.ones((2, 3)), spec)
+            restore(np.ones((2, 3)), spec)
     assert np.isfinite(err.value.residual)
 
 
@@ -411,7 +416,7 @@ def test_project_feasible_negative_weights_comonotonic_point():
     v = sigma * w
     cap = float(np.sum(np.abs(v))) ** 2
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap),))
-    Z = project_feasible(np.full((3, 2), 0.1), spec)
+    Z = restore(np.full((3, 2), 0.1), spec)
     assert abs(residual(Z, spec)) <= 1e-10
     assert FactorLoadings(Z).in_omega(eps=1e-12)
 
@@ -428,7 +433,7 @@ def test_project_feasible_final_clip_keeps_tolerance():
             snap.spec.sigma * scale,
             (IndexConstraint(con.name, con.weights, con.variance * scale**2),),
         )
-        Z = project_feasible(T, spec)
+        Z = restore(T, spec)
         assert abs(_residual(Z, spec)) <= restoration_bound(spec)
         assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
 
@@ -458,7 +463,7 @@ def long_short_restorations(draw):
 def test_project_feasible_contract_on_long_short_specs(case):
     spec, X = case
     try:
-        Z = project_feasible(X, spec)
+        Z = restore(X, spec)
     except RestorationError:
         return
     assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
@@ -468,6 +473,24 @@ def test_project_feasible_contract_on_long_short_specs(case):
 def test_initial_loadings_identity_target_is_zero():
     X0 = initial_loadings(np.eye(5), 2)
     np.testing.assert_array_equal(X0.values, np.zeros((5, 2)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RestorationError,
+    reason="every eigenvalue of the identity is 1, so the spectral start is X0 = 0, where "
+    "K X0 = 0 and the curve search cannot raise the variance above v'v",
+)
+def test_solve_nicm_identity_target():
+    for n in (2, 5, 50):
+        sigma = np.full(n, 0.2)
+        w = np.full(n, 1.0 / n)
+        v = sigma * w
+        var = 0.5 * (float(v @ v) + float(v.sum()) ** 2)
+        spec = MarketSpec(sigma, (IndexConstraint("m", w, var),))
+        res = solve_nicm(np.eye(n), spec, SolverConfig(k=2))
+        assert res.converged
+        assert abs(res.constraint_residual) <= 1e-6
 
 
 def test_initial_loadings_always_in_omega():
