@@ -31,7 +31,9 @@ A matrix assembled from loadings keeps them, so its smallest eigenvalue
 comes from the factor structure C(X) = X X' + diag(h) in O(n k^2) per
 bisection step (Haynsworth inertia additivity; see :func:`_min_eigenvalue`)
 instead of from an O(n^3) dense eigensolver; matrices built any other way,
-read from CSV for instance, use the dense solver.
+read from CSV for instance, use the dense solver.  The feasibility report
+of a CorrMatrix takes `symmetric` from the type, and that of C(X) `bounded`
+from the row norms of X unless a row lies within rounding of the bound.
 It also holds the two O(n k) kernels of the index variance algebra, with
 v = sigma o w and K = v v' o J = v v' - diag(v^2):
 
@@ -62,7 +64,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -112,11 +114,13 @@ class FactorLoadings:
 class CorrMatrix:
     """A square correlation-matrix candidate.
 
-    Construction symmetrizes via (C + C') / 2 and freezes the array, but it
-    deliberately does not force unit diagonal, entry bounds, or positive
-    semidefiniteness: several models in this package produce matrices that
-    violate one of those conditions, and the violations must remain visible
-    to :func:`check_feasibility` instead of being patched over.  Code paths
+    Construction copies C (C-ordered), symmetrizes it only when its float64
+    bits are not symmetric, as C / 2 + C' / 2 (the bits of (C + C') / 2
+    without its overflow), and freezes it, but it deliberately does not
+    force unit diagonal, entry bounds, or positive semidefiniteness: several
+    models in this package produce matrices that violate one of those
+    conditions, and the violations must remain visible to
+    :func:`check_feasibility` instead of being patched over.  Code paths
     that guarantee a property (for example :func:`assemble_correlation`)
     establish it explicitly before wrapping.
 
@@ -132,7 +136,9 @@ class CorrMatrix:
         arr = _as_float_array(self.values, "correlation matrix", 2)
         if arr.shape[0] != arr.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {arr.shape}")
-        arr = (arr + arr.T) / 2.0
+        if not np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
+            arr *= 0.5  # the copy is ours: one n x n temporary, as for (C + C') / 2
+            arr = arr + arr.T
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -266,9 +272,23 @@ def _loadings_array(X) -> np.ndarray:
     return FactorLoadings(X).values
 
 
+def _trusted_corr(arr: np.ndarray, loadings: np.ndarray | None = None) -> CorrMatrix:
+    """Wrap arr, known to be C-ordered, finite, square and bit-symmetric, unchecked."""
+    arr.setflags(write=False)
+    out = object.__new__(CorrMatrix)
+    out.__dict__.update(values=arr, _loadings=loadings)
+    return out
+
+
 def _corr_array(C) -> np.ndarray:
+    """Validated values of C: a finite, square float64 ndarray, bit-symmetric as
+    uint64 (-0.0 != 0.0), is viewed read-only (through its transpose if
+    Fortran-ordered, copied if strided); all else goes through CorrMatrix."""
     if isinstance(C, CorrMatrix):
         return C.values
+    if type(C) is np.ndarray and C.dtype == np.float64 and C.ndim == 2 and C.shape[0] == C.shape[1]:
+        if np.isfinite(C).all() and np.array_equal(C.view(np.uint64), C.T.view(np.uint64)):
+            return _trusted_corr(np.ascontiguousarray(C.T if C.flags.f_contiguous else C).view()).values
     return CorrMatrix(C).values
 
 
@@ -282,14 +302,15 @@ def assemble_correlation(X) -> CorrMatrix:
     which :func:`check_feasibility` will report.  This is the one place
     where C = X X' + diag(1 - ||X_i||^2) is known to hold, so the returned
     matrix carries X (privately) for the factor-structured smallest
-    eigenvalue.
+    eigenvalue and entry bound.  numpy forms X X' with BLAS syrk, which
+    mirrors one triangle, so the product is wrapped as it is.
     """
     arr = _loadings_array(X)
     C = arr @ arr.T
     np.fill_diagonal(C, 1.0)
-    out = CorrMatrix(C)
-    object.__setattr__(out, "_loadings", arr)
-    return out
+    if not np.isfinite(C).all():
+        raise ValueError("correlation matrix contains non-finite entries")
+    return _trusted_corr(C, arr)
 
 
 def _eigvalsh_flops(m: int) -> float:
@@ -403,20 +424,27 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> F
 
     Symmetry is tested on the raw argument when an ndarray is passed, so
     an asymmetric input is reported instead of being hidden by the
-    symmetrization that CorrMatrix construction applies.
+    symmetrization that CorrMatrix construction applies (which makes every
+    CorrMatrix symmetric).  C(X) is bounded by Cauchy-Schwarz when max_i
+    ||X_i||^2 (1 + 4 k eps) <= 1 + 1e-12, 4 k eps covering the rounding of a
+    k-term dot product; otherwise, as for any other matrix, each entry is checked.
     """
+    X = None
     if isinstance(C, CorrMatrix):
-        raw = C.values
+        raw, symmetric, X = C.values, True, C._loadings
     else:
         raw = _as_float_array(C, "correlation matrix", 2)
         if raw.shape[0] != raw.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {raw.shape}")
-    symmetric = bool(np.array_equal(raw, raw.T))
+        symmetric = bool(np.array_equal(raw, raw.T))
     unit_diagonal = bool(np.all(np.diag(raw) == 1.0))
-    bounded = bool(np.all(np.abs(raw) <= 1.0 + 1e-12))
+    bounded = False
+    if X is not None:
+        bounded = float(np.max(np.einsum("ij,ij->i", X, X))) * (1.0 + 4 * X.shape[1] * _EPS) <= 1.0 + 1e-12
+    bounded = bounded or bool(np.all(np.abs(raw) <= 1.0 + 1e-12))
     # (x + x) / 2 == x exactly, so a symmetric input needs no copy.
     sym = raw if symmetric else (raw + raw.T) / 2.0
-    min_eig = _min_eigenvalue(sym, C._loadings if isinstance(C, CorrMatrix) else None)
+    min_eig = _min_eigenvalue(sym, X)
     psd = min_eig >= -EPS_PSD
 
     if spec is None:

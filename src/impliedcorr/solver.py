@@ -33,20 +33,22 @@ relative to the comonotonic bound: |g| <= RESTORATION_TOL * max(1,
 (sum_i |v_i|)^2), with roots refined to ROOT_TOL times the same bound.
 
 Cost per iteration: each trial point evaluates f and grad f once, at the
-price of one n x n x k product (A_hat X); each curve sample and each pass
-of the tangential projection is O(n k), and no n x n matrix is formed
+price of one n x n x k product (A_hat X).  A curve sample forms its point
+once and shares its row norms between the clip and g, so it is O(n k), as
+is each pass of the tangential projection; no n x n matrix is formed
 except on the cancellation fallback of _objective_and_gradient near
-f = 0.  The spectral start costs O(n^2 (k + 8)) per step of a subspace
-iteration, about ten steps when the top k eigenvalues stand clear of the
-rest; only a start the iteration cannot certify within n / (2 (k + 8))
-steps, or a target too small for one step, pays for a full O(n^3)
-eigendecomposition.
+f = 0.  A bit-symmetric target is validated once and not copied (A_hat is
+its one copy).  The spectral start costs O(n^2 (k + 8)) per step of a
+subspace iteration, about ten steps when the top k eigenvalues stand clear
+of the rest; only a start the iteration cannot certify within
+n / (2 (k + 8)) steps, or a target too small for one step, pays for a full
+O(n^3) eigendecomposition.
 
 reference_solve is an independent cross-check for small instances: an
 augmented Lagrangian on the same objective and constraints, minimized with
-scipy's L-BFGS-B from the same starting point.  It shares no projection or
-line-search code with solve_nicm, so agreement of the two objective values
-is meaningful evidence of correctness.
+scipy's L-BFGS-B from the same starting point.  It shares no restoration
+or line-search code with solve_nicm (only the final clip onto Omega), so
+agreement of the two objective values is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .core import (
     MarketSpec,
     _corr_array,
     _loadings_array,
+    _trusted_corr,
     assemble_correlation,
     constraint_normal,
     hollow_form,
@@ -223,18 +226,6 @@ def objective_gradient(X, A) -> np.ndarray:
     return _objective_and_gradient(_loadings_array(X), *_target_offdiag(A))[1]
 
 
-def _project_omega_raw(arr: np.ndarray) -> np.ndarray:
-    """Nearest point of Omega: rows with squared norm above one are
-    rescaled, the others copied bit for bit, so the map is idempotent."""
-    r2 = np.einsum("ij,ij->i", arr, arr)
-    over = r2 > 1.0
-    if not np.any(over):
-        return arr.copy()
-    scale = np.ones(arr.shape[0])
-    scale[over] = 1.0 / np.sqrt(r2[over])
-    return arr * scale[:, None]
-
-
 def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
     return target - (hollow_form(v, arr, arr) + float(v @ v))
 
@@ -243,25 +234,28 @@ def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
     return _residual_raw(arr, spec.scaled_weights(), spec.market.variance)
 
 
-def _curve_sample(cur: np.ndarray, Y: np.ndarray, v: np.ndarray, target: float, lam: float) -> tuple:
-    """The sample (lam, phi(lam), P_Omega(cur + lam Y)), phi being g there."""
-    P = _project_omega_raw(cur + lam * Y)
-    g = _residual_raw(P, v, target)
-    if not math.isfinite(g):
-        raise RestorationError(_INSENSITIVE)
-    return lam, g, P
+def _clip_residual(P: np.ndarray, v: np.ndarray, vv: np.ndarray, v2: float, target: float) -> float:
+    """Move P in place to the nearest point of Omega, and return g there.
+
+    Rows with squared norm above one are rescaled, the others multiplied by 1;
+    the norms serve the clip and the hollow form of _residual_raw (vv = v o v,
+    v2 = v'v), and after a clip all are taken again (cheaper than indexing)."""
+    r2 = np.einsum("ij,ij->i", P, P)
+    if r2.max() > 1.0:
+        P *= (1.0 / np.sqrt(np.maximum(r2, 1.0)))[:, None]
+        r2 = np.einsum("ij,ij->i", P, P)
+    lv = v.dot(P)  # ndarray.dot: the BLAS call of @ without the ufunc dispatch
+    return target - (float(lv.dot(lv)) - float(vv.dot(r2)) + v2)
 
 
 # perfbench's tracer counts curve searches and root refinements by the
 # names _project_equality_raw and _rescue_boundary.
-def _rescue_boundary(
-    cur: np.ndarray, Y: np.ndarray, v: np.ndarray, target: float, eps: float, a: tuple, b: tuple
-) -> tuple:
+def _rescue_boundary(sample, eps: float, a: tuple, b: tuple) -> tuple:
     """Illinois regula falsi on phi between the samples a and b.
 
-    phi(a) and phi(b) have opposite signs.  The bracket shrinks until
-    |phi| <= eps or no float is left strictly inside it; returns the
-    sample with the smallest |phi|.
+    phi(a) and phi(b) have opposite signs, and sample(lam) returns the
+    sample at lam.  The bracket shrinks until |phi| <= eps or no float is
+    left strictly inside it; returns the sample with the smallest |phi|.
     """
     best = min(a, b, key=lambda s: abs(s[1]))
     (la, fa, _), (lb, fb, _) = a, b
@@ -270,7 +264,7 @@ def _rescue_boundary(
         lc = (la * fb - lb * fa) / (fb - fa)
         if not min(la, lb) < lc < max(la, lb):
             break
-        c = _curve_sample(cur, Y, v, target, lc)
+        c = sample(lc)
         best = min(best, c, key=lambda s: abs(s[1]))
         # An endpoint kept twice in a row has its value halved, so the
         # secant cannot stall on one side of the root.
@@ -286,36 +280,44 @@ def _rescue_boundary(
 
 
 def _project_equality_raw(
-    cur: np.ndarray, v: np.ndarray, target: float, eps: float
+    cur: np.ndarray, g0: float, v: np.ndarray, vv: np.ndarray, v2: float, target: float, eps: float
 ) -> tuple[np.ndarray, float]:
     """One search along the clipped curve lam |-> P_Omega(cur + lam Y), Y = K cur.
 
-    Along the unclipped move g = g(cur) - 2 lam ||Y||^2 + O(lam^2), so the
-    walk on phi(lam) = g(P_Omega(cur + lam Y)) starts at the first-order
-    root g / (2 ||Y||^2).  It halves lam while |phi| does not shrink, then
-    doubles it while phi keeps its sign and |phi| keeps shrinking.  A sign
-    change is refined to |phi| <= eps; otherwise the sample nearest the
-    surface is returned (cur itself if none is nearer), with its residual.
-    Raises RestorationError when Y = 0: g is then insensitive to the curve.
+    With g0 = g(cur), along the unclipped move g = g0 - 2 lam ||Y||^2 +
+    O(lam^2), so the walk on phi(lam) = g(P_Omega(cur + lam Y)) starts at
+    the first-order root g0 / (2 ||Y||^2).  It halves lam while |phi| does
+    not shrink, then doubles it while phi keeps its sign and |phi| keeps
+    shrinking.  A sign change is refined to |phi| <= eps; otherwise the
+    sample nearest the surface is returned (cur itself if none is nearer),
+    with its residual.  Raises RestorationError when Y = 0.
     """
     Y = constraint_normal(v, cur)
-    g0 = _residual_raw(cur, v, target)
     yy = float(np.vdot(Y, Y))
     if yy == 0.0 or not math.isfinite(g0 / yy):
         raise RestorationError(_INSENSITIVE, residual=g0)
-    near, far = _curve_sample(cur, Y, v, target, g0 / (2.0 * yy)), None
+
+    def sample(lam: float) -> tuple:
+        # (lam, phi(lam), P_Omega(cur + lam Y)), phi being g there.
+        P = cur + lam * Y
+        g = _clip_residual(P, v, vv, v2, target)
+        if not math.isfinite(g):
+            raise RestorationError(_INSENSITIVE)
+        return lam, g, P
+
+    near, far = sample(g0 / (2.0 * yy)), None
     while abs(near[1]) >= abs(g0):
         if np.array_equal(cur + 0.5 * near[0] * Y, cur):
             return cur, g0
-        far, near = near, _curve_sample(cur, Y, v, target, 0.5 * near[0])
+        far, near = near, sample(0.5 * near[0])
     prev = (0.0, g0, cur)
     while (near[1] > 0.0) == (g0 > 0.0) and abs(near[1]) > eps:
-        nxt = far or _curve_sample(cur, Y, v, target, 2.0 * near[0])
+        nxt = far or sample(2.0 * near[0])
         far = None
         if (nxt[1] > 0.0) == (g0 > 0.0) and abs(nxt[1]) >= abs(near[1]):
             return near[2], near[1]
         prev, near = near, nxt
-    _, g, P = _rescue_boundary(cur, Y, v, target, eps, prev, near)
+    _, g, P = _rescue_boundary(sample, eps, prev, near)
     return P, g
 
 
@@ -367,12 +369,13 @@ def _project_feasible_raw(arr: np.ndarray, v: np.ndarray, target: float) -> np.n
             residual=resid,
         )
 
-    cur = _project_omega_raw(arr)
-    resid = _residual_raw(cur, v, target)
+    vv, v2 = v * v, float(v @ v)
+    cur = arr.copy()
+    resid = _clip_residual(cur, v, vv, v2, target)
     for _ in range(MAX_RESTORATION_ITER):
         if abs(resid) <= tol:
             return cur
-        cur, g = _project_equality_raw(cur, v, target, ROOT_TOL * unit)
+        cur, g = _project_equality_raw(cur, resid, v, vv, v2, target, ROOT_TOL * unit)
         if abs(g) >= abs(resid):
             # No point of the curve is nearer the surface: cur is a
             # critical point of g on Omega (the rows collapsed, say).
@@ -547,7 +550,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     t0 = time.perf_counter()
     if config is None:
         config = SolverConfig()
-    A_corr = A if isinstance(A, CorrMatrix) else CorrMatrix(A)
+    A_corr = A if isinstance(A, CorrMatrix) else _trusted_corr(_corr_array(A))
     if A_corr.n != spec.n:
         raise ValueError(f"target is {A_corr.n} x {A_corr.n} for {spec.n} assets")
 
@@ -667,7 +670,7 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     equality, Powell-Hestenes-Rockafellar terms for the row inequalities),
     using scipy's L-BFGS-B as inner solver on the flattened loadings.  It
     starts from the same spectral point as solve_nicm so both methods
-    descend into the same basin, but shares none of the projection or
+    descend into the same basin, but shares none of the restoration or
     line-search machinery.  The factor count and var_tol come from config
     (default SolverConfig()).  Intended for n up to about 25.
     """
@@ -741,12 +744,11 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
             mu *= 10.0
         viol_prev = viol
 
-    X = x.reshape(n, k)
+    X = x.reshape(n, k).copy()
     # Snap the solution into Omega; the PHR terms leave at most tiny
     # violations, so the objective moves negligibly.
-    X = _project_omega_raw(X)
+    residual = _clip_residual(X, v, v * v, float(v @ v), target)
     fn = objective(X, A_arr)
-    residual = _residual(X, spec)
     converged = abs(residual) <= config.var_tol
 
     return SolverResult(

@@ -13,6 +13,7 @@ from impliedcorr.core import (
     FactorLoadings,
     IndexConstraint,
     MarketSpec,
+    _corr_array,
     _factor_min_eigenvalue,
     assemble_correlation,
     check_feasibility,
@@ -72,6 +73,47 @@ def test_corr_matrix_symmetrizes_and_freezes():
         C.values[0, 1] = 0.0
     with pytest.raises(ValueError):
         CorrMatrix(np.zeros((2, 3)))
+
+
+def test_corr_matrix_symmetrizes_without_overflow():
+    # (a + b) / 2 overflows for finite a, b near the largest float; the
+    # stored mean must stay finite (and no overflow warning be raised).
+    C = CorrMatrix([[1.0, 1e308], [1.5e308, 1.0]])
+    assert C.values[0, 1] == C.values[1, 0] == 0.5e308 + 0.75e308
+    assert np.all(np.isfinite(C.values))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_corr_array_views_a_bit_symmetric_target():
+    A = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.0], [-0.2, 0.0, 1.0]])
+    for arr in (A, np.asfortranarray(A)):
+        view = _corr_array(arr)
+        assert np.shares_memory(view, arr)
+        assert view.flags.c_contiguous and not view.flags.writeable
+        assert arr.flags.writeable
+        np.testing.assert_array_equal(bits(view), bits(A))
+    # Anything else is copied by CorrMatrix, as before: symmetrized when
+    # its bits are not symmetric (-0.0 against 0.0 included), converted
+    # from float32, and rejected when not square or not finite.
+    signed_zero = A.copy()
+    signed_zero[1, 2] = -0.0
+    asym = A.copy()
+    asym[0, 1] = 0.5
+    for arr in (signed_zero, asym, A.astype(np.float32)):
+        out = _corr_array(arr)
+        assert not np.shares_memory(out, arr)
+        np.testing.assert_array_equal(bits(out), bits(CorrMatrix(arr).values))
+    assert _corr_array(asym)[0, 1] == _corr_array(asym)[1, 0] == 0.4
+    assert bits(_corr_array(signed_zero))[1, 2] == bits(_corr_array(signed_zero))[2, 1]
+    with pytest.raises(ValueError, match="square"):
+        _corr_array(np.zeros((2, 3)))
+    nan = A.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _corr_array(nan)
 
 
 def test_corr_matrix_eigenvalues():
@@ -137,6 +179,31 @@ def test_assemble_matches_hollow_hadamard_oracle():
         expected = J * (X @ X.T) + np.eye(n)
         np.testing.assert_allclose(C, expected, atol=1e-15)
         np.testing.assert_array_equal(np.diag(C), np.ones(n))
+
+
+@st.composite
+def laid_out_loadings(draw):
+    """Loadings in C order, Fortran order or as a strided view."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 6))
+    big = draw(arrays(np.float64, (2 * n, 2 * k), elements=st.floats(-1.5, 1.5), fill=st.nothing()))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    X = big[::2, ::2]
+    return np.ascontiguousarray(X) if layout == "C" else np.asfortranarray(X) if layout == "F" else X
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(laid_out_loadings())
+def test_assembled_matrix_is_bit_symmetric_unit_diagonal_and_frozen(X):
+    C = assemble_correlation(X).values
+    assert np.array_equal(bits(C), bits(C.T))
+    assert np.all(np.diag(C) == 1.0)
+    assert not C.flags.writeable
+
+
+def test_assemble_rejects_overflowing_products():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        assemble_correlation(np.array([[1e200], [1e200]]))
 
 
 def test_assemble_psd_for_loadings_in_ball():
@@ -323,3 +390,31 @@ def test_min_eigenvalue_has_one_implementation():
     X10 = random_ball_rows(rng, 10, 3)
     C10 = assemble_correlation(X10)
     assert C10.min_eigenvalue() == float(np.linalg.eigvalsh(C10.values)[0])
+
+
+@st.composite
+def near_bound_loadings(draw):
+    """Adversarial loadings, some rows rescaled to squared norms on either
+    side of the entry bound 1 + 1e-12 of the feasibility report."""
+    X = draw(adversarial_loadings())
+    r2 = st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 5e-13, 1.0 + 1e-12, 1.0 + 1.0000001e-12, 1.0 + 2e-12])
+    for i in draw(st.lists(st.integers(0, X.shape[0] - 1), max_size=3)):
+        norm = float(np.linalg.norm(X[i]))
+        if norm > 0.0:
+            X[i] *= math.sqrt(draw(r2)) / norm
+    return X
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(near_bound_loadings())
+@example(np.array([[1.0 + 1e-12, 0.0], [1.0 + 1e-12, 0.0]]))
+def test_assembled_report_agrees_with_the_dense_report(X):
+    n = X.shape[0]
+    w = np.full(n, 1.0 / n)
+    spec = MarketSpec(np.linspace(0.1, 0.5, n), (IndexConstraint("m", w, 0.04),))
+    C = assemble_correlation(X)
+    fast = check_feasibility(C, spec).to_dict()
+    dense = check_feasibility(np.array(C.values), spec).to_dict()
+    lam_fast, lam_dense = fast.pop("min_eigenvalue"), dense.pop("min_eigenvalue")
+    assert fast == dense
+    assert abs(lam_fast - lam_dense) <= 1e-9 * max(1.0, abs(lam_dense))

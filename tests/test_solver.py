@@ -36,8 +36,8 @@ from impliedcorr.solver import (
     _subspace_eigenpairs,
     initial_loadings,
     objective,
+    _clip_residual,
     _project_feasible_raw,
-    _project_omega_raw,
     objective_gradient,
     reference_solve,
     solve_nicm,
@@ -64,6 +64,13 @@ def random_target(rng, n):
     A = (A + A.T) / 2.0
     np.fill_diagonal(A, 1.0)
     return np.clip(A, -0.99, 0.99) + np.eye(n) * (1.0 - np.clip(A, -0.99, 0.99)[0, 0]) * 0.0
+
+
+def project_omega(X):
+    """The nearest point of Omega, as the restoration clips to it."""
+    P = np.array(X, dtype=float)
+    _clip_residual(P, np.zeros(P.shape[0]), np.zeros(P.shape[0]), 0.0, 0.0)
+    return P
 
 
 def restore(X, spec):
@@ -162,12 +169,12 @@ def test_project_omega_properties():
         n = int(rng.integers(1, 10))
         k = int(rng.integers(1, 4))
         X = rng.normal(scale=1.5, size=(n, k))
-        P = _project_omega_raw(X)
+        P = project_omega(X)
         r2 = np.einsum("ij,ij->i", P, P)
         assert np.all(r2 <= 1.0 + 1e-12)
         # idempotent up to one rounding of the boundary rows; inside rows
         # pass through bit-identically
-        np.testing.assert_allclose(_project_omega_raw(P), P, atol=1e-15)
+        np.testing.assert_allclose(project_omega(P), P, atol=1e-15)
         inside = np.einsum("ij,ij->i", X, X) <= 1.0
         np.testing.assert_array_equal(P[inside], X[inside])
         # projected rows keep their direction
@@ -187,7 +194,7 @@ def test_project_omega_nonexpansive():
         X = rng.normal(scale=1.5, size=(n, k))
         Y = rng.normal(scale=1.5, size=(n, k))
         d_before = float(np.linalg.norm(X - Y))
-        d_after = float(np.linalg.norm(_project_omega_raw(X) - _project_omega_raw(Y)))
+        d_after = float(np.linalg.norm(project_omega(X) - project_omega(Y)))
         assert d_after <= d_before + 1e-12
 
 
@@ -219,7 +226,7 @@ def test_project_feasible_reaches_targets_on_the_curve():
         X = rng.uniform(-0.5, 0.5, size=(n, k))
         K = np.outer(v, v)
         np.fill_diagonal(K, 0.0)
-        moved = _project_omega_raw(X + rng.normal(scale=5.0) * (K @ X))
+        moved = project_omega(X + rng.normal(scale=5.0) * (K @ X))
         var = float(v @ assemble_correlation(moved).values @ v)
         if var <= 1e-6:
             continue
@@ -330,6 +337,27 @@ def test_solve_nicm_two_assets_one_factor_opposite_sign_start():
     res = solve_nicm(A, spec, SolverConfig(k=1))
     assert res.converged
     assert abs(res.constraint_residual) <= 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RestorationError,
+    reason="the curve X + lam K X from this start does not reach a target 2e-9 relative "
+    "below the comonotonic bound, which rows t e_1 attain",
+)
+def test_project_feasible_near_comonotonic_target():
+    # Every row t e_1 with t = 0.9999999982863131 has a residual of
+    # -1.4e-17 here, so the target is attainable.
+    X = np.array([[-0.65, 0.45], [0.22, -0.27], [0.29, 0.18]])
+    sigma = np.array([0.3, 0.48, 0.16])
+    w = np.array([0.5, 0.3, 0.2])
+    v = sigma * w
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, float(v.sum()) ** 2 * (1.0 - 2e-9)),))
+    t_e1 = np.zeros((3, 2))
+    t_e1[:, 0] = 0.9999999982863131
+    assert abs(_residual(t_e1, spec)) <= 1e-16
+    Z = restore(X, spec)
+    assert abs(_residual(Z, spec)) <= restoration_bound(spec)
 
 
 def hard_repair(market, scale=1.0):
@@ -710,6 +738,28 @@ def test_solve_nicm_rescales_large_scaled_weights():
     for res in scaled:
         assert (res.outer_iterations, res.restorations) == (base.outer_iterations, base.restorations)
         assert abs(res.fn - base.fn) <= 1e-12 * base.fn
+
+
+@pytest.mark.parametrize("market, n, k", [(857, 10, 3), (None, 60, 3)])
+def test_solve_nicm_is_bit_identical_on_every_form_of_the_target(market, n, k):
+    # The target is validated once: a bit-symmetric ndarray is solved in
+    # place, through a read-only view, and must give the bits of its copy.
+    if market is None:
+        rng = np.random.default_rng(17)
+        A, spec = random_target(rng, n), random_spec(rng, n)
+    else:
+        A, spec = hard_repair(market)
+        A = np.array(A)
+
+    def bits(res):
+        report = check_feasibility(res.C_star, spec).to_dict()
+        arrays = (res.X_star.values, res.C_star.values, res.fn_trace)
+        return [np.ascontiguousarray(a).tobytes() for a in arrays], res.to_dict() | {"wall_time": 0}, report
+
+    base = bits(solve_nicm(A, spec, SolverConfig(k=k)))
+    for form in (CorrMatrix(A), np.asfortranarray(A)):
+        assert bits(solve_nicm(form, spec, SolverConfig(k=k))) == base
+    assert A.flags.writeable
 
 
 def test_solve_nicm_input_validation():
