@@ -388,11 +388,13 @@ def _min_eigenvalue(values: np.ndarray, X: np.ndarray | None) -> float:
     return float(np.linalg.eigvalsh(values)[0])
 
 
-def hollow_form(v: np.ndarray, L: np.ndarray, R: np.ndarray) -> float:
-    """v' [(L R') o J] v = (L'v)'(R'v) - sum_i v_i^2 <L_i, R_i>, in O(n k)."""
-    lv = L.T @ v
-    rv = lv if R is L else R.T @ v
-    return float(lv @ rv) - float((v * v) @ np.einsum("ij,ij->i", L, R))
+def hollow_form(v: np.ndarray, L: np.ndarray, R: np.ndarray, norms=None, vv=None) -> float:
+    """v' [(L R') o J] v = (L'v)'(R'v) - sum_i v_i^2 <L_i, R_i>, in O(n k);
+    callers holding the row products norms_i = <L_i, R_i> or vv = v o v pass them."""
+    lv = v.dot(L)  # ndarray.dot: the BLAS call of @ without the ufunc dispatch
+    rv = lv if R is L else v.dot(R)
+    norms = np.einsum("ij,ij->i", L, R) if norms is None else norms
+    return float(lv.dot(rv)) - float((v * v if vv is None else vv).dot(norms))
 
 
 def constraint_normal(v: np.ndarray, X: np.ndarray) -> np.ndarray:

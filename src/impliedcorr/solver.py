@@ -20,7 +20,11 @@ curve, lam |-> P_Omega(X + lam K X) with K = v v' o J and v = sigma o w.
 P_Omega rescales only the rows whose squared norm exceeds one.  A curve
 search walks phi(lam) = g(P_Omega(X + lam K X)) out from its first-order
 root and refines a sign change by Illinois regula falsi; without one it
-moves to the sampled point nearest E and searches again from there.
+moves to the sampled point nearest E and searches again from there.  The
+constraint (v, v o v, v'v, the target and both tolerances) is built once
+per solve, before the spectral start; it rejects a target outside the
+attainable range of v'Cv and holds the one point of a comonotonic target.
+Every g, a curve sample's included, is one core.hollow_form call.
 
 The outer step holds the sphere rows it would push outward and is
 tangential to E, so the restoration only absorbs second-order drift.  A
@@ -56,6 +60,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +144,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown solver config fields: {sorted(extra)}")
         return cls(**d)
@@ -226,26 +230,69 @@ def objective_gradient(X, A) -> np.ndarray:
     return _objective_and_gradient(_loadings_array(X), *_target_offdiag(A))[1]
 
 
-def _residual_raw(arr: np.ndarray, v: np.ndarray, target: float) -> float:
-    return target - (hollow_form(v, arr, arr) + float(v @ v))
+class _Constraint(NamedTuple):
+    """The constraint g(X) = target - v'C(X)v of one solve: vv = v o v, v2 = v'v,
+    the |g| tolerance tol of a restoration, the root tolerance eps of a curve
+    search, and com, the one feasible point when the target is comonotonic."""
+
+    v: np.ndarray
+    vv: np.ndarray
+    v2: float
+    target: float
+    tol: float
+    eps: float
+    com: np.ndarray | None = None
+
+    def residual(self, X: np.ndarray, norms: np.ndarray | None = None) -> float:
+        """g(X), given the row norms ||X_i||^2 when the caller has them."""
+        return self.target - (hollow_form(self.v, X, X, norms, self.vv) + self.v2)
 
 
-def _residual(arr: np.ndarray, spec: MarketSpec) -> float:
-    return _residual_raw(arr, spec.scaled_weights(), spec.market.variance)
+def _constraint(spec: MarketSpec, k: int) -> _Constraint:
+    """The constraint of spec for n x k loadings; raises RestorationError,
+    carrying the residual, when no loadings can attain the target."""
+    # Every correlation matrix is the Gram matrix of unit vectors z_i, so
+    # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
+    # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
+    # outside that range is infeasible for every k.  Every tolerance is
+    # relative to the comonotonic bound, so the restoration is scale-free.
+    v, target = spec.scaled_weights(), spec.market.variance
+    absv = np.abs(v)
+    total = float(absv.sum())
+    max_var, unit = total ** 2, max(1.0, total ** 2)
+    con = _Constraint(v, v * v, float(v @ v), target, RESTORATION_TOL * unit, ROOT_TOL * unit)
+    min_var = max(0.0, 2.0 * float(absv.max()) - total) ** 2
+    if target < min_var - con.tol:
+        raise RestorationError(
+            f"index variance target {target:g} is below the attainable minimum "
+            f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
+            residual=target - min_var,
+        )
+    if target < max_var - con.tol:
+        return con
+    # A target at the comonotonic bound admits exactly one feasible point,
+    # every pairwise correlation equal to one.  E is tangent to the ball
+    # there, so no curve crosses it; the point is built directly instead.
+    com = np.zeros((v.size, k))
+    com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
+    resid = con.residual(com)
+    if abs(resid) <= con.tol:
+        return con._replace(com=com)
+    raise RestorationError(
+        f"index variance target {target:g} exceeds the comonotonic bound "
+        f"{max_var:g}; no feasible loadings exist",
+        residual=resid,
+    )
 
 
-def _clip_residual(P: np.ndarray, v: np.ndarray, vv: np.ndarray, v2: float, target: float) -> float:
-    """Move P in place to the nearest point of Omega, and return g there.
-
-    Rows with squared norm above one are rescaled, the others multiplied by 1;
-    the norms serve the clip and the hollow form of _residual_raw (vv = v o v,
-    v2 = v'v), and after a clip all are taken again (cheaper than indexing)."""
+def _clip_omega(P: np.ndarray) -> np.ndarray:
+    """Scale each row of P in place by 1 / max(1, ||P_i||), the projection onto
+    Omega, and return ||P_i||^2, taken again after a clip (cheaper than indexing)."""
     r2 = np.einsum("ij,ij->i", P, P)
     if r2.max() > 1.0:
         P *= (1.0 / np.sqrt(np.maximum(r2, 1.0)))[:, None]
         r2 = np.einsum("ij,ij->i", P, P)
-    lv = v.dot(P)  # ndarray.dot: the BLAS call of @ without the ufunc dispatch
-    return target - (float(lv.dot(lv)) - float(vv.dot(r2)) + v2)
+    return r2
 
 
 # perfbench's tracer counts curve searches and root refinements by the
@@ -279,20 +326,18 @@ def _rescue_boundary(sample, eps: float, a: tuple, b: tuple) -> tuple:
     return best
 
 
-def _project_equality_raw(
-    cur: np.ndarray, g0: float, v: np.ndarray, vv: np.ndarray, v2: float, target: float, eps: float
-) -> tuple[np.ndarray, float]:
+def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple[np.ndarray, float]:
     """One search along the clipped curve lam |-> P_Omega(cur + lam Y), Y = K cur.
 
     With g0 = g(cur), along the unclipped move g = g0 - 2 lam ||Y||^2 +
     O(lam^2), so the walk on phi(lam) = g(P_Omega(cur + lam Y)) starts at
     the first-order root g0 / (2 ||Y||^2).  It halves lam while |phi| does
     not shrink, then doubles it while phi keeps its sign and |phi| keeps
-    shrinking.  A sign change is refined to |phi| <= eps; otherwise the
+    shrinking.  A sign change is refined to |phi| <= con.eps; otherwise the
     sample nearest the surface is returned (cur itself if none is nearer),
     with its residual.  Raises RestorationError when Y = 0.
     """
-    Y = constraint_normal(v, cur)
+    Y = constraint_normal(con.v, cur)
     yy = float(np.vdot(Y, Y))
     if yy == 0.0 or not math.isfinite(g0 / yy):
         raise RestorationError(_INSENSITIVE, residual=g0)
@@ -300,7 +345,7 @@ def _project_equality_raw(
     def sample(lam: float) -> tuple:
         # (lam, phi(lam), P_Omega(cur + lam Y)), phi being g there.
         P = cur + lam * Y
-        g = _clip_residual(P, v, vv, v2, target)
+        g = con.residual(P, _clip_omega(P))
         if not math.isfinite(g):
             raise RestorationError(_INSENSITIVE)
         return lam, g, P
@@ -311,83 +356,45 @@ def _project_equality_raw(
             return cur, g0
         far, near = near, sample(0.5 * near[0])
     prev = (0.0, g0, cur)
-    while (near[1] > 0.0) == (g0 > 0.0) and abs(near[1]) > eps:
+    while (near[1] > 0.0) == (g0 > 0.0) and abs(near[1]) > con.eps:
         nxt = far or sample(2.0 * near[0])
         far = None
         if (nxt[1] > 0.0) == (g0 > 0.0) and abs(nxt[1]) >= abs(near[1]):
             return near[2], near[1]
         prev, near = near, nxt
-    _, g, P = _rescue_boundary(sample, eps, prev, near)
+    _, g, P = _rescue_boundary(sample, con.eps, prev, near)
     return P, g
 
 
-def _project_feasible_raw(arr: np.ndarray, v: np.ndarray, target: float) -> np.ndarray:
-    """Restore loadings to Omega intersected with the surface v'C(X)v = target.
+def _project_feasible_raw(arr: np.ndarray, con: _Constraint) -> np.ndarray:
+    """Restore loadings to Omega intersected with the surface g = 0 of con.
 
-    The point is clipped to Omega, then searched along the clipped curve
-    of the module docstring until |g| <= tol = RESTORATION_TOL *
-    max(1, (sum_i |v_i|)^2); bracketed roots are refined to ROOT_TOL
-    times the same bound.  The returned rows satisfy ||X_i||^2 <= 1 +
-    1e-12, and already-feasible points are returned unchanged.
-
-    Raises RestorationError carrying the final residual when the target
-    lies outside the attainable range [(2 max|v_i| - sum|v_i|)_+^2,
-    (sum|v_i|)^2] of v'Cv, when MAX_RESTORATION_ITER curve searches do
-    not reach tol, or when g is insensitive to the curve (K X vanishes,
-    or no point of the curve is nearer the surface).
+    The point is clipped to Omega, then searched along the clipped curve of
+    the module docstring until |g| <= con.tol.  The returned rows satisfy
+    ||X_i||^2 <= 1 + 1e-12, and already-feasible points are returned
+    unchanged.  Raises RestorationError carrying the final residual when
+    MAX_RESTORATION_ITER curve searches do not reach con.tol, or when g is
+    insensitive to the curve (K X vanishes, or no point of it is nearer E).
     """
-    # Every correlation matrix is the Gram matrix of unit vectors z_i, so
-    # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
-    # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
-    # outside that range is infeasible for every k.  Every tolerance is
-    # relative to the comonotonic bound, so the restoration is scale-free.
-    absv = np.abs(v)
-    total = float(absv.sum())
-    max_var = total ** 2
-    unit = max(1.0, max_var)
-    tol = RESTORATION_TOL * unit
-    min_var = max(0.0, 2.0 * float(absv.max()) - total) ** 2
-    if target < min_var - tol:
-        raise RestorationError(
-            f"index variance target {target:g} is below the attainable minimum "
-            f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
-            residual=target - min_var,
-        )
-    # Targets at the comonotonic bound admit exactly one feasible point
-    # (every pairwise correlation equal to one).  The variance surface is
-    # tangent to the ball there, so no curve crosses it; build the point
-    # directly instead.
-    if target >= max_var - tol:
-        com = np.zeros_like(arr)
-        com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
-        resid = _residual_raw(com, v, target)
-        if abs(resid) <= tol:
-            return com
-        raise RestorationError(
-            f"index variance target {target:g} exceeds the comonotonic bound "
-            f"{max_var:g}; no feasible loadings exist",
-            residual=resid,
-        )
-
-    vv, v2 = v * v, float(v @ v)
+    if con.com is not None:
+        return con.com.copy()
     cur = arr.copy()
-    resid = _clip_residual(cur, v, vv, v2, target)
-    for _ in range(MAX_RESTORATION_ITER):
-        if abs(resid) <= tol:
-            return cur
-        cur, g = _project_equality_raw(cur, resid, v, vv, v2, target, ROOT_TOL * unit)
+    resid = con.residual(cur, _clip_omega(cur))
+    searches = 0
+    while abs(resid) > con.tol:
+        if searches == MAX_RESTORATION_ITER:
+            raise RestorationError(
+                f"restoration did not reach |g| <= {con.tol:g} inside Omega "
+                f"within {MAX_RESTORATION_ITER} curve searches (last residual {resid!r})",
+                residual=resid,
+            )
+        cur, g = _project_equality_raw(cur, resid, con)
         if abs(g) >= abs(resid):
             # No point of the curve is nearer the surface: cur is a
             # critical point of g on Omega (the rows collapsed, say).
             raise RestorationError(_INSENSITIVE, residual=resid)
-        resid = g
-    if abs(resid) <= tol:
-        return cur
-    raise RestorationError(
-        f"restoration did not reach |g| <= {tol:g} inside Omega "
-        f"within {MAX_RESTORATION_ITER} curve searches (last residual {resid!r})",
-        residual=resid,
-    )
+        resid, searches = g, searches + 1
+    return cur
 
 
 def _weyl_block(n: int, b: int) -> np.ndarray:
@@ -531,8 +538,9 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     accepted step improves f by less than FN_RTOL * f, or when the arc
     search finds no acceptable step.  converged=False (with the reason in
     message) is returned when max_outer_iter is hit first, or when the
-    final residual exceeds var_tol; a restoration failure from the
-    starting point propagates as RestorationError.  Where
+    final residual exceeds var_tol.  An unattainable index variance raises
+    RestorationError before the spectral start, as does a failed
+    restoration of the starting point.  Where
     sum_i |sigma_i w_i| >= 1 before and after, scaling sigma by s and the
     index variance by s^2 leaves every move unchanged up to rounding (see
     the module docstring); var_tol stays absolute, in the units of the
@@ -548,16 +556,13 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         Factor count k, var_tol and the outer iteration limit.
     """
     t0 = time.perf_counter()
-    if config is None:
-        config = SolverConfig()
+    config = SolverConfig() if config is None else config
     A_corr = A if isinstance(A, CorrMatrix) else _trusted_corr(_corr_array(A))
     if A_corr.n != spec.n:
         raise ValueError(f"target is {A_corr.n} x {A_corr.n} for {spec.n} assets")
 
     A_hat, a2 = _target_offdiag(A_corr)
-    v = spec.scaled_weights()
-    target = spec.market.variance
-    restorations = 0
+    con = _constraint(spec, config.k)
 
     def tangential(gr: np.ndarray, X: np.ndarray) -> np.ndarray:
         # Hold the sphere rows that the step X - s d pushes outward (their
@@ -566,7 +571,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         # outward on another sphere row, hold it too.  Steps along the
         # result leave g and the held rows' norms unchanged to first order,
         # so the restoration only absorbs second-order drift.
-        N = constraint_normal(v, X)
+        N = constraint_normal(con.v, X)
         r2 = np.einsum("ij,ij->i", X, X)
         sphere = r2 >= 1.0 - EPS_FEAS
         held = sphere & (np.einsum("ij,ij->i", X, gr) < 0.0)
@@ -581,9 +586,8 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
                 return d
             held |= out
 
-    X = initial_loadings(A_corr, config.k).values
-    X = _project_feasible_raw(X, v, target)
-    restorations += 1
+    X = _project_feasible_raw(initial_loadings(A_corr, config.k).values, con)
+    restorations = 1
 
     f, grad = _objective_and_gradient(X, A_hat, a2)
     trace = [f]
@@ -607,7 +611,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         direction = tangential(grad, X)
         for _ in range(MAX_BACKTRACKS):
             try:
-                T = _project_feasible_raw(X - (s * alpha) * direction, v, target)
+                T = _project_feasible_raw(X - (s * alpha) * direction, con)
                 restorations += 1
             except RestorationError:
                 s *= BACKTRACK
@@ -643,7 +647,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
             message = "relative objective improvement below tolerance"
             break
 
-    residual = _residual(X, spec)
+    residual = con.residual(X)
     if converged and abs(residual) > config.var_tol:
         converged = False
         message = f"constraint residual {residual!r} exceeds var_tol"
@@ -677,16 +681,14 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     from scipy.optimize import minimize
 
     t0 = time.perf_counter()
-    if config is None:
-        config = SolverConfig()
+    config = SolverConfig() if config is None else config
     k = config.k
     A_arr = _corr_array(A)
     n = A_arr.shape[0]
     if n > 30:
         raise ValueError(f"reference solver is meant for small instances (n <= 30), got n = {n}")
 
-    A_hat = A_arr.copy()
-    np.fill_diagonal(A_hat, 0.0)
+    A_hat = _target_offdiag(A_arr)[0]
     v = spec.scaled_weights()
     target = spec.market.variance
     K = np.outer(v, v)
@@ -718,7 +720,6 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     kappa = np.zeros(n)
     mu = 10.0
     viol_prev = math.inf
-    g_last = math.nan
     inner_iters = 0
 
     for _ in range(30):
@@ -732,11 +733,8 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
         x = res.x
         inner_iters += int(res.nit)
         _, _, g, h = split_val_grad(x, lam, kappa, mu)
-        g_last = g
         viol = max(abs(g), float(np.max(np.maximum(0.0, -h), initial=0.0)))
         if viol <= min(config.var_tol, 1e-9):
-            lam += mu * g
-            kappa = np.maximum(0.0, kappa - mu * h)
             break
         lam += mu * g
         kappa = np.maximum(0.0, kappa - mu * h)
@@ -747,7 +745,7 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     X = x.reshape(n, k).copy()
     # Snap the solution into Omega; the PHR terms leave at most tiny
     # violations, so the objective moves negligibly.
-    residual = _clip_residual(X, v, v * v, float(v @ v), target)
+    residual = target - (hollow_form(v, X, X, _clip_omega(X)) + float(v @ v))
     fn = objective(X, A_arr)
     converged = abs(residual) <= config.var_tol
 

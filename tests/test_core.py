@@ -329,6 +329,7 @@ def test_hollow_form_matches_dense_and_inner_product(inputs):
     h = hollow_form(v, L, R)
     assert abs(h - dense) <= 1e-12 * scale
     assert abs(h - inner) <= 1e-12 * scale
+    assert hollow_form(v, L, R, np.einsum("ij,ij->i", L, R), v * v) == h
 
 
 @st.composite

@@ -25,6 +25,7 @@ from impliedcorr.core import (
     assemble_correlation,
     check_feasibility,
     constraint_normal,
+    hollow_form,
     portfolio_variance,
 )
 from impliedcorr.solver import (
@@ -32,11 +33,11 @@ from impliedcorr.solver import (
     RITZ_EXTRA,
     RestorationError,
     SolverConfig,
-    _residual,
+    _clip_omega,
+    _constraint,
     _subspace_eigenpairs,
     initial_loadings,
     objective,
-    _clip_residual,
     _project_feasible_raw,
     objective_gradient,
     reference_solve,
@@ -69,13 +70,20 @@ def random_target(rng, n):
 def project_omega(X):
     """The nearest point of Omega, as the restoration clips to it."""
     P = np.array(X, dtype=float)
-    _clip_residual(P, np.zeros(P.shape[0]), np.zeros(P.shape[0]), 0.0, 0.0)
+    _clip_omega(P)
     return P
 
 
 def restore(X, spec):
     """The restoration of X onto Omega and spec's index variance surface."""
-    return _project_feasible_raw(np.asarray(X, dtype=float), spec.scaled_weights(), spec.market.variance)
+    X = np.asarray(X, dtype=float)
+    return _project_feasible_raw(X, _constraint(spec, X.shape[1]))
+
+
+def _residual(X, spec):
+    """g(X) from the O(n k) hollow form, as the solver takes it."""
+    v = spec.scaled_weights()
+    return spec.market.variance - (hollow_form(v, X, X) + float(v @ v))
 
 
 def restoration_bound(spec):
