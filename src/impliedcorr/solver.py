@@ -630,8 +630,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         accepted_len = s * alpha
         dX = T - X
         dG = gT - grad
-        X = T
-        grad = grad + dG
+        X, grad = T, gT
         improvement = f - fT
         f = fT
         trace.append(f)
