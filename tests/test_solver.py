@@ -390,6 +390,28 @@ def test_solve_nicm_rejects_target_below_attainable_minimum(k):
     assert err.value.residual == pytest.approx(0.03378 - 0.04595, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "variance, message, resid",
+    [
+        (0.03, "is below the attainable minimum (2 max|v_i| - sum|v_i|)^2 = 0.04", 0.03 - 0.04),
+        (0.17, "exceeds the comonotonic bound 0.16", 0.17 - 0.16),
+    ],
+)
+def test_solve_nicm_rejects_unattainable_target_before_the_start(variance, message, resid):
+    # v = (0.3, -0.1): v'Cv = 0.1 - 0.06 c_12 spans [0.04, 0.16], so the
+    # spec is rejected before any loadings exist
+    spec = MarketSpec(np.array([0.2, 0.2]), (IndexConstraint("m", np.array([1.5, -0.5]), variance),))
+
+    def no_start(A, k):
+        raise AssertionError("the spectral start ran for an unattainable target")
+
+    with mock.patch.object(solver, "initial_loadings", no_start):
+        with pytest.raises(RestorationError) as err:
+            solve_nicm(np.eye(2), spec, SolverConfig(k=2))
+    assert str(err.value) == f"index variance target {variance:g} {message}; no feasible loadings exist"
+    assert err.value.residual == pytest.approx(resid, abs=1e-15)
+
+
 def test_solve_nicm_hard_repair_market_857_restores_its_start():
     # The alternating restoration left a row outside the ball at this
     # start point and raised; the curve search stays in Omega.
@@ -504,6 +526,47 @@ def test_project_feasible_contract_on_long_short_specs(case):
         return
     assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
     assert abs(_residual(Z, spec)) <= restoration_bound(spec)
+
+
+@st.composite
+def long_short_solves(draw):
+    """Markets with n <= 12, k <= 3, long-short weights, targets across and
+    beyond the attainable range of v'Cv, and symmetric unit-diagonal targets
+    with off-diagonal entries anywhere in [-1, 1], mostly indefinite."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(3, n)))
+    sigma = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0), fill=st.nothing()))
+    size = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0), fill=st.nothing()))
+    sign = draw(arrays(np.bool_, n, fill=st.nothing()))
+    w = np.where(sign, size, -size)
+    assume(abs(w.sum()) > 0.25)
+    w /= w.sum()
+    w[np.argmax(np.abs(w))] += 1.0 - w.sum()
+    v = np.abs(sigma * w)
+    lo = max(0.0, 2.0 * float(v.max()) - float(v.sum())) ** 2
+    hi = float(v.sum()) ** 2
+    variance = lo + draw(st.floats(-0.05, 1.05)) * (hi - lo)
+    assume(variance > 0.0)
+    U = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0), fill=st.nothing()))
+    A = np.triu(U, 1) + np.triu(U, 1).T + np.eye(n)
+    return A, MarketSpec(sigma, (IndexConstraint("m", w, variance),)), k
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(long_short_solves())
+def test_solve_nicm_contract_on_long_short_markets(case):
+    A, spec, k = case
+    config = SolverConfig(k=k)
+    try:
+        res = solve_nicm(A, spec, config)
+    except RestorationError:
+        return
+    assert np.all(np.diff(res.fn_trace) <= 0.0)
+    if res.converged:
+        assert abs(res.constraint_residual) <= config.var_tol
+        assert np.max(np.einsum("ij,ij->i", res.X_star.values, res.X_star.values)) <= 1.0 + 1e-12
+    else:
+        assert res.message
 
 
 def test_initial_loadings_identity_target_is_zero():
