@@ -90,7 +90,9 @@ MAX_BACKTRACKS = 40
 # FN_RTOL * f.
 FN_RTOL = 1e-5
 # Restoration: |g| tolerance, the root tolerance of one curve search (both
-# times max(1, (sum_i |v_i|)^2)) and the budget of curve searches.
+# times max(1, (sum_i |v_i|)^2)) and the budget of curve searches.  Roots are
+# refined to rounding, so a root found meets |g| <= 1e-14 times the bound and
+# a solve in large units its absolute var_tol; ROOT_TOL = 1e-12 breaks both.
 RESTORATION_TOL = 1e-10
 ROOT_TOL = 1e-16
 MAX_RESTORATION_ITER = 100
@@ -631,8 +633,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         dX = T - X
         dG = gT - grad
         X, grad = T, gT
-        improvement = f - fT
-        f = fT
+        improvement, f = f - fT, fT
         trace.append(f)
 
         sty = float(np.sum(dX * dG))
