@@ -21,10 +21,9 @@ P_Omega rescales only the rows whose squared norm exceeds one.  A curve
 search walks phi(lam) = g(P_Omega(X + lam K X)) out from its first-order
 root and refines a sign change by Illinois regula falsi; without one it
 moves to the sampled point nearest E and searches again from there.  The
-constraint (v, v o v, v'v, the target and both tolerances) is built once
-per solve, before the spectral start; it rejects a target outside the
-attainable range of v'Cv and holds the one point of a comonotonic target.
-Every g, a curve sample's included, is one core.hollow_form call.
+constraint (v, v o v, v'v, the target, both tolerances and the one point
+of a comonotonic target) is built once per solve, before the spectral
+start, and rejects an unattainable target; every g is core.hollow_form's.
 
 The outer step holds the sphere rows it would push outward and is
 tangential to E, so the restoration only absorbs second-order drift.  A
@@ -146,7 +145,8 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        extra = set(d) - set(cls.__dataclass_fields__)
+        known = {f for f in cls.__dataclass_fields__}
+        extra = set(d) - known
         if extra:
             raise ValueError(f"unknown solver config fields: {sorted(extra)}")
         return cls(**d)
@@ -542,11 +542,10 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     message) is returned when max_outer_iter is hit first, or when the
     final residual exceeds var_tol.  An unattainable index variance raises
     RestorationError before the spectral start, as does a failed
-    restoration of the starting point.  Where
-    sum_i |sigma_i w_i| >= 1 before and after, scaling sigma by s and the
-    index variance by s^2 leaves every move unchanged up to rounding (see
-    the module docstring); var_tol stays absolute, in the units of the
-    index variance.
+    restoration of the starting point.  Where sum_i |sigma_i w_i| >= 1
+    before and after, scaling sigma by s and the index variance by s^2
+    leaves every move unchanged up to rounding (see the module docstring);
+    var_tol stays absolute, in the units of the index variance.
 
     Parameters
     ----------
