@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _VAR_TOL
 from .baselines import adjusted_ex_post, equicorrelation
 from .core import check_feasibility
 from .economic import economic_implied_corr
@@ -73,7 +74,7 @@ class BenchSuite:
     seed: int = 0
     periods: int = 0
     window: int | None = None
-    var_tol: float = 1e-6
+    var_tol: float = _VAR_TOL
     measure_time: bool = True
 
     def __post_init__(self) -> None:

@@ -19,6 +19,10 @@ else from the --snapshot's field of the same role; a snapshot field is
 parsed only when it is used.  With --out-dir, every artifact's path is
 recorded in the printed record.
 
+The module imports only the standard library; the handlers' numeric
+stack (numpy and the package's modules) is imported once the arguments
+parse, so --help and usage errors never load it.
+
 Exit codes: 0 success, 1 validation error, 2 non-convergence (or bench
 failures), 3 I/O error.
 """
@@ -27,33 +31,46 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
 
-import numpy as np
+from . import _VAR_TOL
 
-from .baselines import adjusted_ex_post, equicorrelation
-from .bench import BenchSuite, run_bench
-from .core import CorrMatrix, FactorLoadings, check_feasibility
-from .economic import economic_implied_corr
-from .io import (
-    load_snapshot,
-    read_loadings_csv,
-    read_market_spec,
-    read_matrix_csv,
-    read_solver_config,
-    read_vg_params,
-    save_snapshot,
-    write_loadings_csv,
-    write_market_spec,
-    write_matrix_csv,
-    _dump_json,
-    _load_json,
-)
-from .solver import RestorationError, SolverConfig, solve_nicm
-from .synth import generate_synthetic_market
-from .vg import direct_to_centered_corr, vg_centered_moments, vg_market_constraint
+# The numeric names the handlers use, by module; cli_dispatch binds them
+# into this module once the arguments parse.
+_NUMERIC = {
+    "numpy": ("ndarray",),
+    ".baselines": ("adjusted_ex_post", "equicorrelation"),
+    ".bench": ("BenchSuite", "rows_to_csv", "run_bench"),
+    ".core": ("CorrMatrix", "FactorLoadings", "check_feasibility"),
+    ".economic": ("economic_implied_corr",),
+    ".io": ("_dump_json", "_load_json", "load_snapshot", "read_loadings_csv", "read_market_spec",
+            "read_matrix_csv", "read_solver_config", "read_vg_params", "save_snapshot",
+            "write_loadings_csv", "write_market_spec", "write_matrix_csv"),
+    ".solver": ("RestorationError", "SolverConfig", "solve_nicm"),
+    ".synth": ("generate_synthetic_market",),
+    ".vg": ("direct_to_centered_corr", "vg_centered_moments", "vg_market_constraint"),
+}
+
+
+def _bind_numeric() -> None:
+    """Bind every name of _NUMERIC into this module, keeping a name that is
+    already set (a test's or a tracer's stand-in)."""
+    scope = globals()
+    for module, names in _NUMERIC.items():
+        mod = importlib.import_module(module, __package__)
+        for name in names:
+            scope.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _NUMERIC.values()):
+        _bind_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -96,12 +113,13 @@ def _solver_config(args, k: int | None = None) -> SolverConfig:
     return SolverConfig.from_dict(base)
 
 
-# Each input's reader and the snapshot field that stands in for its file.
+# Each input's reader, looked up by name when it is called, and the
+# snapshot field that stands in for its file.
 _INPUTS = {
-    "matrix": (read_matrix_csv, "target"),
-    "target": (read_matrix_csv, "target"),
+    "matrix": (lambda path: read_matrix_csv(path), "target"),
+    "target": (lambda path: read_matrix_csv(path), "target"),
     "loadings": (lambda path: read_loadings_csv(path)[1], "loadings"),
-    "spec": (read_market_spec, "spec"),
+    "spec": (lambda path: read_market_spec(path), "spec"),
 }
 
 
@@ -142,7 +160,7 @@ def _write_artifact(args, out: dict, key: str, name: str, write, *data, top: boo
 def _fields(record) -> dict:
     """A result record's fields other than its matrices, loadings and arrays."""
     values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-    matrices = (CorrMatrix, FactorLoadings, np.ndarray)
+    matrices = (CorrMatrix, FactorLoadings, ndarray)
     return {k: v for k, v in values.items() if not isinstance(v, matrices)}
 
 
@@ -219,7 +237,7 @@ def _cmd_vg_convert(args) -> int:
         out["mean"] = [float(m) for m in mean]
         _write_artifact(args, out, "C_centered", "vg_C_centered.csv", write_matrix_csv, C_cen.values)
         _write_artifact(args, out, "sigma", "vg_sigma.csv", write_matrix_csv,
-                        np.reshape(sigma, (-1, 1)), ["sigma"])
+                        sigma.reshape(-1, 1), ["sigma"])
     if args.spec is not None:
         spec = read_market_spec(args.spec)
         adjusted = vg_market_constraint(params, spec)
@@ -245,8 +263,6 @@ def _cmd_bench(args) -> int:
     suite = BenchSuite.from_dict(d)
     rows, table = run_bench(suite, out_dir=args.out_dir)
     if args.format == "csv":
-        from .bench import rows_to_csv
-
         print(rows_to_csv(rows), end="")
     else:
         print(table, end="")
@@ -258,7 +274,7 @@ def _cmd_bench(args) -> int:
 _SHARED = {
     "--config": dict(help="solver config JSON file"),
     "--seed": dict(type=int, help="RNG seed (synth default 0; bench default: the suite's seed)"),
-    "--tol-var": dict(type=float, help=f"variance constraint tolerance (default {SolverConfig.var_tol:g})"),
+    "--tol-var": dict(type=float, help=f"variance constraint tolerance (default {_VAR_TOL:g})"),
     "--out-dir": dict(help="directory for output files"),
     "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
 }
@@ -282,17 +298,17 @@ def _build_parser() -> _Parser:
     # tolerance; nearest and repair leave --tol-var unset so that the
     # --config file's var_tol holds.
     sp = _subcommand(sub, "check", "feasibility report for a matrix", _cmd_check,
-                     "--tol-var", "--format", tol_var=SolverConfig.var_tol)
+                     "--tol-var", "--format", tol_var=_VAR_TOL)
     sp.add_argument("--matrix", help="correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
 
     sp = _subcommand(sub, "equicorr", "implied equicorrelation", _cmd_equicorr,
-                     "--tol-var", "--out-dir", "--format", tol_var=SolverConfig.var_tol)
+                     "--tol-var", "--out-dir", "--format", tol_var=_VAR_TOL)
     sp.add_argument("--spec", required=True, help="market spec JSON")
 
     sp = _subcommand(sub, "adjust", "blend an ex-post matrix toward a bound", _cmd_adjust,
-                     "--tol-var", "--out-dir", "--format", tol_var=SolverConfig.var_tol)
+                     "--tol-var", "--out-dir", "--format", tol_var=_VAR_TOL)
     sp.add_argument("--target", help="ex-post correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
@@ -348,6 +364,7 @@ def cli_dispatch(argv: list[str]) -> int:
     if getattr(args, "command", None) is None:
         parser.print_help(sys.stderr)
         return EXIT_VALIDATION
+    _bind_numeric()
     try:
         return args.func(args)
     except CliUsageError as exc:

@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _VAR_TOL
+
 # Numerical slack for membership tests of Omega (row squared norms <= 1).
 EPS_FEAS = 1e-9
 
@@ -411,7 +413,7 @@ def portfolio_variance(C, spec: MarketSpec) -> float:
     return float(v @ arr @ v)
 
 
-def check_feasibility(C, spec: MarketSpec | None = None, tol: float = 1e-6) -> FeasibilityReport:
+def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) -> FeasibilityReport:
     """Full feasibility report for a correlation-matrix candidate.
 
     Mathematical feasibility means symmetric, unit diagonal, entries in

@@ -63,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _VAR_TOL
 from .core import (
     _EPS,
     EPS_FEAS,
@@ -129,7 +130,7 @@ class SolverConfig:
     """
 
     k: int = 1
-    var_tol: float = 1e-6
+    var_tol: float = _VAR_TOL
     max_outer_iter: int = 200
 
     def __post_init__(self) -> None:

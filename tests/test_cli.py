@@ -129,6 +129,43 @@ def test_csv_repair_leaves_numpy_random_unloaded(tmp_path):
     )
 
 
+@pytest.mark.parametrize("args, code", [
+    (["-c", "import impliedcorr"], 0),
+    (["-c", "import impliedcorr.cli"], 0),
+    (["-m", "impliedcorr.cli", "--help"], 0),
+    (["-m", "impliedcorr.cli", "repair", "--help"], 0),
+    (["-m", "impliedcorr.cli", "equicorr"], 1),
+], ids=["import-package", "import-cli", "help", "repair-help", "usage-error"])
+def test_front_door_leaves_numpy_unloaded(args, code):
+    # The package and the parser load only the standard library; numpy
+    # comes in once a command's arguments parse.  -X importtime logs every
+    # module the process imports, the package itself included.
+    cp = fresh_process("-X", "importtime", *args)
+    assert cp.returncode == code, cp.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "impliedcorr" in loaded
+    assert "numpy" not in loaded
+    assert "RuntimeWarning" not in cp.stderr
+
+
+def test_dispatch_keeps_a_name_set_before_it(tmp_path):
+    # A stand-in set on the module before the first dispatch, as a tracer
+    # sets one, survives the binding of the numeric names.
+    spec = write_spec(tmp_path)
+    cp = fresh_process(
+        "-c",
+        "import sys, impliedcorr.cli as cli\n"
+        "def stand_in(spec):\n"
+        "    raise ValueError('stand-in ran')\n"
+        "cli.equicorrelation = stand_in\n"
+        f"assert cli.cli_dispatch(['equicorr', '--spec', {spec!r}]) == 1\n"
+        "assert cli.equicorrelation is stand_in and 'numpy' in sys.modules\n",
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert "error: stand-in ran" in cp.stderr
+
+
 def test_no_command_prints_help():
     assert cli_dispatch([]) == 1
 

@@ -368,6 +368,30 @@ def test_project_feasible_near_comonotonic_target():
     assert abs(_residual(Z, spec)) <= restoration_bound(spec)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RestorationError,
+    reason="ROADMAP item 9: the curve X + lam K X does not reach targets at or just above "
+    "the attainable minimum (2 max|v_i| - sum|v_i|)^2, which a closed polygon of unit rows attains",
+)
+def test_solve_nicm_target_at_attainable_minimum():
+    # The mirror of the near-comonotonic case.  Each of the three solves
+    # raises "did not reach |g| <= 1e-10 ... within 100 curve searches";
+    # k = 2 converges at 1.5 times the minimum, k = 3 at three times.
+    sigma = np.array([0.2410975940425264, 0.25, 0.69010231753224])
+    w = np.array([0.5376362100018789, 0.2007541433727046, 0.2616096466254166])
+    v = np.abs(sigma * w)
+    minimum = (2.0 * v.max() - v.sum()) ** 2
+    assert minimum == pytest.approx(5.272079663368302e-07, rel=1e-12)
+    A = np.full((3, 3), 0.5)
+    np.fill_diagonal(A, 1.0)
+    for k, scale in ((2, 1.0), (3, 1.0), (3, 1.5)):
+        spec = MarketSpec(sigma, (IndexConstraint("m", w, scale * minimum),))
+        res = solve_nicm(A, spec, SolverConfig(k=k))
+        assert res.converged
+        assert abs(res.constraint_residual) <= 1e-6
+
+
 def hard_repair(market, scale=1.0):
     """Acceptance 08's recipe: index variance times 0.35, blended without the
     workaround; sigma times scale and the variance times scale^2."""
