@@ -26,7 +26,11 @@ matrix is calibrated to one index at a time.
 
 This module holds the shared value types (loadings, correlation matrices,
 market specs) and the elementary operations the model layers build on:
-assembling C(X), portfolio variance and a combined feasibility report.
+assembling C(X), the projection onto Omega, portfolio variance and a
+combined feasibility report.  It is the one place that decides
+feasibility: every membership test of Omega allows the slack EPS_FEAS,
+and the report reads a matrix that is not a CorrMatrix as CorrMatrix
+would, testing symmetry, the diagonal and the bound on it as given.
 A matrix assembled from loadings keeps them, so its smallest eigenvalue
 comes from the factor structure C(X) = X X' + diag(h) in O(n k^2) per
 bisection step (Haynsworth inertia additivity; see :func:`_min_eigenvalue`)
@@ -52,8 +56,9 @@ import numpy as np
 
 from . import _VAR_TOL
 
-# Numerical slack for membership tests of Omega (row squared norms <= 1).
-EPS_FEAS = 1e-9
+# Numerical slack of every membership test of Omega (row squared norms
+# <= 1 + EPS_FEAS) and of the feasibility report's entry bound.
+EPS_FEAS = 1e-12
 
 # Eigenvalue tolerance below which a matrix is reported as indefinite.
 EPS_PSD = 1e-8
@@ -81,7 +86,8 @@ class FactorLoadings:
     Instances are value objects: the wrapped array is copied and marked
     read-only.  Membership of Omega is *not* enforced on construction.
     Solver iterates legitimately pass through infeasible points, so the
-    container must be able to represent them; :meth:`in_omega` tests it.
+    container must be able to represent them; :func:`_clip_omega` projects
+    onto Omega, and :func:`check_feasibility` reports on C(X).
     """
 
     values: np.ndarray
@@ -107,9 +113,15 @@ class FactorLoadings:
     def k(self) -> int:
         return self.values.shape[1]
 
-    def in_omega(self, eps: float = EPS_FEAS) -> bool:
-        """True when every row satisfies ||X_i||^2 <= 1 + eps."""
-        return bool(np.all(np.einsum("ij,ij->i", self.values, self.values) <= 1.0 + eps))
+
+def _clip_omega(P: np.ndarray) -> np.ndarray:
+    """Scale each row of P in place by 1 / max(1, ||P_i||), the projection onto
+    Omega, and return ||P_i||^2, taken again after a clip (cheaper than indexing)."""
+    r2 = np.einsum("ij,ij->i", P, P)
+    if r2.max() > 1.0:
+        P *= (1.0 / np.sqrt(np.maximum(r2, 1.0)))[:, None]
+        r2 = np.einsum("ij,ij->i", P, P)
+    return r2
 
 
 @dataclass(frozen=True)
@@ -136,8 +148,8 @@ class CorrMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_float_array(self.values, "correlation matrix", 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"correlation matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise ValueError(f"correlation matrix must be square and non-empty, got shape {arr.shape}")
         if not np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
             arr *= 0.5  # the copy is ours: one n x n temporary, as for (C + C') / 2
             arr = arr + arr.T
@@ -150,9 +162,6 @@ class CorrMatrix:
 
     def min_eigenvalue(self) -> float:
         return _min_eigenvalue(self.values, self._loadings)
-
-    def is_psd(self, eps: float = EPS_PSD) -> bool:
-        return self.min_eigenvalue() >= -eps
 
 
 @dataclass(frozen=True)
@@ -283,12 +292,13 @@ def _trusted_corr(arr: np.ndarray, loadings: np.ndarray | None = None) -> CorrMa
 
 
 def _corr_array(C) -> np.ndarray:
-    """Validated values of C: a finite, square float64 ndarray, bit-symmetric as
-    uint64 (-0.0 != 0.0), is viewed read-only (through its transpose if
-    Fortran-ordered, copied if strided); all else goes through CorrMatrix."""
+    """Validated values of C: a finite, non-empty, square float64 ndarray,
+    bit-symmetric as uint64 (-0.0 != 0.0), is viewed read-only (through its
+    transpose if Fortran-ordered, copied if strided); all else goes through
+    CorrMatrix."""
     if isinstance(C, CorrMatrix):
         return C.values
-    if type(C) is np.ndarray and C.dtype == np.float64 and C.ndim == 2 and C.shape[0] == C.shape[1]:
+    if type(C) is np.ndarray and C.dtype == np.float64 and C.ndim == 2 and C.shape[0] == C.shape[1] > 0:
         if np.isfinite(C).all() and np.array_equal(C.view(np.uint64), C.T.view(np.uint64)):
             return _trusted_corr(np.ascontiguousarray(C.T if C.flags.f_contiguous else C).view()).values
     return CorrMatrix(C).values
@@ -426,36 +436,33 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
     value; it is reported as a one-element residual vector.  With
     spec=None the economic part is vacuously true and the vector is empty.
 
-    Symmetry is tested on the raw argument when an ndarray is passed, so
-    an asymmetric input is reported instead of being hidden by the
-    symmetrization that CorrMatrix construction applies (which makes every
-    CorrMatrix symmetric).  C(X) is bounded by Cauchy-Schwarz when max_i
-    ||X_i||^2 (1 + 4 k eps) <= 1 + 1e-12, 4 k eps covering the rounding of a
-    k-term dot product; otherwise, as for any other matrix, each entry is checked.
+    Any other argument is read by :func:`_corr_array` (finite, square and
+    non-empty; symmetrized as CorrMatrix does when its bits are not), and
+    the eigenvalue and the residual come from that matrix.  Symmetry, the
+    unit diagonal and the entry bound |c_ij| <= 1 + EPS_FEAS are tested on
+    the argument itself, so an asymmetric input is reported as such.  C(X)
+    is bounded by Cauchy-Schwarz when max_i ||X_i||^2 (1 + 4 k eps) <= 1 +
+    EPS_FEAS, 4 k eps covering the rounding of a k-term dot product;
+    otherwise, as for any other matrix, each entry is checked.
     """
-    X = None
     if isinstance(C, CorrMatrix):
-        raw, symmetric, X = C.values, True, C._loadings
+        corr, raw, symmetric = C, C.values, True
     else:
-        raw = _as_float_array(C, "correlation matrix", 2)
-        if raw.shape[0] != raw.shape[1]:
-            raise ValueError(f"correlation matrix must be square, got shape {raw.shape}")
+        corr, raw = _trusted_corr(_corr_array(C)), np.asarray(C, dtype=float)
         symmetric = bool(np.array_equal(raw, raw.T))
+    X = corr._loadings
     unit_diagonal = bool(np.all(np.diag(raw) == 1.0))
     bounded = False
     if X is not None:
-        bounded = float(np.max(np.einsum("ij,ij->i", X, X))) * (1.0 + 4 * X.shape[1] * _EPS) <= 1.0 + 1e-12
-    bounded = bounded or bool(np.all(np.abs(raw) <= 1.0 + 1e-12))
-    # (x + x) / 2 == x exactly, so a symmetric input needs no copy.
-    sym = raw if symmetric else (raw + raw.T) / 2.0
-    min_eig = _min_eigenvalue(sym, X)
+        bounded = float(np.max(np.einsum("ij,ij->i", X, X))) * (1.0 + 4 * X.shape[1] * _EPS) <= 1.0 + EPS_FEAS
+    bounded = bounded or bool(np.all(np.abs(raw) <= 1.0 + EPS_FEAS))
+    min_eig = corr.min_eigenvalue()
     psd = min_eig >= -EPS_PSD
 
     if spec is None:
         residuals = np.empty(0)
         matched = True
     else:
-        corr = C if isinstance(C, CorrMatrix) else sym
         residuals = np.array([spec.market.variance - portfolio_variance(corr, spec)])
         matched = bool(abs(residuals[0]) <= tol)
 

@@ -43,9 +43,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    EPS_FEAS,
     CorrMatrix,
     FactorLoadings,
     MarketSpec,
+    _clip_omega,
     _loadings_array,
     assemble_correlation,
     hollow_form,
@@ -90,7 +92,8 @@ def orthogonalize_loadings(X_P) -> FactorLoadings:
 
     Raises ValueError naming the offending column when a column is (close
     to) linearly dependent on its predecessors.  Rows pushed outside Omega
-    by the orthogonalization are rescaled to unit norm with a warning.
+    by the orthogonalization are projected onto it (rescaled to unit norm
+    by core's _clip_omega) with a warning that lists them.
     """
     U = _loadings_array(X_P).copy()
     n, k = U.shape
@@ -104,16 +107,14 @@ def orthogonalize_loadings(X_P) -> FactorLoadings:
                 f"factor column {d} is linearly dependent on earlier columns; "
                 "orthogonalization is rank-deficient"
             )
-    r2 = np.einsum("ij,ij->i", U, U)
-    over = r2 > 1.0
-    if np.any(over):
-        rows = np.flatnonzero(over)
+    over = np.flatnonzero(np.einsum("ij,ij->i", U, U) > 1.0)
+    if over.size:
         warnings.warn(
-            f"orthogonalization pushed rows {rows.tolist()} outside the unit "
+            f"orthogonalization pushed rows {over.tolist()} outside the unit "
             "ball; rescaling them to unit norm",
             stacklevel=2,
         )
-        U[over] /= np.sqrt(r2[over])[:, None]
+        _clip_omega(U)
     return FactorLoadings(U)
 
 
@@ -215,16 +216,16 @@ def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> Alph
 def risk_neutral_loadings(X_P, alpha_tilde: float, upsilon: int) -> FactorLoadings:
     """X_Q = X_P + alpha (upsilon 1 - X_P).
 
-    Rows outside Omega after the move are reported with a warning and
-    returned as-is; for alpha in [0, 1] and X_P in Omega with orthogonal
-    columns this cannot happen with upsilon = 0 or k = 1, and violations
-    for k > 1 flag that the comonotonic limit is incompatible with the
-    row's budget.
+    Rows outside Omega after the move (squared norm above 1 + EPS_FEAS) are
+    reported with a warning and returned as-is; for alpha in [0, 1] and X_P
+    in Omega with orthogonal columns this cannot happen with upsilon = 0 or
+    k = 1, and violations for k > 1 flag that the comonotonic limit is
+    incompatible with the row's budget.
     """
     arr = _loadings_array(X_P)
     X_Q = arr + alpha_tilde * (float(upsilon) - arr)
     r2 = np.einsum("ij,ij->i", X_Q, X_Q)
-    over = np.flatnonzero(r2 > 1.0 + 1e-12)
+    over = np.flatnonzero(r2 > 1.0 + EPS_FEAS)
     if over.size:
         warnings.warn(
             f"risk-neutral loadings leave rows {over.tolist()} outside the unit "

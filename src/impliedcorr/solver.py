@@ -66,10 +66,10 @@ import numpy as np
 from . import _VAR_TOL
 from .core import (
     _EPS,
-    EPS_FEAS,
     CorrMatrix,
     FactorLoadings,
     MarketSpec,
+    _clip_omega,
     _corr_array,
     _loadings_array,
     _trusted_corr,
@@ -101,6 +101,9 @@ MAX_RESTORATION_ITER = 100
 # RITZ_RTOL times the largest |Ritz value|.
 RITZ_EXTRA = 8
 RITZ_RTOL = 1e-12
+# The outer step treats a row with ||X_i||^2 >= 1 - _SPHERE_BAND as on the
+# sphere, a candidate for holding its norm.
+_SPHERE_BAND = 1e-9
 
 _INSENSITIVE = (
     "variance constraint is insensitive to the loadings at this point "
@@ -288,16 +291,6 @@ def _constraint(spec: MarketSpec, k: int) -> _Constraint:
     )
 
 
-def _clip_omega(P: np.ndarray) -> np.ndarray:
-    """Scale each row of P in place by 1 / max(1, ||P_i||), the projection onto
-    Omega, and return ||P_i||^2, taken again after a clip (cheaper than indexing)."""
-    r2 = np.einsum("ij,ij->i", P, P)
-    if r2.max() > 1.0:
-        P *= (1.0 / np.sqrt(np.maximum(r2, 1.0)))[:, None]
-        r2 = np.einsum("ij,ij->i", P, P)
-    return r2
-
-
 # perfbench's tracer counts curve searches and root refinements by the
 # names _project_equality_raw and _rescue_boundary.
 def _rescue_boundary(sample, eps: float, a: tuple, b: tuple) -> tuple:
@@ -374,7 +367,7 @@ def _project_feasible_raw(arr: np.ndarray, con: _Constraint) -> np.ndarray:
 
     The point is clipped to Omega, then searched along the clipped curve of
     the module docstring until |g| <= con.tol.  The returned rows satisfy
-    ||X_i||^2 <= 1 + 1e-12, and already-feasible points are returned
+    ||X_i||^2 <= 1 + EPS_FEAS, and already-feasible points are returned
     unchanged.  Raises RestorationError carrying the final residual when
     MAX_RESTORATION_ITER curve searches do not reach con.tol, or when g is
     insensitive to the curve (K X vanishes, or no point of it is nearer E).
@@ -536,7 +529,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     described in the module docstring.  The target need not be PSD.
 
     A successful result satisfies, with X* the returned loadings:
-    f trace non-increasing, |g(X*)| <= var_tol, min_i h_i(X*) >= -1e-12,
+    f trace non-increasing, |g(X*)| <= var_tol, min_i h_i(X*) >= -EPS_FEAS,
     and C_star = C(X*) PSD by construction.  The loop stops when an
     accepted step improves f by less than FN_RTOL * f, or when the arc
     search finds no acceptable step.  converged=False (with the reason in
@@ -575,7 +568,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         # so the restoration only absorbs second-order drift.
         N = constraint_normal(con.v, X)
         r2 = np.einsum("ij,ij->i", X, X)
-        sphere = r2 >= 1.0 - EPS_FEAS
+        sphere = r2 >= 1.0 - _SPHERE_BAND
         held = sphere & (np.einsum("ij,ij->i", X, gr) < 0.0)
         while True:
             u = held / np.where(held, r2, 1.0)
@@ -600,16 +593,9 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     converged = False
     message = "iteration limit reached"
     outer = 0
-    # Length of the last accepted move; seeds the arc search after a
-    # safeguarded (denominator <= 0) spectral step, whose STEP_MAX
-    # fallback carries no scale information of its own.
-    accepted_len = None
 
     for outer in range(1, config.max_outer_iter + 1):
-        if alpha >= STEP_MAX and accepted_len is not None:
-            s = min(1.0, 8.0 * accepted_len / alpha)
-        else:
-            s = 1.0
+        s = 1.0
         direction = tangential(grad, X)
         for _ in range(MAX_BACKTRACKS):
             try:
@@ -629,7 +615,6 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
             outer -= 1
             break
 
-        accepted_len = s * alpha
         dX = T - X
         dG = gT - grad
         X, grad = T, gT
@@ -637,10 +622,11 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         trace.append(f)
 
         sty = float(np.sum(dX * dG))
-        if sty <= 0.0:
-            alpha = STEP_MAX
-        else:
-            alpha = min(max(float(np.sum(dX * dX)) / sty, STEP_MIN), STEP_MAX)
+        bb = float(np.sum(dX * dX)) / sty if sty > 0.0 else math.inf
+        # A quotient at STEP_MAX or beyond (a non-positive s'y among them)
+        # carries no scale of its own: take at most eight times the step
+        # just accepted.
+        alpha = max(bb, STEP_MIN) if bb < STEP_MAX else min(STEP_MAX, 8.0 * s * alpha)
 
         if improvement < FN_RTOL * f:
             converged = True

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from impliedcorr.baselines import adjusted_ex_post, equicorrelation
-from impliedcorr.core import IndexConstraint, MarketSpec, portfolio_variance
+from impliedcorr.core import IndexConstraint, MarketSpec, check_feasibility, portfolio_variance
 
 
 def spec2(var):
@@ -47,7 +47,7 @@ def test_equicorrelation_psd_range_flag():
     # beyond the comonotonic cap the value exceeds 1
     res = equicorrelation(spec2(0.05))
     assert res.c_bar > 1.0 and not res.in_psd_range
-    assert not res.C.is_psd()
+    assert not check_feasibility(res.C).psd
 
 
 def test_equicorrelation_degenerate_denominator():
@@ -88,7 +88,7 @@ def test_adjusted_ex_post_negative_premium_switches_bound():
     assert res.crp_sign == -1
     assert res.used_lower_bound
     assert 0.0 <= res.alpha_hat <= 1.0
-    assert res.C_Q.is_psd()
+    assert check_feasibility(res.C_Q).psd
 
 
 def test_adjusted_ex_post_without_workaround_breaks_psd():

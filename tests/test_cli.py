@@ -78,8 +78,9 @@ def test_module_entry_point_exit_codes(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the boundary rescue and the reference
-    # solver; a fresh `import impliedcorr.cli` must not pay for it.
+    # scipy.optimize serves only the reference solver (the restoration's
+    # root refinement is numpy); a fresh `import impliedcorr.cli` must not
+    # pay for it.
     run_fresh("import sys, impliedcorr.cli; assert 'scipy.optimize' not in sys.modules")
 
 

@@ -1,6 +1,7 @@
 """Core types, factor assembly and feasibility checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,13 +60,6 @@ def test_loadings_array_is_read_only():
         X.values[0, 0] = 1.0
 
 
-def test_loadings_omega_membership():
-    assert FactorLoadings([[0.6, 0.8]]).in_omega()
-    assert not FactorLoadings([[0.7, 0.8]]).in_omega()
-    # eps widens the ball
-    assert FactorLoadings([[1.0 + 1e-12]]).in_omega()
-
-
 def test_corr_matrix_symmetrizes_and_freezes():
     C = CorrMatrix(np.array([[1.0, 0.4], [0.2, 1.0]]))
     assert C.values[0, 1] == C.values[1, 0] == pytest.approx(0.3)
@@ -85,6 +79,12 @@ def test_corr_matrix_symmetrizes_without_overflow():
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_empty_matrix_is_rejected():
+    for entry in (CorrMatrix, _corr_array, check_feasibility):
+        with pytest.raises(ValueError, match="non-empty"):
+            entry(np.zeros((0, 0)))
 
 
 def test_corr_array_views_a_bit_symmetric_target():
@@ -119,13 +119,13 @@ def test_corr_array_views_a_bit_symmetric_target():
 def test_corr_matrix_eigenvalues():
     C = CorrMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
     assert C.min_eigenvalue() == pytest.approx(0.5)
-    assert C.is_psd()
+    assert check_feasibility(C).psd
     bad = np.ones((3, 3))
     bad[np.diag_indices(3)] = 1.0
     bad[0, 1] = bad[1, 0] = 0.9
     bad[0, 2] = bad[2, 0] = 0.9
     bad[1, 2] = bad[2, 1] = -0.9
-    assert not CorrMatrix(bad).is_psd()
+    assert not check_feasibility(CorrMatrix(bad)).psd
 
 
 def test_index_constraint_rejects_bad_weight_sum():
@@ -268,6 +268,31 @@ def test_check_feasibility_flags_each_violation():
     assert not rep.psd and not rep.mathematically_feasible
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # (a + b) / 2 overflows here; C / 2 + C' / 2 holds a finite 1.25e308.
+        [[1.0, 1e308], [1.5e308, 1.0]],
+        [[1.0, 0.3], [0.1, 1.0]],
+        [[1.0, 0.9, -0.9], [0.7, 1.0, 0.9], [-0.9, 0.9, 1.0]],
+        np.random.default_rng(5).uniform(-1.0, 1.0, (6, 6)),
+    ],
+    ids=["overflow", "2x2", "indefinite", "random"],
+)
+def test_report_reads_an_asymmetric_array_as_corr_matrix_does(raw):
+    raw = np.array(raw)
+    n = raw.shape[0]
+    spec = MarketSpec(np.linspace(0.1, 0.3, n), (IndexConstraint("m", np.full(n, 1.0 / n), 0.03),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_feasibility(raw, spec)
+    ref = check_feasibility(CorrMatrix(raw), spec)
+    assert not rep.symmetric and ref.symmetric
+    assert math.isfinite(rep.min_eigenvalue)
+    assert rep.min_eigenvalue.hex() == ref.min_eigenvalue.hex()
+    np.testing.assert_array_equal(bits(rep.constraint_residuals), bits(ref.constraint_residuals))
+
+
 def test_check_feasibility_without_spec_is_vacuously_matched():
     rep = check_feasibility(np.eye(3))
     assert rep.economically_matched
@@ -380,8 +405,8 @@ def test_min_eigenvalue_has_one_implementation():
     # every caller gets its value.
     lam = _factor_min_eigenvalue(X, budget=math.inf)
     assert C.min_eigenvalue() == lam
-    assert check_feasibility(C).min_eigenvalue == lam
-    assert C.is_psd()
+    rep = check_feasibility(C)
+    assert rep.min_eigenvalue == lam and rep.psd
     # The same matrix without its loadings (read from CSV, say) and small
     # assembled matrices, where the bisection costs more, use eigvalsh.
     dense = float(np.linalg.eigvalsh(C.values)[0])

@@ -5,6 +5,7 @@ import pytest
 
 from impliedcorr.baselines import equicorrelation
 from impliedcorr.core import (
+    EPS_FEAS,
     IndexConstraint,
     MarketSpec,
     assemble_correlation,
@@ -74,7 +75,7 @@ def test_orthogonalize_rescales_rows_pushed_outside():
     assert np.all(np.einsum("ij,ij->i", X, X) <= 1.0)
     with pytest.warns(UserWarning, match="outside the unit"):
         out = orthogonalize_loadings(X)
-    assert out.in_omega(eps=1e-12)
+    assert np.max(np.einsum("ij,ij->i", out.values, out.values)) <= 1.0 + EPS_FEAS
     # the offending row lands exactly on the boundary
     assert float(out.values[0] @ out.values[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -196,7 +197,8 @@ def test_risk_neutral_loadings_ball_exit_warns():
     X = np.array([[0.5, 0.5], [0.3, -0.2]])
     with pytest.warns(UserWarning, match="outside the unit"):
         out = risk_neutral_loadings(X, 0.9, 1)
-    assert not out.in_omega()
+    # row 0 moves to (0.95, 0.95), far outside the ball
+    assert float(out.values[0] @ out.values[0]) == pytest.approx(2 * 0.95**2)
 
 
 def test_economic_route_matches_constraint():
