@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrMatrix, MarketSpec, _corr_array, portfolio_variance
+from .core import CorrMatrix, MarketSpec, _as_corr, portfolio_variance
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def adjusted_ex_post(
         If s_B == s_P, in which case the blend cannot move the index
         variance and no alpha exists.
     """
-    P = _corr_array(C_P)
+    P = _as_corr(C_P).values
     if P.shape[0] != spec.n:
         raise ValueError(f"matrix is {P.shape[0]} x {P.shape[0]} for {spec.n} assets")
     con = spec.market

@@ -24,7 +24,6 @@ bench usable as a determinism check in CI.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -172,16 +171,16 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
         t0 = time.perf_counter()
         if cell.model == "equicorr":
             res = equicorrelation(spec)
-            C = res.C.values
+            C = res.C
             record["alpha"] = None
         elif cell.model == "adjusted":
             res = adjusted_ex_post(A, spec)
-            C = res.C_Q.values
+            C = res.C_Q
             record["alpha"] = float(res.alpha_hat)
         elif cell.model == "nicm":
             config = SolverConfig(k=cell.k, var_tol=suite.var_tol)
             res = solve_nicm(A, spec, config)
-            C = res.C_star.values
+            C = res.C_star
             record["iterations"] = int(res.outer_iterations)
             if not res.converged:
                 raise RuntimeError(f"solver did not converge: {res.message}")
@@ -193,12 +192,12 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
                     snapshot.asset_returns, snapshot.factor_returns, window=suite.window
                 )
             res = economic_implied_corr(X_P, spec)
-            C = res.C.values
+            C = res.C
             record["alpha"] = float(res.alpha_tilde)
         elapsed = time.perf_counter() - t0
 
         record["t"] = elapsed if suite.measure_time else 0.0
-        record["fn"] = _offdiag_sqdist(C, A)
+        record["fn"] = _offdiag_sqdist(C.values, A)
         record["feasibility"] = check_feasibility(C, spec, tol=suite.var_tol).to_dict()
         record["vtol"] = abs(record["feasibility"]["constraint_residuals"][0])
     except Exception as exc:

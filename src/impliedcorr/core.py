@@ -27,10 +27,12 @@ matrix is calibrated to one index at a time.
 This module holds the shared value types (loadings, correlation matrices,
 market specs) and the elementary operations the model layers build on:
 assembling C(X), the projection onto Omega, portfolio variance and a
-combined feasibility report.  It is the one place that decides
-feasibility: every membership test of Omega allows the slack EPS_FEAS,
-and the report reads a matrix that is not a CorrMatrix as CorrMatrix
-would, testing symmetry, the diagonal and the bound on it as given.
+combined feasibility report.  It is the one place that turns a matrix
+argument into a CorrMatrix (:func:`_as_corr`, for every model and the
+report) and the one place that decides feasibility: every membership test
+of Omega allows the slack EPS_FEAS, and the report reads a matrix that is
+not a CorrMatrix as CorrMatrix would, testing symmetry, the diagonal and
+the bound on it as given.
 A matrix assembled from loadings keeps them, so its smallest eigenvalue
 comes from the factor structure C(X) = X X' + diag(h) in O(n k^2) per
 bisection step (Haynsworth inertia additivity; see :func:`_min_eigenvalue`)
@@ -93,15 +95,10 @@ class FactorLoadings:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError(f"loadings must be 2-dimensional, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
+        values = np.reshape(self.values, (-1, 1)) if np.ndim(self.values) == 1 else self.values
+        arr = _as_float_array(values, "loadings", 2)
+        if arr.size == 0:
             raise ValueError(f"loadings must be non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("loadings contain non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -150,7 +147,7 @@ class CorrMatrix:
         arr = _as_float_array(self.values, "correlation matrix", 2)
         if arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError(f"correlation matrix must be square and non-empty, got shape {arr.shape}")
-        if not np.array_equal(arr.view(np.uint64), arr.T.view(np.uint64)):
+        if not _same_bits(arr, arr.T):
             arr *= 0.5  # the copy is ours: one n x n temporary, as for (C + C') / 2
             arr = arr + arr.T
         arr.setflags(write=False)
@@ -283,6 +280,19 @@ def _loadings_array(X) -> np.ndarray:
     return FactorLoadings(X).values
 
 
+def _same_bits(a, b) -> bool:
+    """Whether a and b are float arrays of one shape and the same bits.
+
+    Unlike ==, this tells -0.0 from 0.0 and NaN payloads apart: a matrix
+    with the bits of its transpose needs no symmetrizing, and a file written
+    for a serves b exactly.  No array is copied.
+    """
+    if a is None or b is None:
+        return False
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def _trusted_corr(arr: np.ndarray, loadings: np.ndarray | None = None) -> CorrMatrix:
     """Wrap arr, known to be C-ordered, finite, square and bit-symmetric, unchecked."""
     arr.setflags(write=False)
@@ -291,17 +301,17 @@ def _trusted_corr(arr: np.ndarray, loadings: np.ndarray | None = None) -> CorrMa
     return out
 
 
-def _corr_array(C) -> np.ndarray:
-    """Validated values of C: a finite, non-empty, square float64 ndarray,
-    bit-symmetric as uint64 (-0.0 != 0.0), is viewed read-only (through its
-    transpose if Fortran-ordered, copied if strided); all else goes through
-    CorrMatrix."""
+def _as_corr(C) -> CorrMatrix:
+    """C as a CorrMatrix: C itself if it is one; a finite, non-empty, square
+    float64 ndarray with the bits of its transpose (-0.0 != 0.0) is wrapped
+    as a read-only view (through its transpose if Fortran-ordered, copied if
+    strided); all else goes through CorrMatrix."""
     if isinstance(C, CorrMatrix):
-        return C.values
+        return C
     if type(C) is np.ndarray and C.dtype == np.float64 and C.ndim == 2 and C.shape[0] == C.shape[1] > 0:
-        if np.isfinite(C).all() and np.array_equal(C.view(np.uint64), C.T.view(np.uint64)):
-            return _trusted_corr(np.ascontiguousarray(C.T if C.flags.f_contiguous else C).view()).values
-    return CorrMatrix(C).values
+        if np.isfinite(C).all() and _same_bits(C, C.T):
+            return _trusted_corr(np.ascontiguousarray(C.T if C.flags.f_contiguous else C).view())
+    return CorrMatrix(C)
 
 
 def assemble_correlation(X) -> CorrMatrix:
@@ -416,7 +426,7 @@ def constraint_normal(v: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def portfolio_variance(C, spec: MarketSpec) -> float:
     """Model index variance w' diag(sigma) C diag(sigma) w."""
-    arr = _corr_array(C)
+    arr = _as_corr(C).values
     if arr.shape[0] != spec.n:
         raise ValueError(f"matrix is {arr.shape[0]} x {arr.shape[0]} for {spec.n} assets")
     v = spec.scaled_weights()
@@ -436,7 +446,7 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
     value; it is reported as a one-element residual vector.  With
     spec=None the economic part is vacuously true and the vector is empty.
 
-    Any other argument is read by :func:`_corr_array` (finite, square and
+    Any other argument is read by :func:`_as_corr` (finite, square and
     non-empty; symmetrized as CorrMatrix does when its bits are not), and
     the eigenvalue and the residual come from that matrix.  Symmetry, the
     unit diagonal and the entry bound |c_ij| <= 1 + EPS_FEAS are tested on
@@ -445,11 +455,9 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
     EPS_FEAS, 4 k eps covering the rounding of a k-term dot product;
     otherwise, as for any other matrix, each entry is checked.
     """
-    if isinstance(C, CorrMatrix):
-        corr, raw, symmetric = C, C.values, True
-    else:
-        corr, raw = _trusted_corr(_corr_array(C)), np.asarray(C, dtype=float)
-        symmetric = bool(np.array_equal(raw, raw.T))
+    corr = _as_corr(C)
+    raw = corr.values if corr is C else np.asarray(C, dtype=float)
+    symmetric = corr is C or bool(np.array_equal(raw, raw.T))
     X = corr._loadings
     unit_diagonal = bool(np.all(np.diag(raw) == 1.0))
     bounded = False

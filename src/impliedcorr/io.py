@@ -36,7 +36,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import CorrMatrix, FactorLoadings, IndexConstraint, MarketSpec
+from .core import FactorLoadings, IndexConstraint, MarketSpec, _same_bits
 from .solver import SolverConfig
 from .vg import VGParams
 
@@ -117,18 +117,6 @@ def _raise_located(path: str, header: bool, detail: str) -> NoReturn:
 def read_matrix_csv(path: str) -> np.ndarray:
     """Read a headerless CSV matrix; errors carry path and line number."""
     return _read_csv(path, header=False)[1]
-
-
-def _same_bits(a, b) -> bool:
-    """Whether a and b are float arrays of one shape and the same bits.
-
-    Unlike ==, this tells -0.0 from 0.0 and NaN payloads apart, so a file
-    written for a serves b exactly.  No array is copied.
-    """
-    if a is None or b is None:
-        return False
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def write_matrix_csv(path: str, M, names: list[str] | None = None) -> None:
@@ -248,16 +236,15 @@ def read_vg_params(path: str) -> VGParams:
     ref = d.get("C_dir")
     if ref is not None:
         c_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        M = read_matrix_csv(c_path)
-        if M.shape[0] != M.shape[1]:
-            raise ValueError(f"{c_path}: direct correlation matrix must be square, got {M.shape}")
-        C = M
+        C = read_matrix_csv(c_path)
+        if C.shape[0] != C.shape[1]:
+            raise ValueError(f"{c_path}: direct correlation matrix must be square, got {C.shape}")
     return VGParams(
         xi=np.asarray(d["xi"], dtype=float),
         omega=np.asarray(d["omega"], dtype=float),
         theta=np.asarray(d["theta"], dtype=float),
         nu=float(d["nu"]),
-        C_dir=CorrMatrix(C) if C is not None else None,
+        C_dir=C,
     )
 
 

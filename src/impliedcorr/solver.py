@@ -69,10 +69,9 @@ from .core import (
     CorrMatrix,
     FactorLoadings,
     MarketSpec,
+    _as_corr,
     _clip_omega,
-    _corr_array,
     _loadings_array,
-    _trusted_corr,
     assemble_correlation,
     constraint_normal,
     hollow_form,
@@ -189,7 +188,7 @@ class SolverResult:
 
 def _target_offdiag(A) -> tuple[np.ndarray, float]:
     """A_hat = A - I, realized as A with its diagonal zeroed, and ||A_hat||_F^2."""
-    A_hat = _corr_array(A).copy()
+    A_hat = _as_corr(A).values.copy()
     np.fill_diagonal(A_hat, 0.0)
     return A_hat, float(np.vdot(A_hat, A_hat))
 
@@ -487,7 +486,7 @@ def initial_loadings(A, k: int) -> FactorLoadings:
     one step (n < 2 (k + 8)), from np.linalg.eigh.  Each eigenvector's
     sign is fixed so that its largest-magnitude entry is positive.
     """
-    A_arr = _corr_array(A)
+    A_arr = _as_corr(A).values
     n = A_arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
@@ -552,7 +551,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     """
     t0 = time.perf_counter()
     config = SolverConfig() if config is None else config
-    A_corr = A if isinstance(A, CorrMatrix) else _trusted_corr(_corr_array(A))
+    A_corr = _as_corr(A)
     if A_corr.n != spec.n:
         raise ValueError(f"target is {A_corr.n} x {A_corr.n} for {spec.n} assets")
 
@@ -638,9 +637,10 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         converged = False
         message = f"constraint residual {residual!r} exceeds var_tol"
 
+    X_star = FactorLoadings(X)
     return SolverResult(
-        X_star=FactorLoadings(X),
-        C_star=assemble_correlation(X),
+        X_star=X_star,
+        C_star=assemble_correlation(X_star),
         fn=f,
         fn_trace=np.array(trace),
         constraint_residual=residual,
@@ -669,7 +669,7 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     t0 = time.perf_counter()
     config = SolverConfig() if config is None else config
     k = config.k
-    A_arr = _corr_array(A)
+    A_arr = _as_corr(A).values
     n = A_arr.shape[0]
     if n > 30:
         raise ValueError(f"reference solver is meant for small instances (n <= 30), got n = {n}")
@@ -735,9 +735,10 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
     fn = objective(X, A_arr)
     converged = abs(residual) <= config.var_tol
 
+    X_star = FactorLoadings(X)
     return SolverResult(
-        X_star=FactorLoadings(X),
-        C_star=assemble_correlation(X),
+        X_star=X_star,
+        C_star=assemble_correlation(X_star),
         fn=fn,
         fn_trace=np.array([fn]),
         constraint_residual=residual,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrMatrix, IndexConstraint, MarketSpec, _as_float_array, _corr_array
+from .core import CorrMatrix, IndexConstraint, MarketSpec, _as_corr, _as_float_array
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class VGParams:
     """Direct parameters of the gamma-subordinated model.
 
     C_dir may be omitted (None) when only the marginal transformations are
-    needed, for example in :func:`vg_market_constraint`.
+    needed, for example in :func:`vg_market_constraint`.  A CorrMatrix is
+    kept as it is; a float64 array with the bits of its transpose is held
+    as a read-only view, not a copy (see core's matrix intake).
     """
 
     xi: np.ndarray
@@ -67,7 +69,7 @@ class VGParams:
             raise ValueError(f"nu must be positive, got {self.nu!r}")
         C = self.C_dir
         if C is not None:
-            C = CorrMatrix(_corr_array(C))
+            C = _as_corr(C)
             if C.n != xi.size:
                 raise ValueError(f"C_dir is {C.n} x {C.n} for {xi.size} assets")
         for arr in (xi, omega, theta):

@@ -224,6 +224,7 @@ def test_suite_from_dict():
 
 def test_render_table_and_csv_shapes():
     rows, table = run_bench(small_suite(measure_time=False))
+    assert render_table(rows) == table
     lines = table.splitlines()
     assert len(lines) == 2 + len(rows)
     csv = rows_to_csv(rows)
@@ -234,3 +235,21 @@ def test_render_table_and_csv_shapes():
     first = csv.splitlines()[1].split(",")
     fn_mean = float(first[header.index("fn_mean")])
     assert fn_mean == rows[0].fn_mean
+
+
+def test_report_uses_the_loadings_of_solver_results(monkeypatch):
+    # At n = 40 and k = 2 the factor-structured smallest eigenvalue costs
+    # fewer flops than a dense eigvalsh, so the report of an nicm result,
+    # which keeps its loadings, must never run one on the n x n matrix.
+    n = 40
+    dense = np.linalg.eigvalsh
+
+    def small_only(a, *args, **kw):
+        if np.shape(a)[-1] == n:
+            raise AssertionError("dense eigvalsh on the n x n matrix")
+        return dense(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+    suite = small_suite(cells=(BenchCell("nicm", k=2),), n=n, seed=3, measure_time=False)
+    (row,), _ = run_bench(suite)
+    assert row.failures == 0 and row.instances == 2

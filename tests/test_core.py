@@ -14,7 +14,7 @@ from impliedcorr.core import (
     FactorLoadings,
     IndexConstraint,
     MarketSpec,
-    _corr_array,
+    _as_corr,
     _factor_min_eigenvalue,
     assemble_correlation,
     check_feasibility,
@@ -82,7 +82,7 @@ def bits(a):
 
 
 def test_empty_matrix_is_rejected():
-    for entry in (CorrMatrix, _corr_array, check_feasibility):
+    for entry in (CorrMatrix, _as_corr, check_feasibility):
         with pytest.raises(ValueError, match="non-empty"):
             entry(np.zeros((0, 0)))
 
@@ -90,7 +90,7 @@ def test_empty_matrix_is_rejected():
 def test_corr_array_views_a_bit_symmetric_target():
     A = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.0], [-0.2, 0.0, 1.0]])
     for arr in (A, np.asfortranarray(A)):
-        view = _corr_array(arr)
+        view = _as_corr(arr).values
         assert np.shares_memory(view, arr)
         assert view.flags.c_contiguous and not view.flags.writeable
         assert arr.flags.writeable
@@ -103,17 +103,17 @@ def test_corr_array_views_a_bit_symmetric_target():
     asym = A.copy()
     asym[0, 1] = 0.5
     for arr in (signed_zero, asym, A.astype(np.float32)):
-        out = _corr_array(arr)
+        out = _as_corr(arr).values
         assert not np.shares_memory(out, arr)
         np.testing.assert_array_equal(bits(out), bits(CorrMatrix(arr).values))
-    assert _corr_array(asym)[0, 1] == _corr_array(asym)[1, 0] == 0.4
-    assert bits(_corr_array(signed_zero))[1, 2] == bits(_corr_array(signed_zero))[2, 1]
+    assert _as_corr(asym).values[0, 1] == _as_corr(asym).values[1, 0] == 0.4
+    assert bits(_as_corr(signed_zero).values)[1, 2] == bits(_as_corr(signed_zero).values)[2, 1]
     with pytest.raises(ValueError, match="square"):
-        _corr_array(np.zeros((2, 3)))
+        _as_corr(np.zeros((2, 3)))
     nan = A.copy()
     nan[0, 1] = nan[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        _corr_array(nan)
+        _as_corr(nan)
 
 
 def test_corr_matrix_eigenvalues():

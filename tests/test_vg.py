@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec
+from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec, _as_corr
 from impliedcorr.solver import SolverConfig, solve_nicm
 from impliedcorr.vg import (
     VGParams,
@@ -216,3 +216,17 @@ def test_vg_params_validation():
     assert p.C_dir is None
     with pytest.raises(ValueError):
         p.xi[0] = 1.0
+
+
+def test_vg_params_wraps_c_dir_once():
+    # A CorrMatrix is kept as it is, loadings included, and an asymmetric
+    # array is symmetrized once, to the bits CorrMatrix gives it.
+    C = CorrMatrix(np.array([[1.0, 0.25], [0.25, 1.0]]))
+    assert _as_corr(C) is C
+    assert VGParams(np.zeros(2), np.ones(2), np.zeros(2), 0.5, C_dir=C).C_dir is C
+    asym = np.array([[1.0, 0.1, -0.3], [0.2, 1.0, 0.7], [-0.4, 0.5, 1.0]])
+    p = VGParams(np.zeros(3), np.ones(3), np.zeros(3), 0.5, C_dir=asym)
+    assert isinstance(p.C_dir, CorrMatrix)
+    np.testing.assert_array_equal(
+        p.C_dir.values.view(np.uint64), CorrMatrix(asym).values.view(np.uint64)
+    )
