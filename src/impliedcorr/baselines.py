@@ -97,6 +97,8 @@ def equicorrelation(spec: MarketSpec) -> EquicorrResult:
 def _bound_matrix(n: int, upper: bool) -> np.ndarray:
     if upper:
         return np.ones((n, n))
+    if n == 1:
+        raise ValueError("a single asset has no lower bound -1/(n - 1) to blend toward")
     B = np.full((n, n), -1.0 / (n - 1))
     np.fill_diagonal(B, 1.0)
     return B
@@ -129,7 +131,7 @@ def adjusted_ex_post(
     ------
     ValueError
         If s_B == s_P, in which case the blend cannot move the index
-        variance and no alpha exists.
+        variance and no alpha exists, or a single asset needs the floor.
     """
     P = _as_corr(C_P).values
     if P.shape[0] != spec.n:

@@ -26,7 +26,8 @@ whose economically meaningful root is
 
     alpha = ( -sPD + upsilon sqrt(sPD^2 - sDD (sPP - sigma_m^2)) ) / sDD.
 
-A zero premium gives alpha = 0 by continuity.  The pipeline
+A premium within the rounding error of sPP (see _premium) is zero and
+gives upsilon = 0 and alpha = 0.  The pipeline
 orthogonalizes the factor columns first (classical Gram-Schmidt without
 normalization, so already-orthogonal inputs pass through unchanged),
 because the comonotonic endpoint X_Q = upsilon 1 only represents perfect
@@ -118,24 +119,38 @@ def orthogonalize_loadings(X_P) -> FactorLoadings:
     return FactorLoadings(U)
 
 
-def crp_sign(X_P, spec: MarketSpec) -> int:
-    """Sign of the correlation risk premium sigma_m^2 - v' C(X_P) v.
-
-    The premium is evaluated on the assembled matrix, as portfolio_variance
-    and the synthetic markets evaluate it, so that a target set equal to
-    the model variance gives exactly zero.  The O(n k) hollow form rounds
-    differently, and a premium one rounding away from zero can make
-    solve_alpha_tilde take its far root instead of alpha = 0.
+def _premium(arr: np.ndarray, spec: MarketSpec) -> tuple[float, int]:
+    """sPP = v' C(X_P) v by the O(n k) hollow form, and the sign upsilon of
+    the premium sigma_m^2 - sPP.  The premium is zero when it is within the
+    rounding errors of sPP by the hollow form and by the dense v' C(X) v
+    (synth, portfolio_variance), which Higham's dot-product bound gamma_m =
+    m u / (1 - m u) (Accuracy and Stability of Numerical Algorithms, 2002,
+    Sec. 3.1) puts at gamma_(2n+k+2) B and gamma_(2n+k) B, with r_i =
+    ||x_i|| and B = (sum |v_i| r_i)^2 + sum v_i^2 (1 + r_i^2); their sum is
+    at most gamma_(4n+2k+2) B.
     """
-    premium = spec.market.variance - portfolio_variance(assemble_correlation(X_P), spec)
-    if premium > 0.0:
-        return 1
-    if premium < 0.0:
-        return -1
-    return 0
+    n, k = arr.shape
+    if n != spec.n:
+        raise ValueError(f"loadings have {n} rows for {spec.n} assets")
+    v = spec.scaled_weights()
+    vv = v * v
+    r2 = np.einsum("ij,ij->i", arr, arr)
+    sPP = hollow_form(v, arr, arr, norms=r2, vv=vv) + float(v @ v)
+    premium = spec.market.variance - sPP
+    mu = (4 * n + 2 * k + 2) * np.finfo(np.float64).eps / 2.0
+    bound = mu / (1.0 - mu) * (float(np.abs(v) @ np.sqrt(r2)) ** 2 + float(vv @ (1.0 + r2)))
+    return sPP, int(premium > bound) - int(premium < -bound)
 
 
-def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> AlphaSolution:
+def crp_sign(X_P, spec: MarketSpec) -> int:
+    """Sign of the correlation risk premium sigma_m^2 - v' C(X_P) v: +1, -1,
+    or 0 when the premium is within the rounding error of the index
+    variance (see _premium).  O(n k); no n x n matrix is formed.
+    """
+    return _premium(_loadings_array(X_P), spec)[1]
+
+
+def solve_alpha_tilde(X_P, spec: MarketSpec) -> AlphaSolution:
     """Scalar alpha moving X_P toward the comonotonic limit far enough to
     match the index variance.
 
@@ -145,33 +160,24 @@ def solve_alpha_tilde(X_P, spec: MarketSpec, upsilon: int | None = None) -> Alph
         Physical-measure loadings with orthogonal factor columns.
     spec : MarketSpec
         Volatilities and the index constraint, which supplies sigma_m^2.
-    upsilon : int, optional
-        Direction of the move, +1 / -1 / 0.  Defaults to the sign of the
-        correlation risk premium at X_P.
 
-    Raises ValueError carrying the discriminant value when the constraint
-    is unreachable along the chosen direction.  An alpha outside [0, 1]
-    triggers a warning, never a clamp: the caller sees the model's actual
-    answer.
+    The move's direction upsilon is the sign of the correlation risk
+    premium at X_P (see _premium); a zero premium gives alpha = 0.  Raises
+    ValueError carrying the discriminant value when the constraint is
+    unreachable along upsilon.  An alpha outside [0, 1] triggers a warning,
+    never a clamp: the caller sees the model's actual answer.
     """
     arr = _loadings_array(X_P)
-    if arr.shape[0] != spec.n:
-        raise ValueError(f"loadings have {arr.shape[0]} rows for {spec.n} assets")
-    ups = crp_sign(arr, spec) if upsilon is None else int(upsilon)
-    if ups not in (-1, 0, 1):
-        raise ValueError(f"upsilon must be -1, 0 or +1, got {upsilon!r}")
+    sPP, ups = _premium(arr, spec)
 
     v = spec.scaled_weights()
     target = spec.market.variance
     X_D = float(ups) - arr
-
-    sPP = hollow_form(v, arr, arr) + float(v @ v)
     sDD = hollow_form(v, X_D, X_D)
     sPD = hollow_form(v, arr, X_D)
 
     if ups == 0:
-        # Zero premium: the constraint already holds at X_P and the limit
-        # alpha -> 0 of both nonzero-premium branches is zero.
+        # Zero premium: the constraint already holds at X_P up to rounding.
         alpha = 0.0
     elif sDD == 0.0:
         if sPD == 0.0:
@@ -243,14 +249,13 @@ def economic_implied_corr(X_P, spec: MarketSpec) -> EconomicResult:
     is zero up to roundoff whenever alpha solves the quadratic exactly.
     """
     X_O = orthogonalize_loadings(X_P)
-    ups = crp_sign(X_O, spec)
-    sol = solve_alpha_tilde(X_O, spec, ups)
-    X_Q = risk_neutral_loadings(X_O, sol.alpha_tilde, ups)
+    sol = solve_alpha_tilde(X_O, spec)
+    X_Q = risk_neutral_loadings(X_O, sol.alpha_tilde, sol.upsilon)
     C = assemble_correlation(X_Q)
     residual = spec.market.variance - portfolio_variance(C, spec)
     return EconomicResult(
         alpha_tilde=sol.alpha_tilde,
-        upsilon=ups,
+        upsilon=sol.upsilon,
         X_Q=X_Q,
         C=C,
         sigma_P_sq=sol.sigma_P_sq,

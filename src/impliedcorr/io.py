@@ -43,14 +43,6 @@ from .vg import VGParams
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def _parses(text: str) -> bool:
     """Whether numpy's text reader takes text as one row of float64s."""
     if not text.strip():
@@ -75,7 +67,7 @@ def _read_csv(path: str, header: bool) -> tuple[list[str] | None, np.ndarray]:
         names = [t.strip() for t in next(lines, "").split(",")] if header else None
         first = next(lines, None)
         detail = "not a table of numbers"
-        if first is not None and not (names and all(map(_is_float, names))):
+        if first is not None and not (names and all(map(_parses, names))):
             try:
                 rows = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
@@ -97,7 +89,7 @@ def _raise_located(path: str, header: bool, detail: str) -> NoReturn:
             tokens = line.split(",")
             if header and names is None:
                 names = [t.strip() for t in tokens]
-                if all(map(_is_float, names)):
+                if all(map(_parses, names)):
                     raise ValueError(f"{path}:{lineno}: expected a header row of column names")
                 width = len(names)
                 continue
@@ -161,7 +153,7 @@ def write_loadings_csv(path: str, X, names: list[str] | None = None) -> None:
         or "\n" in header
         or "\r" in header
         or not header
-        or all(_is_float(t) for t in names)
+        or all(map(_parses, names))
     ):
         raise ValueError(f"factor names {names!r} would not read back from a CSV header")
     write_matrix_csv(path, arr, names)

@@ -89,14 +89,14 @@ def vg_centered_moments(params: VGParams) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix of the log-return vector.
 
     Requires C_dir.  The covariance is the diffusive part plus the rank-one
-    skew contribution of the common gamma clock.
+    skew contribution of the common gamma clock; every term is formed
+    symmetric (outer products times the bit-symmetric C_dir), so the sum is.
     """
     if params.C_dir is None:
         raise ValueError("centered moments require the direct correlation matrix C_dir")
     mean = params.xi + params.theta
-    D = params.omega[:, None] * params.C_dir.values * params.omega[None, :]
-    cov = D + params.nu * np.outer(params.theta, params.theta)
-    return mean, (cov + cov.T) / 2.0
+    omega, theta = params.omega, params.theta
+    return mean, np.outer(omega, omega) * params.C_dir.values + params.nu * np.outer(theta, theta)
 
 
 def direct_to_centered_corr(params: VGParams) -> tuple[np.ndarray, CorrMatrix]:

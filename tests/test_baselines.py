@@ -134,3 +134,10 @@ def test_adjusted_ex_post_degenerate_blend():
     with pytest.raises(ValueError, match="cannot"):
         adjusted_ex_post(np.ones((2, 2)), spec2(0.05), workaround=False)
 
+
+
+def test_adjusted_ex_post_single_asset_lower_bound():
+    # a negative premium on one asset asks for the floor -1/(n - 1)
+    spec = MarketSpec(np.array([0.2]), (IndexConstraint("market", np.array([1.0]), 0.03),))
+    with pytest.raises(ValueError, match="single asset"):
+        adjusted_ex_post(np.eye(1), spec)

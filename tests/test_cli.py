@@ -384,6 +384,16 @@ def test_adjust_hand_value(tmp_path, capsys):
     np.testing.assert_allclose(read_matrix_csv(out["C"]), [[1.0, 0.5], [0.5, 1.0]], atol=1e-15)
 
 
+def test_adjust_single_asset_is_an_error(tmp_path, capsys):
+    m = str(tmp_path / "C.csv")
+    write_matrix_csv(m, np.eye(1))
+    spec = str(tmp_path / "spec.json")
+    write_market_spec(spec, MarketSpec(np.array([0.2]), (IndexConstraint("market", np.array([1.0]), 0.03),)))
+    code, _, err = run_json(capsys, ["adjust", "--target", m, "--spec", spec, "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "single asset" in err
+
+
 def test_nearest_from_snapshot(tmp_path, capsys):
     synth_dir = str(tmp_path / "synth")
     code, out, _ = run_json(

@@ -1,14 +1,18 @@
 """Factor-pricing route: orthogonalization, the alpha quadratic, back-substitution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from impliedcorr import economic
 from impliedcorr.baselines import equicorrelation
 from impliedcorr.core import (
     EPS_FEAS,
     IndexConstraint,
     MarketSpec,
     assemble_correlation,
+    hollow_form,
     portfolio_variance,
 )
 from impliedcorr.economic import (
@@ -18,6 +22,7 @@ from impliedcorr.economic import (
     risk_neutral_loadings,
     solve_alpha_tilde,
 )
+from impliedcorr.synth import generate_synthetic_market
 
 
 def spec2(var):
@@ -88,6 +93,45 @@ def test_crp_sign():
     assert crp_sign(X, spec2(base)) == 0
 
 
+@pytest.mark.parametrize("n", [20, 500])
+def test_zero_premium_is_decided_up_to_rounding(n):
+    # acceptance 09's markets with the index variance set to the model
+    # variance as the hollow form or the dense v'C(X)v evaluates it: the
+    # two differ by a few 1e-18, and both are a zero premium; a premium of
+    # 1e-10 relative either way keeps its sign
+    for i in range(10):
+        snap, _ = generate_synthetic_market(n, 1, 0.0, seed=900 + i)
+        X, spec = snap.loadings, snap.spec
+        v = spec.scaled_weights()
+        hollow = hollow_form(v, X.values, X.values) + float(v @ v)
+        for var, ups in ((hollow, 0), (spec.market.variance, 0),
+                         (hollow * (1.0 + 1e-10), 1), (hollow * (1.0 - 1e-10), -1)):
+            target = MarketSpec(spec.sigma, (IndexConstraint("market", spec.market.weights, var),))
+            assert crp_sign(X, target) == ups
+            if ups == 0:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = economic_implied_corr(X, target)
+                assert res.upsilon == 0
+                assert res.alpha_tilde == 0.0
+
+
+def test_premium_is_evaluated_without_a_dense_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("n x n matrix formed")
+
+    monkeypatch.setattr(economic, "assemble_correlation", forbidden)
+    monkeypatch.setattr(economic, "portfolio_variance", forbidden)
+    rng = np.random.default_rng(213)
+    X = random_orthogonal_loadings(rng, 300, 3)
+    sigma = rng.uniform(0.1, 0.5, size=300)
+    w = np.full(300, 1.0 / 300)
+    spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.01),))
+    ups = crp_sign(X, spec)
+    assert ups != 0
+    assert solve_alpha_tilde(X, spec).upsilon == ups
+
+
 def test_alpha_tilde_equicorrelation_reduction():
     # from X_P = 0 with one factor, moving toward the all-ones loadings
     # produces the equicorrelation matrix with level alpha^2, so alpha
@@ -95,7 +139,7 @@ def test_alpha_tilde_equicorrelation_reduction():
     for var in (0.025, 0.03, 0.035):
         spec = spec2(var)
         c_bar = equicorrelation(spec).c_bar
-        sol = solve_alpha_tilde(np.zeros((2, 1)), spec, upsilon=1)
+        sol = solve_alpha_tilde(np.zeros((2, 1)), spec)
         assert sol.alpha_tilde == pytest.approx(np.sqrt(c_bar), abs=1e-12)
         assert sol.in_unit_interval
 
@@ -117,7 +161,7 @@ def test_alpha_tilde_linear_fallback():
     X = np.array([[1.0], [0.25]])
     base = 0.15625  # v'v + 2 v1 v2 * 0.25 with v = 0.25
     spec = MarketSpec(sigma, (IndexConstraint("m", w, base * 1.2),))
-    sol = solve_alpha_tilde(X, spec, upsilon=1)
+    sol = solve_alpha_tilde(X, spec)
     assert sol.sigma_Delta_sq == 0.0
     assert sol.sigma_PDelta_sq > 0.0
     assert sol.alpha_tilde == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -134,7 +178,7 @@ def test_alpha_tilde_near_degenerate_quadratic():
     X = np.array([[1.0], [0.3]])
     base = portfolio_variance(assemble_correlation(X), spec2(0.03))
     spec = spec2(base * 1.2)
-    sol = solve_alpha_tilde(X, spec, upsilon=1)
+    sol = solve_alpha_tilde(X, spec)
     assert abs(sol.sigma_Delta_sq) <= 1e-15
     assert sol.sigma_PDelta_sq > 0.0
     linear = (spec.market.variance - sol.sigma_P_sq) / (2.0 * sol.sigma_PDelta_sq)
@@ -157,10 +201,11 @@ def test_alpha_tilde_unreachable_direction():
 
 
 def test_alpha_tilde_flat_move_raises():
-    # X_P already at the comonotonic limit: the move direction vanishes
-    spec = spec2(0.035)
+    # X_P already at the comonotonic limit (index variance 0.04) and a
+    # target above it: upsilon = +1, so the move direction vanishes
+    spec = spec2(0.045)
     with pytest.raises(ValueError, match="does not change"):
-        solve_alpha_tilde(np.ones((2, 1)), spec, upsilon=1)
+        solve_alpha_tilde(np.ones((2, 1)), spec)
 
 
 def test_alpha_tilde_outside_unit_interval_warns():
@@ -179,8 +224,6 @@ def test_alpha_tilde_outside_unit_interval_warns():
 def test_alpha_tilde_input_validation():
     with pytest.raises(ValueError, match="rows"):
         solve_alpha_tilde(np.zeros((3, 1)), spec2(0.03))
-    with pytest.raises(ValueError, match="upsilon"):
-        solve_alpha_tilde(np.zeros((2, 1)), spec2(0.03), upsilon=2)
 
 
 def test_risk_neutral_loadings_affine_move():

@@ -174,6 +174,11 @@ def test_loadings_round_trip(tmp_path):
     write_loadings_csv(p, X)
     names, _ = read_loadings_csv(p)
     assert names == ["factor_1", "factor_2"]
+    # names that float() takes but the number reader does not are names
+    write_loadings_csv(p, X, ["1_0", "2_0"])
+    names, out = read_loadings_csv(p)
+    assert names == ["1_0", "2_0"]
+    np.testing.assert_array_equal(out.values, X.values)
 
 
 def test_loadings_read_errors(tmp_path):

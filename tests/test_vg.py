@@ -48,8 +48,17 @@ def test_centered_moments_zero_skew():
     p = random_params(rng, 4)
     p0 = VGParams(p.xi, p.omega, np.zeros(4), p.nu, p.C_dir)
     _, cov = vg_centered_moments(p0)
-    D = p.omega[:, None] * p.C_dir.values * p.omega[None, :]
-    np.testing.assert_allclose(cov, (D + D.T) / 2.0, rtol=0, atol=0)
+    np.testing.assert_allclose(cov, np.outer(p.omega, p.omega) * p.C_dir.values, rtol=0, atol=0)
+
+
+def test_centered_moments_near_overflow_stay_finite():
+    # omega_i omega_j is near the largest double; a symmetrization by
+    # (cov + cov') / 2 would overflow in the sum
+    omega = np.array([1e154, 1.2e154])
+    C_dir = CorrMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    _, cov = vg_centered_moments(VGParams(np.zeros(2), omega, np.zeros(2), 1.0, C_dir))
+    assert np.isfinite(cov).all()
+    np.testing.assert_array_equal(cov, np.outer(omega, omega) * C_dir.values)
 
 
 def test_centered_moments_vanishing_nu():
