@@ -28,13 +28,13 @@ _NAMES = {
     "core": ("EPS_FEAS", "EPS_PSD", "CorrMatrix", "FactorLoadings", "FeasibilityReport",
              "IndexConstraint", "MarketSpec", "assemble_correlation", "check_feasibility",
              "portfolio_variance"),
-    "economic": ("AlphaSolution", "EconomicResult", "crp_sign", "economic_implied_corr",
-                 "orthogonalize_loadings", "risk_neutral_loadings", "solve_alpha_tilde"),
+    "economic": ("AlphaSolution", "EconomicResult", "economic_implied_corr", "orthogonalize_loadings",
+                 "risk_neutral_loadings", "solve_alpha_tilde"),
     "io": ("MarketSnapshot", "load_snapshot", "read_loadings_csv", "read_market_spec",
            "read_matrix_csv", "read_solver_config", "read_vg_params", "save_snapshot",
            "write_loadings_csv", "write_market_spec", "write_matrix_csv"),
     "solver": ("RestorationError", "SolverConfig", "SolverResult", "initial_loadings", "objective",
-               "objective_gradient", "reference_solve", "solve_nicm"),
+               "objective_gradient", "solve_nicm"),
     "synth": ("estimate_factor_correlations", "estimate_target_matrix", "generate_synthetic_market"),
     "vg": ("VGParams", "direct_to_centered_corr", "vg_centered_moments", "vg_market_constraint"),
 }

@@ -142,14 +142,6 @@ def _premium(arr: np.ndarray, spec: MarketSpec) -> tuple[float, int]:
     return sPP, int(premium > bound) - int(premium < -bound)
 
 
-def crp_sign(X_P, spec: MarketSpec) -> int:
-    """Sign of the correlation risk premium sigma_m^2 - v' C(X_P) v: +1, -1,
-    or 0 when the premium is within the rounding error of the index
-    variance (see _premium).  O(n k); no n x n matrix is formed.
-    """
-    return _premium(_loadings_array(X_P), spec)[1]
-
-
 def solve_alpha_tilde(X_P, spec: MarketSpec) -> AlphaSolution:
     """Scalar alpha moving X_P toward the comonotonic limit far enough to
     match the index variance.

@@ -36,7 +36,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import FactorLoadings, IndexConstraint, MarketSpec, _same_bits
+from .core import FactorLoadings, IndexConstraint, MarketSpec, _loadings_array, _same_bits
 from .solver import SolverConfig
 from .vg import VGParams
 
@@ -114,16 +114,33 @@ def read_matrix_csv(path: str) -> np.ndarray:
 def write_matrix_csv(path: str, M, names: list[str] | None = None) -> None:
     """Write M one row per line in repr format, after a header row if names.
 
+    names must be one per column and must read back from the header as
+    written; other names raise ValueError before the file is opened.
+
     A square M with the bits of its transpose is formatted from its upper
     triangle: row i begins with column i of the rows above, whose strings
     are kept only until that row is written.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if names is not None:
+        if len(names) != M.shape[1]:
+            raise ValueError(f"{len(names)} column names for {M.shape[1]} columns")
+        # The reader splits the header on commas and lines, strips each name,
+        # skips a blank line and rejects a header of numbers.
+        header = ",".join(names)
+        if (
+            [t.strip() for t in header.split(",")] != list(names)
+            or "\n" in header
+            or "\r" in header
+            or not header
+            or all(map(_parses, names))
+        ):
+            raise ValueError(f"column names {names!r} would not read back from a CSV header")
     symmetric = _same_bits(M, M.T)
     pending: list[list[str]] = []  # per row above, its unwritten strings, last column first
     with open(path, "w", encoding="utf-8") as fh:
         if names is not None:
-            fh.write(",".join(names) + "\n")
+            fh.write(header + "\n")
         for i, row in enumerate(M):
             if not symmetric:
                 fh.write(",".join(map(repr, row.tolist())) + "\n")
@@ -140,22 +157,10 @@ def read_loadings_csv(path: str) -> tuple[list[str], FactorLoadings]:
 
 
 def write_loadings_csv(path: str, X, names: list[str] | None = None) -> None:
-    arr = X.values if isinstance(X, FactorLoadings) else np.atleast_2d(np.asarray(X, dtype=float))
+    """Write loadings after a header row of factor names (factor_1, ... by default)."""
+    arr = _loadings_array(X)
     if names is None:
         names = [f"factor_{d + 1}" for d in range(arr.shape[1])]
-    if len(names) != arr.shape[1]:
-        raise ValueError(f"{len(names)} factor names for {arr.shape[1]} columns")
-    # The reader splits the header on commas and lines, strips each name,
-    # skips a blank line and rejects a header of numbers.
-    header = ",".join(names)
-    if (
-        [t.strip() for t in header.split(",")] != list(names)
-        or "\n" in header
-        or "\r" in header
-        or not header
-        or all(map(_parses, names))
-    ):
-        raise ValueError(f"factor names {names!r} would not read back from a CSV header")
     write_matrix_csv(path, arr, names)
 
 

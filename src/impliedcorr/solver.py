@@ -46,12 +46,6 @@ subspace iteration, about ten steps when the top k eigenvalues stand clear
 of the rest; only a start the iteration cannot certify within
 n / (2 (k + 8)) steps, or a target too small for one step, pays for a full
 O(n^3) eigendecomposition.
-
-reference_solve is an independent cross-check for small instances: an
-augmented Lagrangian on the same objective and constraints, minimized with
-scipy's L-BFGS-B from the same starting point.  It shares no restoration
-or line-search code with solve_nicm (only the final clip onto Omega), so
-agreement of the two objective values is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -157,7 +151,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Converged (or best-effort) output of solve_nicm / reference_solve."""
+    """Converged (or best-effort) output of solve_nicm."""
 
     X_star: FactorLoadings
     C_star: CorrMatrix
@@ -649,102 +643,4 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         wall_time=time.perf_counter() - t0,
         converged=converged,
         message=message,
-    )
-
-
-def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> SolverResult:
-    """Independent augmented-Lagrangian solver for small cross-checks.
-
-    Minimizes the same objective under the same constraints with a
-    classical augmented Lagrangian (multiplier + quadratic penalty for the
-    equality, Powell-Hestenes-Rockafellar terms for the row inequalities),
-    using scipy's L-BFGS-B as inner solver on the flattened loadings.  It
-    starts from the same spectral point as solve_nicm so both methods
-    descend into the same basin, but shares none of the restoration or
-    line-search machinery.  The factor count and var_tol come from config
-    (default SolverConfig()).  Intended for n up to about 25.
-    """
-    from scipy.optimize import minimize
-
-    t0 = time.perf_counter()
-    config = SolverConfig() if config is None else config
-    k = config.k
-    A_arr = _as_corr(A).values
-    n = A_arr.shape[0]
-    if n > 30:
-        raise ValueError(f"reference solver is meant for small instances (n <= 30), got n = {n}")
-
-    A_hat = _target_offdiag(A_arr)[0]
-    v = spec.scaled_weights()
-    target = spec.market.variance
-    K = np.outer(v, v)
-    np.fill_diagonal(K, 0.0)
-
-    def split_val_grad(x: np.ndarray, lam: float, kappa: np.ndarray, mu: float):
-        Xm = x.reshape(n, k)
-        M = Xm @ Xm.T
-        np.fill_diagonal(M, 0.0)
-        D = M - A_hat
-        fv = float(np.sum(D * D))
-        gf = 4.0 * (D @ Xm)
-
-        g = target - float(v @ (M @ v)) - float(v @ v)
-        coef = lam + mu * g
-        # d g / d X = -2 K X
-        g_grad = -2.0 * (K @ Xm)
-
-        h = 1.0 - np.einsum("ij,ij->i", Xm, Xm)
-        t_act = np.maximum(0.0, kappa - mu * h)
-        # PHR term: sum_i (t_i^2 - kappa_i^2) / (2 mu); d/dh_i = -t_i,
-        # d h_i / d X_i = -2 X_i.
-        val = fv + lam * g + 0.5 * mu * g * g + float(np.sum(t_act**2 - kappa**2)) / (2.0 * mu)
-        grad = gf + coef * g_grad + 2.0 * t_act[:, None] * Xm
-        return val, grad.ravel(), g, h
-
-    x = initial_loadings(A_arr, k).values.ravel().copy()
-    lam = 0.0
-    kappa = np.zeros(n)
-    mu = 10.0
-    viol_prev = math.inf
-    inner_iters = 0
-
-    for _ in range(30):
-        res = minimize(
-            lambda z: split_val_grad(z, lam, kappa, mu)[:2],
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        x = res.x
-        inner_iters += int(res.nit)
-        _, _, g, h = split_val_grad(x, lam, kappa, mu)
-        viol = max(abs(g), float(np.max(np.maximum(0.0, -h), initial=0.0)))
-        if viol <= min(config.var_tol, 1e-9):
-            break
-        lam += mu * g
-        kappa = np.maximum(0.0, kappa - mu * h)
-        if viol > 0.25 * viol_prev:
-            mu *= 10.0
-        viol_prev = viol
-
-    X = x.reshape(n, k).copy()
-    # Snap the solution into Omega; the PHR terms leave at most tiny
-    # violations, so the objective moves negligibly.
-    residual = target - (hollow_form(v, X, X, _clip_omega(X)) + float(v @ v))
-    fn = objective(X, A_arr)
-    converged = abs(residual) <= config.var_tol
-
-    X_star = FactorLoadings(X)
-    return SolverResult(
-        X_star=X_star,
-        C_star=assemble_correlation(X_star),
-        fn=fn,
-        fn_trace=np.array([fn]),
-        constraint_residual=residual,
-        outer_iterations=inner_iters,
-        restorations=0,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-        message="augmented-lagrangian reference",
     )

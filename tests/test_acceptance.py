@@ -29,11 +29,11 @@ from impliedcorr.solver import (
     SolverConfig,
     objective,
     objective_gradient,
-    reference_solve,
     solve_nicm,
 )
 from impliedcorr.synth import estimate_target_matrix, generate_synthetic_market
 from impliedcorr.vg import VGParams, direct_to_centered_corr, vg_centered_moments, vg_market_constraint
+from reference import reference_solve
 
 
 def _report(num, text):

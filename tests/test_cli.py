@@ -105,6 +105,52 @@ def test_solve_path_leaves_scipy_linalg_unloaded():
     )
 
 
+def test_runtime_needs_no_scipy(tmp_path):
+    # numpy is the one runtime dependency: with every scipy import refused,
+    # the package's names, the README session and a bench of all four
+    # models still run.
+    cp = fresh_process(
+        "-W", "error::RuntimeWarning", "-c",
+        "import importlib.abc, json, os, sys\n"
+        "class NoScipy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'no {name} here')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('scipy imported')\n"
+        "from impliedcorr import *\n"
+        "from impliedcorr.cli import cli_dispatch\n"
+        "os.chdir(sys.argv[1])\n"
+        "session = [\n"
+        "    'synth -n 20 --k-true 3 --crp 0.1 --periods 260 --out-dir market',\n"
+        "    'check --snapshot market/snapshot.json',\n"
+        "    'nearest --snapshot market/snapshot.json -k 3 --out-dir out',\n"
+        "    'economic --snapshot market/snapshot.json --out-dir eco',\n"
+        "    'check --snapshot market/snapshot.json --matrix eco/economic_C.csv',\n"
+        "    'synth -n 20 --k-true 3 --crp -0.1 --periods 260 --out-dir neg',\n"
+        "    'adjust --snapshot neg/snapshot.json --no-workaround --out-dir adj',\n"
+        "    'repair --snapshot neg/snapshot.json --target adj/adjusted_C.csv -k 3 --out-dir rep',\n"
+        "    'check --snapshot neg/snapshot.json --matrix rep/repair_C.csv',\n"
+        "]\n"
+        "for line in session:\n"
+        "    assert cli_dispatch(line.split()) == 0, line\n"
+        "cells = [{'model': 'equicorr'}, {'model': 'adjusted', 'target': 'hist'},\n"
+        "         {'model': 'nicm', 'k': 2}, {'model': 'economic'}]\n"
+        "with open('suite.json', 'w') as fh:\n"
+        "    json.dump({'cells': cells, 'n': 20, 'k_true': 2, 'periods': 260, 'instances': 1,\n"
+        "               'measure_time': False}, fh)\n"
+        "assert cli_dispatch(['bench', '--suite', 'suite.json', '--out-dir', 'bench']) == 0\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n",
+        str(tmp_path),
+    )
+    assert cp.returncode == 0, cp.stderr
+
+
 def test_csv_repair_leaves_numpy_random_unloaded(tmp_path):
     # The spectral start's block is closed-form; a default_rng block loaded
     # numpy.random and raised the repair command's peak RSS by about 2 MB.

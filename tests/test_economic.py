@@ -11,18 +11,23 @@ from impliedcorr.core import (
     EPS_FEAS,
     IndexConstraint,
     MarketSpec,
+    _loadings_array,
     assemble_correlation,
     hollow_form,
     portfolio_variance,
 )
 from impliedcorr.economic import (
-    crp_sign,
     economic_implied_corr,
     orthogonalize_loadings,
     risk_neutral_loadings,
     solve_alpha_tilde,
 )
 from impliedcorr.synth import generate_synthetic_market
+
+
+def crp_sign(X, spec):
+    """The sign upsilon of the correlation risk premium, as economic decides it."""
+    return economic._premium(_loadings_array(X), spec)[1]
 
 
 def spec2(var):

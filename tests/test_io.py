@@ -198,7 +198,7 @@ def test_loadings_read_errors(tmp_path):
     p.write_text("a,b\n")
     with pytest.raises(ValueError, match=rf"{p}: header but no rows"):
         read_loadings_csv(str(p))
-    with pytest.raises(ValueError, match="2 factor names for 1 columns"):
+    with pytest.raises(ValueError, match="2 column names for 1 columns"):
         write_loadings_csv(str(p), np.array([[0.1], [0.2]]), ["a", "b"])
     # names the header could not carry are refused, not written
     for names in (["a,b"], [" a"], ["a\nb"], ["a\rb"], [""], ["1.5"], ["nan"]):
@@ -206,6 +206,36 @@ def test_loadings_read_errors(tmp_path):
             write_loadings_csv(str(p), np.array([[0.1], [0.2]]), names)
     write_loadings_csv(str(p), np.array([[0.1, 0.2]]), ["1.5", "mkt"])
     assert read_loadings_csv(str(p))[0] == ["1.5", "mkt"]
+
+
+def test_matrix_writer_refuses_too_few_names(tmp_path):
+    p = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="1 column names for 3 columns"):
+        write_matrix_csv(str(p), np.ones((2, 3)), ["a"])
+    assert not p.exists()
+
+
+def test_matrix_writer_refuses_a_header_of_numbers(tmp_path):
+    p = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="would not read back from a CSV header"):
+        write_matrix_csv(str(p), np.array([[0.2], [0.3]]), ["1.5"])
+    assert not p.exists()
+
+
+def test_loadings_writer_reads_a_vector_as_one_factor(tmp_path):
+    p = str(tmp_path / "x.csv")
+    x = np.array([0.1, 0.2, 0.3])
+    write_loadings_csv(p, x)
+    names, back = read_loadings_csv(p)
+    assert names == ["factor_1"]
+    np.testing.assert_array_equal(back.values, FactorLoadings(x).values)
+
+
+def test_loadings_writer_refuses_nan(tmp_path):
+    p = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_loadings_csv(str(p), np.array([[0.1], [np.nan]]))
+    assert not p.exists()
 
 
 def test_market_spec_round_trip(tmp_path):
@@ -510,8 +540,12 @@ def _bits(a):
 
 
 def _header_reads_back(path, names, X):
-    """Whether a loadings table under this header reads back unchanged."""
-    write_matrix_csv(path, X, names)
+    """Whether a loadings table under this header reads back unchanged.
+
+    The table is written by hand, because write_matrix_csv refuses such a
+    header before it opens the file."""
+    with open(path, "wb") as fh:
+        fh.write(_reference_csv(X, names))
     try:
         back_names, back = read_loadings_csv(path)
     except ValueError:

@@ -13,7 +13,7 @@ from impliedcorr import solver
 
 
 def test_every_public_name_is_its_submodules_object():
-    assert len(impliedcorr.__all__) == 51
+    assert len(impliedcorr.__all__) == 49
     for name in impliedcorr.__all__:
         home = importlib.import_module(f"impliedcorr.{impliedcorr._HOME[name]}")
         value = getattr(impliedcorr, name)
@@ -46,7 +46,8 @@ def test_submodule_resolves_in_a_fresh_process():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'solve'"):
         impliedcorr.solve
-    assert not hasattr(impliedcorr, "cli_dispatch")
+    for name in ("cli_dispatch", "crp_sign", "reference_solve"):
+        assert not hasattr(impliedcorr, name), name
 
 
 def test_names_follow_a_rebinding_in_their_submodule(monkeypatch):

@@ -40,10 +40,10 @@ from impliedcorr.solver import (
     objective,
     _project_feasible_raw,
     objective_gradient,
-    reference_solve,
     solve_nicm,
 )
 from impliedcorr.synth import estimate_target_matrix, generate_synthetic_market
+from reference import reference_solve
 
 
 def random_spec(rng, n):
