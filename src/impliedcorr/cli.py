@@ -6,8 +6,7 @@ Subcommands:
 * equicorr    implied equicorrelation matrix from a market spec
 * adjust      ex-post matrix blended toward a bound to match the index
 * nearest     nearest factor-structured implied correlation matrix
-* repair      nearest-matrix solve treated as a repair of an infeasible
-              input, with a feasibility report on the result
+* repair      nearest, framed as a repair; its files are named repair_*
 * economic    factor-pricing route from physical loadings
 * vg-convert  variance-gamma direct parameters to centered quantities
 * synth       generate a synthetic market snapshot
@@ -16,15 +15,17 @@ Subcommands:
 check, adjust, nearest, repair and economic take each input (--matrix or
 --target, --loadings, --spec) from its file option when that is given,
 else from the --snapshot's field of the same role; a snapshot field is
-parsed only when it is used.  With --out-dir, every artifact's path is
-recorded in the printed record.
+parsed only when it is used.  The printed record holds every artifact's
+path (written with --out-dir) under "paths" and, from a command that
+writes a matrix, that matrix's full feasibility report under "feasibility".
 
 The module imports only the standard library; the handlers' numeric
 stack (numpy and the package's modules) is imported once the arguments
 parse, so --help and usage errors never load it.
 
-Exit codes: 0 success, 1 validation error, 2 non-convergence (or bench
-failures), 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 non-convergence, bench
+failures or an infeasible matrix from nearest, repair or economic (equicorr
+and adjust report one and exit 0: a raw blend may be indefinite), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -104,13 +105,11 @@ def _emit(args, obj: dict) -> None:
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _solver_config(args, k: int | None = None) -> SolverConfig:
-    base = read_solver_config(args.config).to_dict() if args.config else {}
-    if k is not None:
-        base["k"] = k
-    if args.tol_var is not None:
-        base["var_tol"] = args.tol_var
-    return SolverConfig.from_dict(base)
+def _solver_config(args) -> SolverConfig:
+    """The --config file's config (else the default) with -k and --tol-var applied."""
+    config = read_solver_config(args.config) if args.config else SolverConfig()
+    given = {"k": args.k, "var_tol": args.tol_var}
+    return dataclasses.replace(config, **{f: v for f, v in given.items() if v is not None})
 
 
 # Each input's reader, looked up by name when it is called, and the
@@ -146,15 +145,22 @@ def _inputs(args, *names: str, optional: tuple[str, ...] = ()) -> list:
     return values
 
 
-def _write_artifact(args, out: dict, key: str, name: str, write, *data, top: bool = False) -> None:
+def _write_artifact(args, out: dict, key: str, name: str, write, *data) -> None:
     """With --out-dir, write(path, *data) to the file name there and record
-    the path as out["paths"][key], or as out[key] when top is set."""
+    the path as out["paths"][key]."""
     if args.out_dir is None:
         return
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, name)
     write(path, *data)
-    (out if top else out.setdefault("paths", {}))[key] = path
+    out.setdefault("paths", {})[key] = path
+
+
+def _feasibility(out: dict, C, spec, tol: float) -> bool:
+    """Record the written matrix C's report as out["feasibility"]; returns whether C is feasible."""
+    report = check_feasibility(C, spec, tol=tol)
+    out["feasibility"] = report.to_dict()
+    return report.feasible
 
 
 def _fields(record) -> dict:
@@ -174,9 +180,9 @@ def _cmd_check(args) -> int:
 def _cmd_equicorr(args) -> int:
     spec = read_market_spec(args.spec)
     res = equicorrelation(spec)
-    report = check_feasibility(res.C, spec, tol=args.tol_var).to_dict()
-    out = _fields(res) | {key: report[key] for key in ("psd", "constraint_residuals")}
-    _write_artifact(args, out, "C", "equicorr_C.csv", write_matrix_csv, res.C.values, top=True)
+    out = _fields(res)
+    _write_artifact(args, out, "C", "equicorr_C.csv", write_matrix_csv, res.C.values)
+    _feasibility(out, res.C, spec, args.tol_var)
     _emit(args, out)
     return EXIT_OK
 
@@ -184,32 +190,27 @@ def _cmd_equicorr(args) -> int:
 def _cmd_adjust(args) -> int:
     C_P, spec = _inputs(args, "target", "spec")
     res = adjusted_ex_post(C_P, spec, workaround=not args.no_workaround)
-    report = check_feasibility(res.C_Q, spec, tol=args.tol_var).to_dict()
-    out = _fields(res) | {key: report[key] for key in ("psd", "min_eigenvalue", "constraint_residuals")}
-    _write_artifact(args, out, "C", "adjusted_C.csv", write_matrix_csv, res.C_Q.values, top=True)
+    out = _fields(res)
+    _write_artifact(args, out, "C", "adjusted_C.csv", write_matrix_csv, res.C_Q.values)
+    _feasibility(out, res.C_Q, spec, args.tol_var)
+    # Kept at the top level too: perfbench's cli-chain check reads it there.
+    out["min_eigenvalue"] = out["feasibility"]["min_eigenvalue"]
     _emit(args, out)
     return EXIT_OK
 
 
-def _cmd_nearest(args, stem: str = "nearest") -> int:
+def _cmd_nearest(args) -> int:
+    """nearest and repair: one solve, its files named after the command."""
     A, spec = _inputs(args, "target", "spec")
-    config = _solver_config(args, k=args.k)
+    config = _solver_config(args)
     result = solve_nicm(A, spec, config)
     out = result.to_dict()
-    _write_artifact(args, out, "result", f"{stem}_result.json", _dump_json, result.to_dict())
-    _write_artifact(args, out, "C", f"{stem}_C.csv", write_matrix_csv, result.C_star.values)
-    _write_artifact(args, out, "X", f"{stem}_X.csv", write_loadings_csv, result.X_star)
-    ok = result.converged
-    if stem == "repair":
-        report = check_feasibility(result.C_star, spec, tol=config.var_tol)
-        out["feasibility"] = report.to_dict()
-        ok = ok and report.feasible
+    _write_artifact(args, out, "result", f"{args.command}_result.json", _dump_json, dict(out))
+    _write_artifact(args, out, "C", f"{args.command}_C.csv", write_matrix_csv, result.C_star.values)
+    _write_artifact(args, out, "X", f"{args.command}_X.csv", write_loadings_csv, result.X_star)
+    feasible = _feasibility(out, result.C_star, spec, config.var_tol)
     _emit(args, out)
-    return EXIT_OK if ok else EXIT_NONCONVERGENCE
-
-
-def _cmd_repair(args) -> int:
-    return _cmd_nearest(args, stem="repair")
+    return EXIT_OK if feasible and result.converged else EXIT_NONCONVERGENCE
 
 
 def _cmd_economic(args) -> int:
@@ -218,8 +219,10 @@ def _cmd_economic(args) -> int:
     out = _fields(res)
     _write_artifact(args, out, "C", "economic_C.csv", write_matrix_csv, res.C.values)
     _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q)
+    # economic takes no --tol-var; its report uses check's default.
+    feasible = _feasibility(out, res.C, spec, _VAR_TOL)
     _emit(args, out)
-    return EXIT_OK
+    return EXIT_OK if feasible else EXIT_NONCONVERGENCE
 
 
 def _cmd_vg_convert(args) -> int:
@@ -266,9 +269,7 @@ def _cmd_bench(args) -> int:
         print(rows_to_csv(rows), end="")
     else:
         print(table, end="")
-    if any(r.failures for r in rows):
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    return EXIT_NONCONVERGENCE if any(r.failures for r in rows) else EXIT_OK
 
 
 _SHARED = {
@@ -315,11 +316,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--no-workaround", action="store_true",
                     help="keep the all-ones bound even for a negative premium")
 
-    for name, help_text, func in (
-        ("nearest", "nearest factor-structured implied correlation matrix", _cmd_nearest),
-        ("repair", "repair an infeasible matrix via the nearest-matrix solve", _cmd_repair),
+    for name, help_text in (
+        ("nearest", "nearest factor-structured implied correlation matrix"),
+        ("repair", "repair an infeasible matrix via the nearest-matrix solve"),
     ):
-        sp = _subcommand(sub, name, help_text, func,
+        sp = _subcommand(sub, name, help_text, _cmd_nearest,
                          "--config", "--tol-var", "--out-dir", "--format")
         sp.add_argument("--target", help="target matrix CSV")
         sp.add_argument("--spec", help="market spec JSON")

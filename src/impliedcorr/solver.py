@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -136,9 +136,6 @@ class SolverConfig:
             raise ValueError(f"var_tol must be positive, got {self.var_tol!r}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":

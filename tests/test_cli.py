@@ -13,7 +13,8 @@ import pytest
 
 from impliedcorr import cli
 from impliedcorr.cli import cli_dispatch
-from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec
+from impliedcorr import _VAR_TOL
+from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec, check_feasibility
 from impliedcorr.io import (
     load_snapshot,
     read_market_spec,
@@ -404,7 +405,7 @@ def test_equicorr_hand_value(tmp_path, capsys):
     code, out, _ = run_json(capsys, ["equicorr", "--spec", spec, "--out-dir", out_dir])
     assert code == 0
     assert out["c_bar"] == pytest.approx(0.5, abs=1e-15)
-    assert out["in_psd_range"] is True and out["psd"] is True
+    assert out["in_psd_range"] is True and out["feasibility"]["psd"] is True
     C = read_matrix_csv(os.path.join(out_dir, "equicorr_C.csv"))
     np.testing.assert_allclose(C, [[1.0, 0.5], [0.5, 1.0]], atol=1e-15)
 
@@ -424,10 +425,10 @@ def test_adjust_hand_value(tmp_path, capsys):
     assert code == 0
     assert out["alpha_hat"] == pytest.approx(0.5, abs=1e-15)
     assert out["crp_sign"] == 1
-    assert out["psd"] is True
-    assert abs(out["constraint_residuals"][0]) <= 1e-15
-    assert out["C"] == os.path.join(out_dir, "adjusted_C.csv")
-    np.testing.assert_allclose(read_matrix_csv(out["C"]), [[1.0, 0.5], [0.5, 1.0]], atol=1e-15)
+    assert out["feasibility"]["psd"] is True
+    assert abs(out["feasibility"]["constraint_residuals"][0]) <= 1e-15
+    assert out["paths"]["C"] == os.path.join(out_dir, "adjusted_C.csv")
+    np.testing.assert_allclose(read_matrix_csv(out["paths"]["C"]), [[1.0, 0.5], [0.5, 1.0]], atol=1e-15)
 
 
 def test_adjust_single_asset_is_an_error(tmp_path, capsys):
@@ -467,14 +468,15 @@ def test_nearest_csv_rows_quote_json_cells(tmp_path, capsys):
         capsys, ["synth", "-n", "6", "--k-true", "2", "--seed", "0", "--out-dir", str(tmp_path / "s")]
     )
     assert code == 0
-    argv = ["nearest", "--snapshot", out["snapshot"], "-k", "2"]
+    argv = ["nearest", "--snapshot", out["snapshot"], "-k", "2", "--out-dir", str(tmp_path / "near")]
     code, want, _ = run_json(capsys, argv)
     assert code == 0
     code, text, _ = run_json(capsys, argv + ["--format", "csv"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(text)))
     assert all(len(row) == 2 for row in rows)
-    assert json.loads(dict(rows)["fn_trace"]) == want["fn_trace"]
+    for key in ("fn_trace", "feasibility", "paths"):
+        assert json.loads(dict(rows)[key]) == want[key]
 
 
 def test_config_naming_removed_field_exits_1(tmp_path, capsys):
@@ -550,15 +552,17 @@ def test_repair_fixes_indefinite_matrix(tmp_path, capsys):
     ({"C_star": CorrMatrix(INDEFINITE)}, True, False),
 ], ids=["not-converged", "infeasible"])
 def test_repair_exits_2_unless_converged_and_feasible(tmp_path, capsys, monkeypatch, stub, converged, feasible):
+    # nearest is the same command under another file stem, so the rule holds for both.
     real = cli.solve_nicm
 
     def stubbed(A, spec, config=None):
         return dataclasses.replace(real(A, spec, config), **stub)
 
     monkeypatch.setattr(cli, "solve_nicm", stubbed)
-    code, out, _ = run_json(capsys, repair_argv(tmp_path))
-    assert code == 2
-    assert (out["converged"], out["feasibility"]["feasible"]) == (converged, feasible)
+    for command in ("nearest", "repair"):
+        code, out, _ = run_json(capsys, [command, *repair_argv(tmp_path)[1:]])
+        assert code == 2
+        assert (out["converged"], out["feasibility"]["feasible"]) == (converged, feasible)
 
 
 def test_tol_var_overrides_config_var_tol(tmp_path, capsys, monkeypatch):
@@ -593,6 +597,79 @@ def test_economic_cli(tmp_path, capsys):
     assert abs(out["constraint_residual"]) <= 1e-10
     assert os.path.exists(out["paths"]["C"])
     assert os.path.exists(out["paths"]["X_Q"])
+
+
+def test_economic_infeasible_result_exits_2(tmp_path, capsys):
+    # The factor-pricing route does not keep this market's risk-neutral
+    # loadings in the unit ball, and the assembled matrix is indefinite
+    # (smallest eigenvalue about -0.032); the command must say so.
+    argv = ["synth", "-n", "50", "--k-true", "6", "--crp", "0.1", "--seed", "1", "--out-dir", str(tmp_path / "m")]
+    code, out, _ = run_json(capsys, argv)
+    assert code == 0
+    with pytest.warns(UserWarning, match="outside the unit ball"):
+        code, out, _ = run_json(capsys, ["economic", "--snapshot", out["snapshot"], "--out-dir", str(tmp_path / "e")])
+    assert code == 2
+    assert out["feasibility"]["feasible"] is False
+    assert out["feasibility"]["psd"] is False
+    assert os.path.exists(out["paths"]["C"])
+
+
+@pytest.fixture
+def wide_market(tmp_path, capsys):
+    """A synthetic n = 40, k_true = 2 snapshot and its spec as a file.  Every
+    matrix-writing command gives a feasible matrix on it, and at this size
+    the smallest eigenvalue of a factor-structured matrix comes from its
+    loadings, not from a dense eigvalsh."""
+    argv = ["synth", "-n", "40", "--k-true", "2", "--seed", "0", "--out-dir", str(tmp_path / "wide")]
+    code, out, _ = run_json(capsys, argv)
+    assert code == 0
+    spec = str(tmp_path / "wide_spec.json")
+    write_market_spec(spec, load_snapshot(out["snapshot"]).spec)
+    return {"snapshot": out["snapshot"], "spec": spec, "n": 40}
+
+
+MATRIX_COMMANDS = {
+    "equicorr": ["--spec", "spec"],
+    "adjust": ["--snapshot", "snapshot"],
+    "nearest": ["--snapshot", "snapshot", "-k", "2"],
+    "repair": ["--snapshot", "snapshot", "-k", "2"],
+    "economic": ["--snapshot", "snapshot"],
+}
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS)
+def test_matrix_commands_report_the_written_matrix(wide_market, tmp_path, capsys, command):
+    # Every command that writes a matrix reports on that matrix, as check
+    # would on the CSV read back; nearest, repair and economic take the
+    # smallest eigenvalue from their loadings, hence the tolerance.
+    argv = [command, *[wide_market.get(a, a) for a in MATRIX_COMMANDS[command]], "--out-dir", str(tmp_path / "o")]
+    code, out, _ = run_json(capsys, argv)
+    assert code == 0
+    want = check_feasibility(read_matrix_csv(out["paths"]["C"]), read_market_spec(wide_market["spec"]), _VAR_TOL)
+    got = out["feasibility"]
+    assert got["feasible"] is True
+    for key in ("feasible", "psd", "bounded", "constraint_residuals"):
+        assert got[key] == want.to_dict()[key], key
+    assert got["min_eigenvalue"] == pytest.approx(want.min_eigenvalue, rel=1e-9)
+
+
+def test_solver_and_economic_reports_use_loadings(wide_market, tmp_path, capsys, monkeypatch):
+    # The report of a matrix with loadings must not run a dense eigvalsh on
+    # the n x n matrix, so it stays cheap at n = 500.
+    n = wide_market["n"]
+    dense = np.linalg.eigvalsh
+
+    def small_only(a, *args, **kw):
+        if np.shape(a)[-1] == n:
+            raise AssertionError("dense eigvalsh on the n x n matrix")
+        return dense(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_only)
+    for command in ("nearest", "economic"):
+        argv = [command, *[wide_market.get(a, a) for a in MATRIX_COMMANDS[command]]]
+        code, out, err = run_json(capsys, argv)
+        assert code == 0, err
+        assert out["feasibility"]["feasible"] is True
 
 
 def test_vg_convert(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """CSV and JSON persistence: exact round trips and located error messages."""
 
+import dataclasses
 import json
 import os
 import re
@@ -316,7 +317,7 @@ def test_vg_params_read_errors(tmp_path):
 
 def test_solver_config_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SolverConfig(k=4, var_tol=1e-8).to_dict()) + "\n")
+    path.write_text(json.dumps(dataclasses.asdict(SolverConfig(k=4, var_tol=1e-8))) + "\n")
     cfg = read_solver_config(str(path))
     assert cfg == SolverConfig(k=4, var_tol=1e-8)
     path.write_text(json.dumps({"k": 2, "mystery": 1}) + "\n")

@@ -6,6 +6,7 @@ both sets, roots refined on the clipped curve); the full solve against an
 independent augmented Lagrangian on small instances.
 """
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -767,7 +768,7 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(var_tol=0.0)
-    d = SolverConfig(k=3, var_tol=1e-5).to_dict()
+    d = dataclasses.asdict(SolverConfig(k=3, var_tol=1e-5))
     assert SolverConfig.from_dict(d) == SolverConfig(k=3, var_tol=1e-5)
     with pytest.raises(ValueError, match="unknown"):
         SolverConfig.from_dict({"k": 1, "typo": 2})
