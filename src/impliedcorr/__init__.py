@@ -28,8 +28,7 @@ _NAMES = {
     "core": ("EPS_FEAS", "EPS_PSD", "CorrMatrix", "FactorLoadings", "FeasibilityReport",
              "IndexConstraint", "MarketSpec", "assemble_correlation", "check_feasibility",
              "portfolio_variance"),
-    "economic": ("AlphaSolution", "EconomicResult", "economic_implied_corr", "orthogonalize_loadings",
-                 "risk_neutral_loadings", "solve_alpha_tilde"),
+    "economic": ("EconomicResult", "economic_implied_corr"),
     "io": ("MarketSnapshot", "load_snapshot", "read_loadings_csv", "read_market_spec",
            "read_matrix_csv", "read_solver_config", "read_vg_params", "save_snapshot",
            "write_loadings_csv", "write_market_spec", "write_matrix_csv"),

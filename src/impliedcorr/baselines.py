@@ -86,7 +86,7 @@ def equicorrelation(spec: MarketSpec) -> EquicorrResult:
     n = spec.n
     C = np.full((n, n), c_bar)
     np.fill_diagonal(C, 1.0)
-    lower = -1.0 / (n - 1) if n > 1 else -1.0
+    lower = -1.0 / (n - 1)
     return EquicorrResult(
         c_bar=c_bar,
         C=CorrMatrix(C),

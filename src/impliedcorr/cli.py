@@ -98,7 +98,7 @@ def _emit(args, obj: dict) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for key in sorted(obj):
             val = obj[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 val = json.dumps(val, sort_keys=True)
             writer.writerow([key, str(val)])
     else:
@@ -255,7 +255,8 @@ def _cmd_synth(args) -> int:
         args.n, args.k_true, args.crp, args.seed, periods=args.periods
     )
     path = save_snapshot(snapshot, args.out_dir, stem=args.stem)
-    _emit(args, {"snapshot": path, "seed": args.seed, "date": snapshot.date})
+    _emit(args, {"snapshot": path, "seed": args.seed, "date": snapshot.date,
+                 "comonotonic_clipped": snapshot.meta["comonotonic_clipped"]})
     return EXIT_OK
 
 

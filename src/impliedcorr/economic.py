@@ -27,19 +27,20 @@ whose economically meaningful root is
     alpha = ( -sPD + upsilon sqrt(sPD^2 - sDD (sPP - sigma_m^2)) ) / sDD.
 
 A premium within the rounding error of sPP (see _premium) is zero and
-gives upsilon = 0 and alpha = 0.  The pipeline
+gives upsilon = 0 and alpha = 0.  The route, economic_implied_corr,
 orthogonalizes the factor columns first (classical Gram-Schmidt without
 normalization, so already-orthogonal inputs pass through unchanged),
 because the comonotonic endpoint X_Q = upsilon 1 only represents perfect
-dependence when the factors are uncorrelated.
+dependence when the factors are uncorrelated.  It then sizes alpha, moves
+to X_Q and assembles C(X_Q).  Its result records what the route could not
+keep: the rows the orthogonalization pushed outside Omega (projected back
+onto it), whether alpha lies in [0, 1], and the rows of X_Q outside Omega.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,24 +53,19 @@ from .core import (
     _loadings_array,
     assemble_correlation,
     hollow_form,
-    portfolio_variance,
 )
-
-
-class AlphaSolution(NamedTuple):
-    """Root of the risk-neutralization quadratic plus its coefficients."""
-
-    alpha_tilde: float
-    upsilon: int
-    sigma_P_sq: float
-    sigma_Delta_sq: float
-    sigma_PDelta_sq: float
-    in_unit_interval: bool
 
 
 @dataclass(frozen=True)
 class EconomicResult:
-    """Risk-neutral loadings, matrix and diagnostics of the economic route."""
+    """Risk-neutral loadings, matrix and diagnostics of the economic route.
+
+    sigma_P_sq, sigma_Delta_sq and sigma_PDelta_sq are the quadratic's
+    coefficients sPP, sDD and sPD.  clipped_rows are the rows that the
+    orthogonalization pushed outside Omega and projected back onto it;
+    rows_outside_omega are the rows of X_Q with squared norm above
+    1 + EPS_FEAS, which C(X_Q) may not survive as a PSD matrix.
+    """
 
     alpha_tilde: float
     upsilon: int
@@ -78,23 +74,24 @@ class EconomicResult:
     sigma_P_sq: float
     sigma_Delta_sq: float
     sigma_PDelta_sq: float
-    constraint_residual: float
     alpha_in_unit_interval: bool
+    clipped_rows: tuple[int, ...]
+    rows_outside_omega: tuple[int, ...]
 
 
-def orthogonalize_loadings(X_P) -> FactorLoadings:
-    """Classical Gram-Schmidt on the factor columns, without normalization.
+def _orthogonalize(X_P) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Classical Gram-Schmidt on the factor columns, without normalization,
+    and the rows it pushed outside Omega.
 
     Column order is fixed by the input (orthogonalize against all earlier
     columns), matching the convention of ordering pricing factors by
     importance: market first, then size, value and further factors.
     Because columns are not rescaled, an already-orthogonal input is
-    returned unchanged up to roundoff.
+    returned unchanged up to roundoff.  Rows pushed outside Omega are
+    projected onto it (rescaled to unit norm by core's _clip_omega).
 
     Raises ValueError naming the offending column when a column is (close
-    to) linearly dependent on its predecessors.  Rows pushed outside Omega
-    by the orthogonalization are projected onto it (rescaled to unit norm
-    by core's _clip_omega) with a warning that lists them.
+    to) linearly dependent on its predecessors.
     """
     U = _loadings_array(X_P).copy()
     n, k = U.shape
@@ -109,14 +106,8 @@ def orthogonalize_loadings(X_P) -> FactorLoadings:
                 "orthogonalization is rank-deficient"
             )
     over = np.flatnonzero(np.einsum("ij,ij->i", U, U) > 1.0)
-    if over.size:
-        warnings.warn(
-            f"orthogonalization pushed rows {over.tolist()} outside the unit "
-            "ball; rescaling them to unit norm",
-            stacklevel=2,
-        )
-        _clip_omega(U)
-    return FactorLoadings(U)
+    _clip_omega(U)
+    return U, tuple(over.tolist())
 
 
 def _premium(arr: np.ndarray, spec: MarketSpec) -> tuple[float, int]:
@@ -142,24 +133,17 @@ def _premium(arr: np.ndarray, spec: MarketSpec) -> tuple[float, int]:
     return sPP, int(premium > bound) - int(premium < -bound)
 
 
-def solve_alpha_tilde(X_P, spec: MarketSpec) -> AlphaSolution:
-    """Scalar alpha moving X_P toward the comonotonic limit far enough to
-    match the index variance.
-
-    Parameters
-    ----------
-    X_P : FactorLoadings or array_like
-        Physical-measure loadings with orthogonal factor columns.
-    spec : MarketSpec
-        Volatilities and the index constraint, which supplies sigma_m^2.
+def _alpha_tilde(arr: np.ndarray, spec: MarketSpec) -> tuple[float, int, float, float, float]:
+    """The scalar alpha that moves the loadings arr (orthogonal factor
+    columns) toward the comonotonic limit far enough to match the index
+    variance sigma_m^2, with upsilon, sPP, sDD and sPD.
 
     The move's direction upsilon is the sign of the correlation risk
-    premium at X_P (see _premium); a zero premium gives alpha = 0.  Raises
+    premium at arr (see _premium); a zero premium gives alpha = 0.  Raises
     ValueError carrying the discriminant value when the constraint is
-    unreachable along upsilon.  An alpha outside [0, 1] triggers a warning,
-    never a clamp: the caller sees the model's actual answer.
+    unreachable along upsilon.  An alpha outside [0, 1] is returned as it
+    is, never clamped: the caller sees the model's actual answer.
     """
-    arr = _loadings_array(X_P)
     sPP, ups = _premium(arr, spec)
 
     v = spec.scaled_weights()
@@ -193,66 +177,30 @@ def solve_alpha_tilde(X_P, spec: MarketSpec) -> AlphaSolution:
             alpha = (target - sPP) / (sPD + root)
         else:
             alpha = (-sPD + root) / sDD
-
-    in_unit = 0.0 <= alpha <= 1.0
-    if not in_unit:
-        warnings.warn(
-            f"alpha_tilde = {alpha!r} lies outside [0, 1]; the risk-neutral "
-            "loadings extrapolate beyond the comonotonic limit",
-            stacklevel=2,
-        )
-    return AlphaSolution(
-        alpha_tilde=float(alpha),
-        upsilon=ups,
-        sigma_P_sq=sPP,
-        sigma_Delta_sq=sDD,
-        sigma_PDelta_sq=sPD,
-        in_unit_interval=in_unit,
-    )
-
-
-def risk_neutral_loadings(X_P, alpha_tilde: float, upsilon: int) -> FactorLoadings:
-    """X_Q = X_P + alpha (upsilon 1 - X_P).
-
-    Rows outside Omega after the move (squared norm above 1 + EPS_FEAS) are
-    reported with a warning and returned as-is; for alpha in [0, 1] and X_P
-    in Omega with orthogonal columns this cannot happen with upsilon = 0 or
-    k = 1, and violations for k > 1 flag that the comonotonic limit is
-    incompatible with the row's budget.
-    """
-    arr = _loadings_array(X_P)
-    X_Q = arr + alpha_tilde * (float(upsilon) - arr)
-    r2 = np.einsum("ij,ij->i", X_Q, X_Q)
-    over = np.flatnonzero(r2 > 1.0 + EPS_FEAS)
-    if over.size:
-        warnings.warn(
-            f"risk-neutral loadings leave rows {over.tolist()} outside the unit "
-            f"ball (max squared norm {float(np.max(r2)):.6g})",
-            stacklevel=2,
-        )
-    return FactorLoadings(X_Q)
+    return float(alpha), ups, sPP, sDD, sPD
 
 
 def economic_implied_corr(X_P, spec: MarketSpec) -> EconomicResult:
-    """Full economic route: orthogonalize, size the move, assemble C(X_Q).
+    """Full economic route: orthogonalize X_P to X_O, size the move, go to
+    X_Q = X_O + alpha (upsilon 1 - X_O) and assemble C(X_Q).
 
-    Returns the risk-neutral loadings and matrix together with the
-    quadratic's coefficients and the realized constraint residual, which
-    is zero up to roundoff whenever alpha solves the quadratic exactly.
+    For alpha in [0, 1] and X_O in Omega, rows of X_Q leave Omega only
+    for k > 1 and upsilon != 0, where the comonotonic limit is
+    incompatible with the row's budget; the result lists them.
     """
-    X_O = orthogonalize_loadings(X_P)
-    sol = solve_alpha_tilde(X_O, spec)
-    X_Q = risk_neutral_loadings(X_O, sol.alpha_tilde, sol.upsilon)
-    C = assemble_correlation(X_Q)
-    residual = spec.market.variance - portfolio_variance(C, spec)
+    X_O, clipped = _orthogonalize(X_P)
+    alpha, ups, sPP, sDD, sPD = _alpha_tilde(X_O, spec)
+    X_Q = FactorLoadings(X_O + alpha * (float(ups) - X_O))
+    r2 = np.einsum("ij,ij->i", X_Q.values, X_Q.values)
     return EconomicResult(
-        alpha_tilde=sol.alpha_tilde,
-        upsilon=sol.upsilon,
+        alpha_tilde=alpha,
+        upsilon=ups,
         X_Q=X_Q,
-        C=C,
-        sigma_P_sq=sol.sigma_P_sq,
-        sigma_Delta_sq=sol.sigma_Delta_sq,
-        sigma_PDelta_sq=sol.sigma_PDelta_sq,
-        constraint_residual=float(residual),
-        alpha_in_unit_interval=sol.in_unit_interval,
+        C=assemble_correlation(X_Q),
+        sigma_P_sq=sPP,
+        sigma_Delta_sq=sDD,
+        sigma_PDelta_sq=sPD,
+        alpha_in_unit_interval=0.0 <= alpha <= 1.0,
+        clipped_rows=clipped,
+        rows_outside_omega=tuple(np.flatnonzero(r2 > 1.0 + EPS_FEAS).tolist()),
     )

@@ -11,7 +11,8 @@ band, power-law index weights, and an index implied variance
 where crp expresses the correlation risk premium as a relative markup on
 the variance under the true matrix.  The target is capped at the
 comonotonic bound (sum_i w_i sigma_i)^2, beyond which no correlation
-matrix can reproduce it.
+matrix can reproduce it; the snapshot's meta records a capped target as
+comonotonic_clipped.
 
 With periods > 0 the generator also simulates return panels from the
 factor model r_t = diag(sigma) (X eta_t + sqrt(h) o eps_t) with iid
@@ -36,8 +37,6 @@ SeedSequences, so any run is reproducible bit for bit.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -114,15 +113,9 @@ def generate_synthetic_market(
     base = float(v @ C_true.values @ v)
     target_var = (1.0 + crp) * base
     cap = float(np.sum(v)) ** 2
-    clipped = False
-    if target_var > cap:
-        warnings.warn(
-            f"index variance {target_var:.6g} exceeds the comonotonic bound "
-            f"{cap:.6g}; clipping to the bound",
-            stacklevel=2,
-        )
+    clipped = target_var > cap
+    if clipped:
         target_var = cap
-        clipped = True
 
     spec = MarketSpec(sigma, (IndexConstraint("market", w, target_var),))
 

@@ -23,7 +23,7 @@ from impliedcorr.core import (
     constraint_normal,
     portfolio_variance,
 )
-from impliedcorr.economic import economic_implied_corr, orthogonalize_loadings
+from impliedcorr.economic import _orthogonalize, economic_implied_corr
 from impliedcorr.io import save_snapshot
 from impliedcorr.solver import (
     SolverConfig,
@@ -270,7 +270,7 @@ def test_10_economic_calibration_back_substitutes():
         X_P = rng.uniform(-0.6, 0.6, size=(n, k))
         X_P /= np.maximum(1.0, np.linalg.norm(X_P, axis=1, keepdims=True) * 1.05)
         try:
-            X_O = orthogonalize_loadings(X_P).values
+            X_O = _orthogonalize(X_P)[0]
         except ValueError:
             continue
         sigma = rng.uniform(0.15, 0.45, size=n)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -594,24 +595,64 @@ def test_economic_cli(tmp_path, capsys):
     assert code == 0
     assert out["upsilon"] == 1
     assert out["alpha_tilde"] == pytest.approx(0.6098344475655937, rel=1e-12)
-    assert abs(out["constraint_residual"]) <= 1e-10
+    assert abs(out["feasibility"]["constraint_residuals"][0]) <= 1e-10
+    assert (out["clipped_rows"], out["rows_outside_omega"]) == ([], [])
     assert os.path.exists(out["paths"]["C"])
     assert os.path.exists(out["paths"]["X_Q"])
 
 
-def test_economic_infeasible_result_exits_2(tmp_path, capsys):
-    # The factor-pricing route does not keep this market's risk-neutral
-    # loadings in the unit ball, and the assembled matrix is indefinite
-    # (smallest eigenvalue about -0.032); the command must say so.
+@pytest.fixture
+def infeasible_economic_market(tmp_path, capsys):
+    """The snapshot of `synth -n 50 --k-true 6 --crp 0.1 --seed 1`."""
     argv = ["synth", "-n", "50", "--k-true", "6", "--crp", "0.1", "--seed", "1", "--out-dir", str(tmp_path / "m")]
     code, out, _ = run_json(capsys, argv)
     assert code == 0
-    with pytest.warns(UserWarning, match="outside the unit ball"):
-        code, out, _ = run_json(capsys, ["economic", "--snapshot", out["snapshot"], "--out-dir", str(tmp_path / "e")])
-    assert code == 2
+    return out["snapshot"]
+
+
+def test_economic_infeasible_result_exits_2(infeasible_economic_market, tmp_path, capsys):
+    # The factor-pricing route does not keep this market's risk-neutral
+    # loadings in the unit ball, and the assembled matrix is indefinite
+    # (smallest eigenvalue about -0.032); the command must say so, and
+    # its record names the rows, with no warning on stderr.
+    argv = ["economic", "--snapshot", infeasible_economic_market, "--out-dir", str(tmp_path / "e")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_json(capsys, argv)
+    assert (code, err) == (2, "")
     assert out["feasibility"]["feasible"] is False
     assert out["feasibility"]["psd"] is False
+    assert out["clipped_rows"] == [10, 17, 27]
+    assert out["rows_outside_omega"] == [1, 27, 33]
     assert os.path.exists(out["paths"]["C"])
+
+
+def test_economic_csv_cells_match_json(infeasible_economic_market, capsys):
+    # --format csv writes every nested value, tuples of rows included, as
+    # the JSON cell of the same value
+    argv = ["economic", "--snapshot", infeasible_economic_market]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 2
+    assert cli_dispatch(argv + ["--format", "csv"]) == 2
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [key for key, _ in rows] == sorted(record)
+    for key, cell in rows:
+        value = record[key]
+        assert cell == (json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else str(value)), key
+    assert dict(rows)["clipped_rows"] == "[10, 17, 27]"
+
+
+def test_synth_reports_comonotonic_clip(tmp_path, capsys):
+    # An index variance above the comonotonic bound is capped, and the
+    # record says so from the snapshot's meta instead of a warning.
+    for crp, clipped in (("50", True), ("0.1", False)):
+        argv = ["synth", "-n", "5", "--k-true", "1", "--crp", crp, "--seed", "3", "--out-dir", str(tmp_path / crp)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_json(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out["comonotonic_clipped"] is clipped
+        assert load_snapshot(out["snapshot"]).meta["comonotonic_clipped"] is clipped
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Factor-pricing route: orthogonalization, the alpha quadratic, back-substitution."""
+"""Factor-pricing route: orthogonalization, the alpha quadratic, back-substitution,
+and the rows the route records as pushed off Omega."""
 
 import warnings
 
@@ -16,18 +17,24 @@ from impliedcorr.core import (
     hollow_form,
     portfolio_variance,
 )
-from impliedcorr.economic import (
-    economic_implied_corr,
-    orthogonalize_loadings,
-    risk_neutral_loadings,
-    solve_alpha_tilde,
-)
+from impliedcorr.economic import economic_implied_corr
 from impliedcorr.synth import generate_synthetic_market
 
 
 def crp_sign(X, spec):
     """The sign upsilon of the correlation risk premium, as economic decides it."""
     return economic._premium(_loadings_array(X), spec)[1]
+
+
+def orthogonalize(X):
+    """The orthogonalized loadings, as the route computes them."""
+    return economic._orthogonalize(X)[0]
+
+
+def alpha_tilde(X, spec):
+    """alpha, upsilon, sPP, sDD and sPD at the loadings X, which the route
+    would reject when a column is zero."""
+    return economic._alpha_tilde(_loadings_array(X), spec)
 
 
 def spec2(var):
@@ -50,7 +57,7 @@ def random_orthogonal_loadings(rng, n, k):
 def test_orthogonalize_keeps_orthogonal_input():
     rng = np.random.default_rng(201)
     X = random_orthogonal_loadings(rng, 6, 2)
-    out = orthogonalize_loadings(X).values
+    out = orthogonalize(X)
     np.testing.assert_allclose(out, X, atol=1e-12)
 
 
@@ -58,7 +65,7 @@ def test_orthogonalize_produces_orthogonal_columns():
     rng = np.random.default_rng(203)
     for _ in range(10):
         X = rng.uniform(-0.4, 0.4, size=(8, 3))
-        out = orthogonalize_loadings(X).values
+        out = orthogonalize(X)
         G = out.T @ out
         off = G[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off)) <= 1e-10
@@ -69,7 +76,7 @@ def test_orthogonalize_produces_orthogonal_columns():
 def test_orthogonalize_rank_deficiency():
     X = np.column_stack([np.full(4, 0.3), np.full(4, 0.6)])
     with pytest.raises(ValueError, match="column 1"):
-        orthogonalize_loadings(X)
+        economic_implied_corr(X, spec2(0.03))
 
 
 def test_orthogonalize_rescales_rows_pushed_outside():
@@ -83,11 +90,23 @@ def test_orthogonalize_rescales_rows_pushed_outside():
         ]
     )
     assert np.all(np.einsum("ij,ij->i", X, X) <= 1.0)
-    with pytest.warns(UserWarning, match="outside the unit"):
-        out = orthogonalize_loadings(X)
-    assert np.max(np.einsum("ij,ij->i", out.values, out.values)) <= 1.0 + EPS_FEAS
+    out = orthogonalize(X)
+    assert np.max(np.einsum("ij,ij->i", out, out)) <= 1.0 + EPS_FEAS
     # the offending row lands exactly on the boundary
-    assert float(out.values[0] @ out.values[0]) == pytest.approx(1.0, abs=1e-12)
+    assert float(out[0] @ out[0]) == pytest.approx(1.0, abs=1e-12)
+    # at a zero premium the route keeps the projected rows, and its
+    # result names the one it projected
+    sigma = np.array([0.2, 0.3, 0.25])
+    w = np.array([0.5, 0.3, 0.2])
+    v = sigma * w
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, float(v @ assemble_correlation(out).values @ v)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = economic_implied_corr(X, spec)
+    assert (res.upsilon, res.alpha_tilde) == (0, 0.0)
+    assert res.clipped_rows == (0,)
+    assert res.rows_outside_omega == ()
+    np.testing.assert_array_equal(res.X_Q.values, out)
 
 
 def test_crp_sign():
@@ -126,7 +145,6 @@ def test_premium_is_evaluated_without_a_dense_matrix(monkeypatch):
         raise AssertionError("n x n matrix formed")
 
     monkeypatch.setattr(economic, "assemble_correlation", forbidden)
-    monkeypatch.setattr(economic, "portfolio_variance", forbidden)
     rng = np.random.default_rng(213)
     X = random_orthogonal_loadings(rng, 300, 3)
     sigma = rng.uniform(0.1, 0.5, size=300)
@@ -134,7 +152,7 @@ def test_premium_is_evaluated_without_a_dense_matrix(monkeypatch):
     spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.01),))
     ups = crp_sign(X, spec)
     assert ups != 0
-    assert solve_alpha_tilde(X, spec).upsilon == ups
+    assert alpha_tilde(X, spec)[1] == ups
 
 
 def test_alpha_tilde_equicorrelation_reduction():
@@ -144,17 +162,17 @@ def test_alpha_tilde_equicorrelation_reduction():
     for var in (0.025, 0.03, 0.035):
         spec = spec2(var)
         c_bar = equicorrelation(spec).c_bar
-        sol = solve_alpha_tilde(np.zeros((2, 1)), spec)
-        assert sol.alpha_tilde == pytest.approx(np.sqrt(c_bar), abs=1e-12)
-        assert sol.in_unit_interval
+        alpha = alpha_tilde(np.zeros((2, 1)), spec)[0]
+        assert alpha == pytest.approx(np.sqrt(c_bar), abs=1e-12)
+        assert 0.0 <= alpha <= 1.0
 
 
 def test_alpha_tilde_zero_premium_is_zero():
     X = np.full((2, 1), 0.4)
     base = portfolio_variance(assemble_correlation(X), spec2(0.03))
-    sol = solve_alpha_tilde(X, spec2(base))
-    assert sol.upsilon == 0
-    assert sol.alpha_tilde == 0.0
+    res = economic_implied_corr(X, spec2(base))
+    assert res.upsilon == 0
+    assert res.alpha_tilde == 0.0
 
 
 def test_alpha_tilde_linear_fallback():
@@ -166,14 +184,11 @@ def test_alpha_tilde_linear_fallback():
     X = np.array([[1.0], [0.25]])
     base = 0.15625  # v'v + 2 v1 v2 * 0.25 with v = 0.25
     spec = MarketSpec(sigma, (IndexConstraint("m", w, base * 1.2),))
-    sol = solve_alpha_tilde(X, spec)
-    assert sol.sigma_Delta_sq == 0.0
-    assert sol.sigma_PDelta_sq > 0.0
-    assert sol.alpha_tilde == pytest.approx(1.0 / 3.0, abs=1e-15)
-    X_Q = risk_neutral_loadings(X, sol.alpha_tilde, 1)
-    assert portfolio_variance(assemble_correlation(X_Q), spec) == pytest.approx(
-        spec.market.variance, abs=1e-14
-    )
+    res = economic_implied_corr(X, spec)
+    assert res.sigma_Delta_sq == 0.0
+    assert res.sigma_PDelta_sq > 0.0
+    assert res.alpha_tilde == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert portfolio_variance(res.C, spec) == pytest.approx(spec.market.variance, abs=1e-14)
 
 
 def test_alpha_tilde_near_degenerate_quadratic():
@@ -183,15 +198,12 @@ def test_alpha_tilde_near_degenerate_quadratic():
     X = np.array([[1.0], [0.3]])
     base = portfolio_variance(assemble_correlation(X), spec2(0.03))
     spec = spec2(base * 1.2)
-    sol = solve_alpha_tilde(X, spec)
-    assert abs(sol.sigma_Delta_sq) <= 1e-15
-    assert sol.sigma_PDelta_sq > 0.0
-    linear = (spec.market.variance - sol.sigma_P_sq) / (2.0 * sol.sigma_PDelta_sq)
-    assert sol.alpha_tilde == pytest.approx(linear, rel=1e-10)
-    X_Q = risk_neutral_loadings(X, sol.alpha_tilde, 1)
-    assert portfolio_variance(assemble_correlation(X_Q), spec) == pytest.approx(
-        spec.market.variance, abs=1e-13
-    )
+    res = economic_implied_corr(X, spec)
+    assert abs(res.sigma_Delta_sq) <= 1e-15
+    assert res.sigma_PDelta_sq > 0.0
+    linear = (spec.market.variance - res.sigma_P_sq) / (2.0 * res.sigma_PDelta_sq)
+    assert res.alpha_tilde == pytest.approx(linear, rel=1e-10)
+    assert portfolio_variance(res.C, spec) == pytest.approx(spec.market.variance, abs=1e-13)
 
 
 def test_alpha_tilde_unreachable_direction():
@@ -202,7 +214,7 @@ def test_alpha_tilde_unreachable_direction():
     X = np.full((2, 1), 0.5)
     assert crp_sign(X, spec) == -1
     with pytest.raises(ValueError, match="discriminant"):
-        solve_alpha_tilde(X, spec)
+        economic_implied_corr(X, spec)
 
 
 def test_alpha_tilde_flat_move_raises():
@@ -210,43 +222,78 @@ def test_alpha_tilde_flat_move_raises():
     # target above it: upsilon = +1, so the move direction vanishes
     spec = spec2(0.045)
     with pytest.raises(ValueError, match="does not change"):
-        solve_alpha_tilde(np.ones((2, 1)), spec)
+        economic_implied_corr(np.ones((2, 1)), spec)
 
 
-def test_alpha_tilde_outside_unit_interval_warns():
-    # target above the comonotonic bound forces alpha > 1
+def test_alpha_tilde_outside_unit_interval_is_flagged():
+    # target above the comonotonic bound forces alpha > 1, which carries
+    # both rows past the corner and out of the ball
     sigma = np.array([0.2, 0.2])
     w = np.array([0.5, 0.5])
     cap = float(np.sum(sigma * w)) ** 2
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap * 1.2),))
     X = np.full((2, 1), 0.3)
-    with pytest.warns(UserWarning, match="outside"):
-        sol = solve_alpha_tilde(X, spec)
-    assert sol.alpha_tilde > 1.0
-    assert not sol.in_unit_interval
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = economic_implied_corr(X, spec)
+    assert res.alpha_tilde > 1.0
+    assert not res.alpha_in_unit_interval
+    assert res.rows_outside_omega == (0, 1)
 
 
 def test_alpha_tilde_input_validation():
     with pytest.raises(ValueError, match="rows"):
-        solve_alpha_tilde(np.zeros((3, 1)), spec2(0.03))
+        economic_implied_corr(np.full((3, 1), 0.3), spec2(0.03))
 
 
 def test_risk_neutral_loadings_affine_move():
+    # X_Q = X_O + alpha (upsilon 1 - X_O), bit for bit, in both directions;
+    # a single factor column is its own orthogonalization
     X = np.array([[0.2], [0.5]])
-    out = risk_neutral_loadings(X, 0.5, 1).values
-    np.testing.assert_allclose(out, [[0.6], [0.75]])
-    # alpha = 1 lands exactly on the comonotonic limit
-    np.testing.assert_array_equal(risk_neutral_loadings(X, 1.0, 1).values, np.ones((2, 1)))
-    np.testing.assert_array_equal(risk_neutral_loadings(X, 1.0, -1).values, -np.ones((2, 1)))
+    base = portfolio_variance(assemble_correlation(X), spec2(0.03))
+    for scale, ups in ((1.1, 1), (0.95, -1)):
+        res = economic_implied_corr(X, spec2(base * scale))
+        assert res.upsilon == ups
+        assert 0.0 < res.alpha_tilde < 1.0
+        np.testing.assert_array_equal(res.X_Q.values, X + res.alpha_tilde * (ups - X))
+        np.testing.assert_array_equal(res.C.values, assemble_correlation(res.X_Q).values)
 
 
-def test_risk_neutral_loadings_ball_exit_warns():
-    # with k > 1 the all-ones limit can be incompatible with the row budget
+def test_risk_neutral_loadings_ball_exit_is_reported():
+    # with k > 1 the all-ones limit can be incompatible with the row budget:
+    # a target reached at alpha = 0.9 carries both rows out of the ball
     X = np.array([[0.5, 0.5], [0.3, -0.2]])
-    with pytest.warns(UserWarning, match="outside the unit"):
-        out = risk_neutral_loadings(X, 0.9, 1)
-    # row 0 moves to (0.95, 0.95), far outside the ball
-    assert float(out.values[0] @ out.values[0]) == pytest.approx(2 * 0.95**2)
+    X_Q = orthogonalize(X) + 0.9 * (1.0 - orthogonalize(X))
+    sigma, w = np.array([0.2, 0.2]), np.array([0.5, 0.5])
+    v = sigma * w
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, float(v @ assemble_correlation(X_Q).values @ v)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = economic_implied_corr(X, spec)
+    assert res.alpha_tilde == pytest.approx(0.9, rel=1e-12)
+    assert res.clipped_rows == ()
+    assert res.rows_outside_omega == (0, 1)
+    r2 = np.einsum("ij,ij->i", res.X_Q.values, res.X_Q.values)
+    assert np.all(r2 > 1.6)
+
+
+@pytest.mark.parametrize(
+    "n, k_true, seed, periods, clipped, outside",
+    [
+        (20, 3, 0, 260, (7, 13, 17, 18), ()),  # the README market
+        (50, 6, 1, 0, (10, 17, 27), (1, 27, 33)),  # the infeasible CLI market
+    ],
+    ids=["readme-market", "n50-seed1"],
+)
+def test_route_records_rows_off_omega(n, k_true, seed, periods, clipped, outside):
+    snap, _ = generate_synthetic_market(n, k_true, 0.1, seed, periods=periods)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = economic_implied_corr(snap.loadings, snap.spec)
+    assert res.clipped_rows == clipped
+    assert res.rows_outside_omega == outside
+    r2 = np.einsum("ij,ij->i", res.X_Q.values, res.X_Q.values)
+    assert res.rows_outside_omega == tuple(np.flatnonzero(r2 > 1.0 + EPS_FEAS).tolist())
 
 
 def test_economic_route_matches_constraint():
@@ -263,7 +310,7 @@ def test_economic_route_matches_constraint():
         var = base * float(rng.uniform(1.02, 1.3))
         spec = MarketSpec(sigma, (IndexConstraint("market", w, var),))
         res = economic_implied_corr(X_P, spec)
-        assert abs(res.constraint_residual) <= 1e-10 * var
+        assert abs(var - portfolio_variance(res.C, spec)) <= 1e-10 * var
         assert res.upsilon == 1
         # raising direction really raises the aggregate variance
         assert portfolio_variance(res.C, spec) > base
@@ -286,7 +333,7 @@ def test_economic_route_lowering_direction():
     spec = MarketSpec(sigma, (IndexConstraint("market", w, target),))
     res = economic_implied_corr(X_P, spec)
     assert res.upsilon == -1
-    assert abs(res.constraint_residual) <= 1e-12
+    assert abs(target - portfolio_variance(res.C, spec)) <= 1e-12
     assert portfolio_variance(res.C, spec) < base
 
 
@@ -320,26 +367,22 @@ def test_economic_route_alpha_continuity_near_zero_premium():
 def test_quadratic_coefficients_at_zero_loadings():
     # from X_P = 0: sigma_P^2 is the diagonal-only variance, the move
     # variance is the full off-diagonal mass, the cross term vanishes
-    # (orthogonalization rejects a zero column, so call the stages directly)
+    # (orthogonalization rejects a zero column, so size the move directly)
     spec = spec2(0.03)
     v = spec.scaled_weights()
-    sol = solve_alpha_tilde(np.zeros((2, 1)), spec)
-    assert sol.upsilon == 1
-    assert sol.sigma_P_sq == float(v @ v)
-    assert sol.sigma_PDelta_sq == 0.0
-    assert sol.sigma_Delta_sq == pytest.approx(float(np.sum(v)) ** 2 - float(v @ v))
-    C = assemble_correlation(risk_neutral_loadings(np.zeros((2, 1)), sol.alpha_tilde, 1))
-    assert C.values[0, 1] == pytest.approx(sol.alpha_tilde**2)
+    alpha, ups, sPP, sDD, sPD = alpha_tilde(np.zeros((2, 1)), spec)
+    assert ups == 1
+    assert sPP == float(v @ v)
+    assert sPD == 0.0
+    assert sDD == pytest.approx(float(np.sum(v)) ** 2 - float(v @ v))
+    C = assemble_correlation(np.full((2, 1), alpha))
+    assert C.values[0, 1] == pytest.approx(alpha**2)
 
 
 def test_economic_result_carries_quadratic_coefficients():
     X_P = np.array([[0.3], [0.2]])
     spec = spec2(0.03)
     res = economic_implied_corr(X_P, spec)
-    sol = solve_alpha_tilde(X_P, spec)
-    assert res.alpha_tilde == sol.alpha_tilde
-    assert res.upsilon == sol.upsilon
-    assert res.sigma_P_sq == sol.sigma_P_sq
-    assert res.sigma_Delta_sq == sol.sigma_Delta_sq
-    assert res.sigma_PDelta_sq == sol.sigma_PDelta_sq
-    assert res.alpha_in_unit_interval == sol.in_unit_interval
+    fields = (res.alpha_tilde, res.upsilon, res.sigma_P_sq, res.sigma_Delta_sq, res.sigma_PDelta_sq)
+    assert fields == alpha_tilde(X_P, spec)
+    assert res.alpha_in_unit_interval == (0.0 <= res.alpha_tilde <= 1.0)

@@ -1,5 +1,7 @@
 """Synthetic market generator and the return-based estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,9 @@ def test_generate_target_markup():
 
 
 def test_generate_comonotonic_clip():
-    with pytest.warns(UserWarning, match="comonotonic bound"):
+    # the cap is recorded in the snapshot's meta, not warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         snap, _ = generate_synthetic_market(5, 1, 50.0, seed=3)
     assert snap.meta["comonotonic_clipped"]
     v = snap.spec.sigma * snap.spec.market.weights
