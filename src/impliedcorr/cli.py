@@ -276,7 +276,8 @@ def _cmd_bench(args) -> int:
 _SHARED = {
     "--config": dict(help="solver config JSON file"),
     "--seed": dict(type=int, help="RNG seed (synth default 0; bench default: the suite's seed)"),
-    "--tol-var": dict(type=float, help=f"variance constraint tolerance (default {_VAR_TOL:g})"),
+    "--tol-var": dict(type=float, help="relative variance tolerance: |g| <= tol-var * "
+                      f"max(1, (sum_i |sigma_i w_i|)^2) (default {_VAR_TOL:g})"),
     "--out-dir": dict(help="directory for output files"),
     "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
 }

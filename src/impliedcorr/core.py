@@ -26,7 +26,8 @@ matrix is calibrated to one index at a time.
 
 This module holds the shared value types (loadings, correlation matrices,
 market specs) and the elementary operations the model layers build on:
-assembling C(X), the projection onto Omega, portfolio variance and a
+assembling C(X), the projection onto Omega, portfolio variance, its range
+and the unit of every tolerance on g (:func:`_variance_range`), and a
 combined feasibility report.  It is the one place that turns a matrix
 argument into a CorrMatrix (:func:`_as_corr`, for every model and the
 report) and the one place that decides feasibility: every membership test
@@ -424,6 +425,15 @@ def constraint_normal(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     return v[:, None] * (X.T @ v) - (v * v)[:, None] * X
 
 
+def _variance_range(v: np.ndarray) -> tuple[float, float, float]:
+    """(lo, hi, unit): as C = Gram(z_i) for unit z_i, v'Cv = ||sum_i v_i z_i||^2 spans
+    lo = (2 max|v_i| - sum|v_i|)_+^2 (triangle inequality) to hi = (sum|v_i|)^2
+    (comonotonic); every tolerance on g is a multiple of unit = max(1, hi)."""
+    absv = np.abs(v)
+    total = float(absv.sum())
+    return max(0.0, 2.0 * float(absv.max()) - total) ** 2, total**2, max(1.0, total**2)
+
+
 def portfolio_variance(C, spec: MarketSpec) -> float:
     """Model index variance w' diag(sigma) C diag(sigma) w."""
     arr = _as_corr(C).values
@@ -442,8 +452,9 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
     loadings in O(n k^2) per bisection step, that of any other matrix from
     a dense eigensolver (see :func:`_min_eigenvalue`).  Economic
     feasibility means the residual g = sigma_m^2 - w' diag(sigma) C
-    diag(sigma) w of the spec's index constraint is at most tol in absolute
-    value; it is reported as a one-element residual vector.  With
+    diag(sigma) w of the spec's index constraint meets the solver's var_tol
+    test, |g| <= tol * max(1, (sum_i |sigma_i w_i|)^2); it is reported as a
+    one-element residual vector.  With
     spec=None the economic part is vacuously true and the vector is empty.
 
     Any other argument is read by :func:`_as_corr` (finite, square and
@@ -472,7 +483,7 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
         matched = True
     else:
         residuals = np.array([spec.market.variance - portfolio_variance(corr, spec)])
-        matched = bool(abs(residuals[0]) <= tol)
+        matched = bool(abs(residuals[0]) <= tol * _variance_range(spec.scaled_weights())[2])
 
     return FeasibilityReport(
         symmetric=symmetric,

@@ -31,9 +31,9 @@ monotone Armijo arc search on s |-> P_feas(X - s alpha d) keeps the
 objective trace non-increasing, and the loop stops once an accepted step
 improves f by less than FN_RTOL * f.  Under a change of units v -> s v,
 K X scales by s^2 and the first-order root by 1 / s^2, so the curve's
-points stay the same.  Only the tolerances carry units, and they are
-relative to the comonotonic bound: |g| <= RESTORATION_TOL * max(1,
-(sum_i |v_i|)^2), with roots refined to ROOT_TOL times the same bound.
+points stay the same.  Only the tolerances carry units, each a multiple
+of core's unit max(1, (sum_i |v_i|)^2): restorations meet min(RESTORATION_TOL,
+var_tol) and roots ROOT_TOL times it, so every iterate meets var_tol.
 
 Cost per iteration: each trial point evaluates f and grad f once, at the
 price of one n x n x k product (A_hat X).  A curve sample forms its point
@@ -66,6 +66,7 @@ from .core import (
     _as_corr,
     _clip_omega,
     _loadings_array,
+    _variance_range,
     assemble_correlation,
     constraint_normal,
     hollow_form,
@@ -84,16 +85,12 @@ MAX_BACKTRACKS = 40
 FN_RTOL = 1e-5
 # Restoration: |g| tolerance, the root tolerance of one curve search (both
 # times max(1, (sum_i |v_i|)^2)) and the budget of curve searches.  Roots are
-# refined to rounding, so a root found meets |g| <= 1e-14 times the bound and
-# a solve in large units its absolute var_tol; ROOT_TOL = 1e-12 breaks both.
+# refined to rounding, to |g| <= 1e-14 times the bound; 1e-12 would miss it.
 RESTORATION_TOL = 1e-10
 ROOT_TOL = 1e-16
 MAX_RESTORATION_ITER = 100
-# Spectral start: the subspace iteration carries RITZ_EXTRA vectors beyond
-# the k wanted, and stops once each of the top k Ritz residuals is at most
-# RITZ_RTOL times the largest |Ritz value|.
+# The spectral start's subspace iteration carries k + RITZ_EXTRA vectors.
 RITZ_EXTRA = 8
-RITZ_RTOL = 1e-12
 # The outer step treats a row with ||X_i||^2 >= 1 - _SPHERE_BAND as on the
 # sphere, a candidate for holding its norm.
 _SPHERE_BAND = 1e-9
@@ -116,13 +113,11 @@ class RestorationError(RuntimeError):
 class SolverConfig:
     """Factor count and stopping tolerances of the nearest-matrix solver.
 
-    var_tol bounds the admissible constraint residual |g| of a converged
-    solution, in the units of the spec's index variance; the restoration
-    meets RESTORATION_TOL * max(1, (sum_i |sigma_i w_i|)^2), below the
-    default var_tol unless sum_i |sigma_i w_i| exceeds 100.  The outer
-    loop stops once an accepted step improves f by less than FN_RTOL * f,
-    or after max_outer_iter iterations.  The method constants are module
-    constants.
+    var_tol bounds |g| at every iterate, and so at a converged solution, by
+    var_tol * max(1, (sum_i |sigma_i w_i|)^2), as check_feasibility's tol
+    does, so it holds whatever the units of sigma.  The outer loop stops
+    once an accepted step improves f by less than FN_RTOL * f, or after
+    max_outer_iter iterations.  The method constants are module constants.
     """
 
     k: int = 1
@@ -244,27 +239,21 @@ class _Constraint(NamedTuple):
         return self.target - (hollow_form(self.v, X, X, norms, self.vv) + self.v2)
 
 
-def _constraint(spec: MarketSpec, k: int) -> _Constraint:
-    """The constraint of spec for n x k loadings; raises RestorationError,
-    carrying the residual, when no loadings can attain the target."""
-    # Every correlation matrix is the Gram matrix of unit vectors z_i, so
-    # v'Cv = ||sum_i v_i z_i||^2 lies between (2 max|v_i| - sum|v_i|)_+^2
-    # (triangle inequality) and (sum|v_i|)^2 (comonotonic); a target
-    # outside that range is infeasible for every k.  Every tolerance is
-    # relative to the comonotonic bound, so the restoration is scale-free.
+def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constraint:
+    """The constraint of spec for n x k loadings, restored to |g| <= min(RESTORATION_TOL,
+    var_tol) * unit; raises RestorationError, carrying the residual, when the target is
+    RESTORATION_TOL * unit outside core's range or the comonotonic point misses con.tol."""
     v, target = spec.scaled_weights(), spec.market.variance
-    absv = np.abs(v)
-    total = float(absv.sum())
-    max_var, unit = total ** 2, max(1.0, total ** 2)
-    con = _Constraint(v, v * v, float(v @ v), target, RESTORATION_TOL * unit, ROOT_TOL * unit)
-    min_var = max(0.0, 2.0 * float(absv.max()) - total) ** 2
-    if target < min_var - con.tol:
+    min_var, max_var, unit = _variance_range(v)
+    slack = RESTORATION_TOL * unit
+    con = _Constraint(v, v * v, float(v @ v), target, min(slack, var_tol * unit), ROOT_TOL * unit)
+    if target < min_var - slack:
         raise RestorationError(
             f"index variance target {target:g} is below the attainable minimum "
             f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
             residual=target - min_var,
         )
-    if target < max_var - con.tol:
+    if target < max_var - slack:
         return con
     # A target at the comonotonic bound admits exactly one feasible point,
     # every pairwise correlation equal to one.  E is tangent to the ball
@@ -272,13 +261,15 @@ def _constraint(spec: MarketSpec, k: int) -> _Constraint:
     com = np.zeros((v.size, k))
     com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
     resid = con.residual(com)
-    if abs(resid) <= con.tol:
-        return con._replace(com=com)
-    raise RestorationError(
-        f"index variance target {target:g} exceeds the comonotonic bound "
-        f"{max_var:g}; no feasible loadings exist",
-        residual=resid,
-    )
+    if abs(resid) > slack:
+        raise RestorationError(
+            f"index variance target {target:g} exceeds the comonotonic bound "
+            f"{max_var:g}; no feasible loadings exist",
+            residual=resid,
+        )
+    if abs(resid) > con.tol:
+        raise RestorationError(f"the comonotonic point misses |g| <= {con.tol:g}", residual=resid)
+    return con._replace(com=com)
 
 
 # perfbench's tracer counts curve searches and root refinements by the
@@ -403,8 +394,8 @@ def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     Subspace iteration with Rayleigh-Ritz (Saad, Numerical Methods for
     Large Eigenvalue Problems, 2011, ch. 5) on a block of b = k + RITZ_EXTRA
     vectors: Z = A Q, Ritz pairs (theta, U) of the b x b matrix Q'Z, then
-    Q <- qr(Z U).  It stops once the top k Ritz residuals are at most
-    RITZ_RTOL max|theta|, within a budget of n // (2 b) steps, each costing
+    Q <- qr(Z U).  It stops once the top k Ritz residuals are at most the
+    rounding floor below, within a budget of n // (2 b) steps, each costing
     2 n^2 b flops, so a failed attempt costs about n^3 flops, a third of a
     full eigendecomposition or less.  A budget of 0 returns None at once.
 
@@ -424,7 +415,8 @@ def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     eigenvalues lie above theta_k - rho and the top k Ritz values are
     within rho of them: the pairs are the top k of A, and the gap at k is
     resolved.  Both residual norms carry a rounding floor of
-    b n eps ||A||_F, and ||A||_F^2 a relative n^2 eps.
+    b n eps ||A||_F, and ||A||_F^2 a relative n^2 eps.  A start that the
+    certificate rejects at r = rho = floor, their least, returns None at once.
     """
     n = A.shape[0]
     b = k + RITZ_EXTRA
@@ -434,6 +426,12 @@ def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     a2 = float(np.vdot(A, A))
     floor = b * n * _EPS * math.sqrt(a2)
     top = slice(b - 1, b - 1 - k, -1)
+
+    def certified(r: float, rho: float) -> bool:
+        tail2 = a2 * (1.0 + n * n * _EPS) - float(np.sum(np.maximum(np.abs(theta) - r, 0.0) ** 2))
+        edge = float(theta[b - k]) - rho
+        return edge > math.sqrt(max(tail2, 0.0)) and edge > float(theta[b - k - 1]) + r
+
     Q = np.linalg.qr(_weyl_block(n, b))[0]
     for _ in range(budget):
         Z = A @ Q
@@ -442,13 +440,11 @@ def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
         W, AW = Q @ U, Z @ U
         R = AW - W * theta
         res = np.sqrt(np.einsum("ij,ij->j", R, R))
-        if np.all(res[top] <= RITZ_RTOL * float(np.max(np.abs(theta)))):
-            r = float(np.linalg.norm(res)) + floor
-            rho = float(np.linalg.norm(res[top])) + floor
-            tail2 = a2 * (1.0 + n * n * _EPS) - float(np.sum(np.maximum(np.abs(theta) - r, 0.0) ** 2))
-            edge = float(theta[b - k]) - rho
-            if edge > math.sqrt(max(tail2, 0.0)) and edge > float(theta[b - k - 1]) + r:
+        if np.all(res[top] <= floor):
+            if certified(float(np.linalg.norm(res)) + floor, float(np.linalg.norm(res[top])) + floor):
                 return theta[top], W[:, top]
+            if not certified(floor, floor):
+                return None
         Q = np.linalg.qr(AW[:, np.argsort(-np.abs(theta), kind="stable")])[0]
     return None
 
@@ -518,18 +514,15 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     Spectral projected gradient outer loop with inexact restoration, as
     described in the module docstring.  The target need not be PSD.
 
-    A successful result satisfies, with X* the returned loadings:
-    f trace non-increasing, |g(X*)| <= var_tol, min_i h_i(X*) >= -EPS_FEAS,
-    and C_star = C(X*) PSD by construction.  The loop stops when an
-    accepted step improves f by less than FN_RTOL * f, or when the arc
-    search finds no acceptable step.  converged=False (with the reason in
-    message) is returned when max_outer_iter is hit first, or when the
-    final residual exceeds var_tol.  An unattainable index variance raises
-    RestorationError before the spectral start, as does a failed
-    restoration of the starting point.  Where sum_i |sigma_i w_i| >= 1
-    before and after, scaling sigma by s and the index variance by s^2
-    leaves every move unchanged up to rounding (see the module docstring);
-    var_tol stays absolute, in the units of the index variance.
+    Every returned X* satisfies |g(X*)| <= var_tol * max(1, (sum_i
+    |sigma_i w_i|)^2) and min_i h_i(X*) >= -EPS_FEAS; C_star = C(X*) is
+    PSD by construction and the f trace is non-increasing.  The loop stops,
+    converged, once an accepted step improves f by less than FN_RTOL * f or
+    the arc search finds no acceptable step; at max_outer_iter it stops
+    with converged=False.  An unattainable index variance, or a failed
+    restoration of the start, raises RestorationError.  Where sum_i
+    |sigma_i w_i| >= 1 before and after, scaling sigma by s and the index
+    variance by s^2 changes no move and no verdict beyond rounding.
 
     Parameters
     ----------
@@ -547,7 +540,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         raise ValueError(f"target is {A_corr.n} x {A_corr.n} for {spec.n} assets")
 
     A_hat, a2 = _target_offdiag(A_corr)
-    con = _constraint(spec, config.k)
+    con = _constraint(spec, config.k, config.var_tol)
 
     def tangential(gr: np.ndarray, X: np.ndarray) -> np.ndarray:
         # Hold the sphere rows that the step X - s d pushes outward (their
@@ -623,18 +616,13 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
             message = "relative objective improvement below tolerance"
             break
 
-    residual = con.residual(X)
-    if converged and abs(residual) > config.var_tol:
-        converged = False
-        message = f"constraint residual {residual!r} exceeds var_tol"
-
     X_star = FactorLoadings(X)
     return SolverResult(
         X_star=X_star,
         C_star=assemble_correlation(X_star),
         fn=f,
         fn_trace=np.array(trace),
-        constraint_residual=residual,
+        constraint_residual=con.residual(X),
         outer_iterations=outer,
         restorations=restorations,
         wall_time=time.perf_counter() - t0,

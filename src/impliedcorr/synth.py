@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CorrMatrix, FactorLoadings, IndexConstraint, MarketSpec, assemble_correlation
+from .core import CorrMatrix, FactorLoadings, IndexConstraint, MarketSpec, _variance_range, assemble_correlation
 from .io import MarketSnapshot
 
 # Uniform band of the component implied volatilities, and the Pareto tail
@@ -112,7 +112,7 @@ def generate_synthetic_market(
     v = sigma * w
     base = float(v @ C_true.values @ v)
     target_var = (1.0 + crp) * base
-    cap = float(np.sum(v)) ** 2
+    cap = _variance_range(v)[1]
     clipped = target_var > cap
     if clipped:
         target_var = cap

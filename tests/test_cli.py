@@ -282,6 +282,23 @@ def test_check_reports_feasibility(tmp_path, capsys):
     assert out["feasible"] is True
 
 
+def test_check_tol_var_is_relative_to_the_variance_unit(tmp_path, capsys):
+    # sigma = 2^10 x 0.2 and w = (1/2, 1/2): sum_i |sigma_i w_i| = 204.8, so
+    # every tolerance on g is a multiple of 204.8^2 = 41943.04.  The
+    # identity gives v'v = 20971.52, and a target 0.01 above it leaves a
+    # residual above --tol-var 1e-6 but within 1e-6 of the unit (0.042).
+    m = str(tmp_path / "C.csv")
+    write_matrix_csv(m, np.eye(2))
+    sigma = np.array([204.8, 204.8])
+    for var, tol, matched in ((20971.53, "1e-6", True), (20971.53, "1e-7", False), (20971.62, "1e-6", False)):
+        spec = str(tmp_path / "spec.json")
+        write_market_spec(spec, MarketSpec(sigma, (IndexConstraint("market", np.array([0.5, 0.5]), var),)))
+        code, out, _ = run_json(capsys, ["check", "--matrix", m, "--spec", spec, "--tol-var", tol])
+        assert code == 0
+        assert out["constraint_residuals"][0] == pytest.approx(var - 20971.52, abs=1e-9)
+        assert out["economically_matched"] is matched, (var, tol)
+
+
 def test_check_csv_format(tmp_path, capsys):
     m = str(tmp_path / "C.csv")
     write_matrix_csv(m, np.eye(2))

@@ -93,9 +93,14 @@ def _residual(X, spec):
     return spec.market.variance - (hollow_form(v, X, X) + float(v @ v))
 
 
+def variance_unit(spec):
+    """The unit of every tolerance on g: max(1, (sum_i |sigma_i w_i|)^2)."""
+    return max(1.0, float(np.sum(np.abs(spec.scaled_weights()))) ** 2)
+
+
 def restoration_bound(spec):
     """The documented |g| bound of the restoration: 1e-10 * max(1, (sum |v_i|)^2)."""
-    return RESTORATION_TOL * max(1.0, float(np.sum(np.abs(spec.scaled_weights()))) ** 2)
+    return RESTORATION_TOL * variance_unit(spec)
 
 
 def fd_gradient(f, X, h=1e-6):
@@ -454,9 +459,9 @@ def test_solve_nicm_hard_repair_market_857_restores_its_start():
 
 
 def test_solve_nicm_hard_repairs_converge_in_large_units():
-    # var_tol stays absolute: at sigma x 4096 it is 6e-14 of the index
-    # variance, and the refined roots still meet it on all of acceptance
-    # 08's corpus (k = 3).
+    # At sigma x 4096 the restoration's tolerance and var_tol both scale
+    # with the index variance, and every solve of acceptance 08's corpus
+    # (k = 3) converges.
     converged = 0
     market = 800
     while converged < 20:
@@ -724,11 +729,22 @@ def test_subspace_start_agrees_with_eigh_where_the_gap_is_clear(seed, k, rest):
         (300, 2, [20.0, 10.0, 10.0 - 1e-12]),
     ],
 )
-def test_uncertified_subspace_start_is_the_eigh_start(n, k, top):
-    # In both cases the top-k Ritz residuals reach RITZ_RTOL within the
-    # budget; the certificate is what rejects them.
+def test_uncertified_subspace_start_is_the_eigh_start(n, k, top, monkeypatch):
+    # In both cases the top-k Ritz residuals reach the certificate's
+    # rounding floor within the budget; the certificate is what rejects
+    # them, and since it rejects them even with the residual norms at that
+    # floor, the iteration stops there instead of running out its budget
+    # of n // (2 b) steps (one QR factorization each, plus the start's).
     A = spectral_target(0, n, np.array(top), 0.01)
+    qr, calls = np.linalg.qr, []
+
+    def counting_qr(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     assert _subspace_eigenpairs(A, k) is None
+    assert len(calls) <= 2 * (n // (2 * (k + RITZ_EXTRA))) // 3
     np.testing.assert_array_equal(initial_loadings(A, k).values, eigh_start(A, k))
 
 
@@ -816,6 +832,37 @@ def test_solve_nicm_agrees_with_reference_on_small_instances():
         assert res.fn <= ref.fn + 1e-3
         ok += 1
     assert ok >= 7
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0**10, 2.0**20, 2.0**30])
+def test_var_tol_is_relative_to_the_variance_unit(s):
+    # The same long-only markets in units s times larger (the variance s^2
+    # times): every solve converges within var_tol of the unit, and the
+    # report, given the same tol, agrees with the solver's verdict.  An
+    # absolute var_tol fell below one ulp of the target at large s.
+    for seed in range(12):
+        k = 1 + seed % 3
+        snap, _ = generate_synthetic_market(3 + 2 * seed, k, 0.1, np.random.SeedSequence(seed))
+        con = snap.spec.market
+        spec = MarketSpec(snap.spec.sigma * s, (IndexConstraint("m", con.weights, con.variance * s * s),))
+        config = SolverConfig(k=k)
+        res = solve_nicm(snap.target, spec, config)
+        assert res.converged, (seed, res.message)
+        assert abs(res.constraint_residual) <= config.var_tol * variance_unit(spec)
+        report = check_feasibility(res.C_star, spec, config.var_tol)
+        assert report.economically_matched == res.converged, (seed, report.constraint_residuals)
+
+
+def test_var_tol_below_the_restoration_tolerance():
+    # var_tol = 1e-12 is below RESTORATION_TOL, so every restoration meets
+    # var_tol itself and the solve converges within it.
+    snap, _ = generate_synthetic_market(12, 2, 0.1, np.random.SeedSequence(5))
+    config = SolverConfig(k=2, var_tol=1e-12)
+    assert config.var_tol < RESTORATION_TOL
+    res = solve_nicm(snap.target, snap.spec, config)
+    assert res.converged, res.message
+    assert abs(res.constraint_residual) <= config.var_tol * variance_unit(snap.spec)
+    assert check_feasibility(res.C_star, snap.spec, config.var_tol).economically_matched
 
 
 def test_solve_nicm_rescales_large_scaled_weights():
