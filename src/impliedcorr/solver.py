@@ -41,11 +41,11 @@ once and shares its row norms between the clip and g, so it is O(n k), as
 is each pass of the tangential projection; no n x n matrix is formed
 except on the cancellation fallback of _objective_and_gradient near
 f = 0.  A bit-symmetric target is validated once and not copied (A_hat is
-its one copy).  The spectral start costs O(n^2 (k + 8)) per step of a
-subspace iteration, about ten steps when the top k eigenvalues stand clear
-of the rest; only a start the iteration cannot certify within
-n / (2 (k + 8)) steps, or a target too small for one step, pays for a full
-O(n^3) eigendecomposition.
+its one copy).  The spectral start costs one O(n^2) product per Lanczos
+step, about fifteen steps when the top k eigenvalues stand clear of the
+rest; only a start that Lanczos cannot certify within n / 10 steps, or a
+target too small for k + 8 of them, pays for a full O(n^3)
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ FN_RTOL = 1e-5
 RESTORATION_TOL = 1e-10
 ROOT_TOL = 1e-16
 MAX_RESTORATION_ITER = 100
-# The spectral start's subspace iteration carries k + RITZ_EXTRA vectors.
+# The spectral start's Lanczos run tests the k + RITZ_EXTRA Ritz pairs
+# largest in magnitude, from as many steps on.
 RITZ_EXTRA = 8
 # The outer step treats a row with ||X_i||^2 >= 1 - _SPHERE_BAND as on the
 # sphere, a candidate for holding its norm.
@@ -374,39 +375,29 @@ def _project_feasible_raw(arr: np.ndarray, con: _Constraint) -> np.ndarray:
     return cur
 
 
-def _weyl_block(n: int, b: int) -> np.ndarray:
-    """Deterministic n x b start block, entry (i, j) = frac((i + 1) a_j) - 1/2.
-
-    a_j = g^-(j + 1), with g > 1 the root of g^(b + 1) = g + 1: the
-    generalized golden ratio of the R_b quasi-random sequence (Roberts,
-    2018), whose columns are equidistributed and far from any fixed
-    subspace.  Closed form, so numpy.random is not loaded.
-    """
-    g = 2.0
-    for _ in range(64):
-        g = (1.0 + g) ** (1.0 / (b + 1))
-    return np.modf(np.outer(np.arange(1.0, n + 1.0), g ** -np.arange(1.0, b + 1.0)))[0] - 0.5
-
-
 def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Top k eigenpairs of the symmetric A (values descending), or None.
 
-    Subspace iteration with Rayleigh-Ritz (Saad, Numerical Methods for
-    Large Eigenvalue Problems, 2011, ch. 5) on a block of b = k + RITZ_EXTRA
-    vectors: Z = A Q, Ritz pairs (theta, U) of the b x b matrix Q'Z, then
-    Q <- qr(Z U).  It stops once the top k Ritz residuals are at most the
-    rounding floor below, within a budget of n // (2 b) steps, each costing
-    2 n^2 b flops, so a failed attempt costs about n^3 flops, a third of a
-    full eigendecomposition or less.  A budget of 0 returns None at once.
+    Lanczos with full reorthogonalization (Paige, 1972; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13) from a golden-ratio vector: step
+    m forms one product A v_m, orthogonalizes it against v_1, ..., v_m by
+    classical Gram-Schmidt, twice, and extends the tridiagonal T_m.  From
+    m = b = k + RITZ_EXTRA on, the Ritz pairs are the b eigenpairs
+    (theta, s) of T_m largest in magnitude, W = V_m S.  Their residual
+    estimate |beta_m s_(m,i)| only decides when to test them: once it is at
+    most the rounding floor below for each of the top k, or beta_m is (the
+    Krylov space is invariant), the pairs are tested once, on the explicit
+    residual R = A W - W diag(theta), and returned or rejected.  The run
+    takes at most n // 10 steps, so that a failed attempt costs n^3 / 5
+    flops in products; n < 10 b returns None at once.
 
-    The iteration finds the b eigenvalues largest in magnitude, but the
-    start needs the k largest, so the pairs are returned only under an
-    a-posteriori certificate.  With R = A W - W diag(theta) for the Ritz
-    vectors W, r = ||R||_F and rho = ||R_top k||_F:
+    In exact arithmetic a single vector sees one direction of a repeated
+    eigenvalue, and the b Ritz values largest in magnitude need not hold
+    the k largest, so the pairs are returned only under an a-posteriori
+    certificate.  With r = ||R||_F and rho = ||R_top k||_F:
 
     * the b Ritz values lie within r of b distinct eigenvalues, and the top
-      k within rho of k distinct ones (Kahan; Parlett, The Symmetric
-      Eigenvalue Problem, thm 11.5.1);
+      k within rho of k distinct ones (Kahan; Parlett, thm 11.5.1);
     * so every eigenvalue outside the first matching has |lam| <= tail =
       sqrt(||A||_F^2 - sum_i (|theta_i| - r)_+^2), and those matched to
       theta_(k+1), ... are at most theta_(k+1) + r.
@@ -415,37 +406,44 @@ def _subspace_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     eigenvalues lie above theta_k - rho and the top k Ritz values are
     within rho of them: the pairs are the top k of A, and the gap at k is
     resolved.  Both residual norms carry a rounding floor of
-    b n eps ||A||_F, and ||A||_F^2 a relative n^2 eps.  A start that the
-    certificate rejects at r = rho = floor, their least, returns None at once.
+    b n eps ||A||_F, and ||A||_F^2 a relative n^2 eps.
     """
     n = A.shape[0]
     b = k + RITZ_EXTRA
-    budget = n // (2 * b)
-    if budget == 0:
+    steps = n // 10
+    if steps < b:
         return None
     a2 = float(np.vdot(A, A))
     floor = b * n * _EPS * math.sqrt(a2)
-    top = slice(b - 1, b - 1 - k, -1)
-
-    def certified(r: float, rho: float) -> bool:
-        tail2 = a2 * (1.0 + n * n * _EPS) - float(np.sum(np.maximum(np.abs(theta) - r, 0.0) ** 2))
-        edge = float(theta[b - k]) - rho
-        return edge > math.sqrt(max(tail2, 0.0)) and edge > float(theta[b - k - 1]) + r
-
-    Q = np.linalg.qr(_weyl_block(n, b))[0]
-    for _ in range(budget):
-        Z = A @ Q
-        H = Q.T @ Z
-        theta, U = np.linalg.eigh(0.5 * (H + H.T))
-        W, AW = Q @ U, Z @ U
-        R = AW - W * theta
-        res = np.sqrt(np.einsum("ij,ij->j", R, R))
-        if np.all(res[top] <= floor):
-            if certified(float(np.linalg.norm(res)) + floor, float(np.linalg.norm(res[top])) + floor):
-                return theta[top], W[:, top]
-            if not certified(floor, floor):
+    V, T = np.empty((steps + 1, n)), np.zeros((steps + 1, steps + 1))
+    # frac((i + 1) a) - 1/2 with a = (sqrt(5) - 1) / 2: the golden-ratio sequence
+    # is equidistributed, far from any fixed subspace, and needs no numpy.random.
+    V[0] = np.modf(np.arange(1.0, n + 1.0) * (0.5 * (math.sqrt(5.0) - 1.0)))[0] - 0.5
+    V[0] /= math.sqrt(float(V[0] @ V[0]))
+    for m in range(1, steps + 1):
+        w = A @ V[m - 1]
+        h = V[:m] @ w
+        w -= h @ V[:m]
+        w -= (V[:m] @ w) @ V[:m]
+        T[m - 1, m - 1] = h[m - 1]
+        beta = math.sqrt(float(w @ w))
+        if m >= b or beta <= floor:
+            theta, S = np.linalg.eigh(T[:m, :m])
+            keep = np.sort(np.argsort(-np.abs(theta), kind="stable")[:b])
+            theta, S = theta[keep], S[:, keep]
+            p = theta.size
+            top = slice(p - 1, p - 1 - k, -1)
+            if beta <= floor or np.all(np.abs(beta * S[-1, top]) <= floor):
+                W = V[:m].T @ S
+                R = A @ W - W * theta
+                r, rho = float(np.linalg.norm(R)) + floor, float(np.linalg.norm(R[:, top])) + floor
+                tail2 = a2 * (1.0 + n * n * _EPS) - float(np.sum(np.maximum(np.abs(theta) - r, 0.0) ** 2))
+                edge = float(theta[p - k]) - rho if p > k else -math.inf
+                if edge > math.sqrt(max(tail2, 0.0)) and edge > float(theta[p - k - 1]) + r:
+                    return theta[top], W[:, top]
                 return None
-        Q = np.linalg.qr(AW[:, np.argsort(-np.abs(theta), kind="stable")])[0]
+        T[m, m - 1] = beta
+        V[m] = w / beta
     return None
 
 
@@ -467,10 +465,10 @@ def initial_loadings(A, k: int) -> FactorLoadings:
     is used alone; a degenerate denominator likewise falls back to the
     cap.  For the identity target all columns are zero.
 
-    The top k eigenpairs come from a certified subspace iteration
-    (:func:`_subspace_eigenpairs`, O(n^2 (k + 8)) per step) and, when it
-    cannot certify them within its budget or the target is too small for
-    one step (n < 2 (k + 8)), from np.linalg.eigh.  Each eigenvector's
+    The top k eigenpairs come from a certified Lanczos run
+    (:func:`_subspace_eigenpairs`, one O(n^2) product per step) and, when
+    it cannot certify them within n // 10 steps or the target is too small
+    for k + 8 steps (n < 10 (k + 8)), from np.linalg.eigh.  Each eigenvector's
     sign is fixed so that its largest-magnitude entry is positive.
     """
     A_arr = _as_corr(A).values

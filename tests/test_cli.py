@@ -154,18 +154,18 @@ def test_runtime_needs_no_scipy(tmp_path):
 
 
 def test_csv_repair_leaves_numpy_random_unloaded(tmp_path):
-    # The spectral start's block is closed-form; a default_rng block loaded
+    # The spectral start's vector is closed-form; a default_rng block loaded
     # numpy.random and raised the repair command's peak RSS by about 2 MB.
-    # At n = 60 and k = 2 the subspace iteration runs (n >= 2 (k + 8)).
+    # At n = 120 and k = 2 the Lanczos start runs (n >= 10 (k + 8)).
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((60, 2))
+    X = rng.standard_normal((120, 2))
     X *= 0.9 / np.linalg.norm(X, axis=1, keepdims=True)
-    A = X @ X.T + rng.normal(scale=0.02, size=(60, 60))
+    A = X @ X.T + rng.normal(scale=0.02, size=(120, 120))
     A = (A + A.T) / 2.0
     np.fill_diagonal(A, 1.0)
     write_matrix_csv(str(tmp_path / "A.csv"), A)
-    sigma = np.full(60, 0.2)
-    w = np.full(60, 1.0 / 60.0)
+    sigma = np.full(120, 0.2)
+    w = np.full(120, 1.0 / 120.0)
     v = sigma * w
     spec = MarketSpec(sigma, (IndexConstraint("market", w, 0.9 * float(v @ A @ v)),))
     write_market_spec(str(tmp_path / "spec.json"), spec)

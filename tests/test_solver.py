@@ -689,7 +689,7 @@ def test_initial_loadings_properties(case):
 
 
 def eigh_start(A, k):
-    """initial_loadings with the subspace iteration switched off."""
+    """initial_loadings with the Lanczos start switched off."""
     with mock.patch.object(solver, "_subspace_eigenpairs", lambda A, k: None):
         return initial_loadings(A, k).values
 
@@ -719,33 +719,97 @@ def test_subspace_start_agrees_with_eigh_where_the_gap_is_clear(seed, k, rest):
     np.testing.assert_allclose(initial_loadings(A, k).values, eigh_start(A, k), rtol=0.0, atol=1e-10)
 
 
+class _CountingMatrix(np.ndarray):
+    """A view of a matrix that records each product A @ x in `calls`."""
+
+    calls: list = []
+
+    def __matmul__(self, other):
+        self.calls.append(1)
+        return np.asarray(np.ndarray.__matmul__(self, other))
+
+
+def products_with(A, k):
+    """_subspace_eigenpairs(A, k) and the number of products with A it formed."""
+    _CountingMatrix.calls = []
+    pairs = _subspace_eigenpairs(np.ascontiguousarray(A).view(_CountingMatrix), k)
+    return pairs, len(_CountingMatrix.calls)
+
+
 @pytest.mark.parametrize(
     "n, k, top",
     [
         # 10 eigenvalues at -40 (more than b - k = 8), above 10 in magnitude:
-        # the block settles inside their eigenspace.
+        # the b Ritz values largest in magnitude leave no room to show that
+        # 10 is the top one.
         (600, 1, [10.0] + [-40.0] * 10),
         # lam_2 - lam_3 = 1e-12: the gap at k is below the residual floor.
         (300, 2, [20.0, 10.0, 10.0 - 1e-12]),
     ],
 )
-def test_uncertified_subspace_start_is_the_eigh_start(n, k, top, monkeypatch):
-    # In both cases the top-k Ritz residuals reach the certificate's
-    # rounding floor within the budget; the certificate is what rejects
-    # them, and since it rejects them even with the residual norms at that
-    # floor, the iteration stops there instead of running out its budget
-    # of n // (2 b) steps (one QR factorization each, plus the start's).
+def test_uncertified_subspace_start_is_the_eigh_start(n, k, top):
+    # In both cases the top-k residual estimates reach the certificate's
+    # rounding floor early; the certificate is what rejects the pairs, and
+    # the run stops at that one test instead of taking its n // 10 steps
+    # (one product with A each, plus the test's).
     A = spectral_target(0, n, np.array(top), 0.01)
-    qr, calls = np.linalg.qr, []
-
-    def counting_qr(*args, **kwargs):
-        calls.append(1)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    assert _subspace_eigenpairs(A, k) is None
-    assert len(calls) <= 2 * (n // (2 * (k + RITZ_EXTRA))) // 3
+    pairs, products = products_with(A, k)
+    assert pairs is None
+    assert products <= (n // 10) // 2
     np.testing.assert_array_equal(initial_loadings(A, k).values, eigh_start(A, k))
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_subspace_start_certifies_acceptance_07_targets(i):
+    # Acceptance 07's historical targets at n = 100: lam_10 / lam_1 is about
+    # 0.04, and the start is certified instead of paying for a full eigh.
+    snap, _ = generate_synthetic_market(100, 1, 0.1, seed=700 + i, periods=520)
+    A = estimate_target_matrix(snap.asset_returns, "historical", window=260).values
+    assert _subspace_eigenpairs(A, 1) is not None
+    np.testing.assert_allclose(initial_loadings(A, 1).values, eigh_start(A, 1), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subspace_start_on_a_repeated_top_eigenvalue(seed):
+    # One start vector spans one direction of the eigenvalue 20 in exact
+    # arithmetic; in floating point, rounding seeds the other, which grows
+    # like (20 / 0.01)^m against the rest.
+    A = spectral_target(seed, 300, np.array([30.0, 20.0, 20.0]), 0.01)
+    evals, evecs = np.linalg.eigh(A)
+    # At k = 2 the gap at k is 0: the certificate must reject.
+    assert _subspace_eigenpairs(A, 2) is None
+    np.testing.assert_array_equal(initial_loadings(A, 2).values, eigh_start(A, 2))
+    # At k = 3 the gap at k is clear.  A rejection falls back to eigh; the
+    # pairs of a certificate are the top 3, but the eigenvectors of 20 are
+    # unique only as a plane, so the start matches eigh's in its first
+    # column and lies in that plane in the others.
+    pairs = _subspace_eigenpairs(A, 3)
+    X0, X_eigh = initial_loadings(A, 3).values, eigh_start(A, 3)
+    if pairs is None:
+        np.testing.assert_array_equal(X0, X_eigh)
+    else:
+        np.testing.assert_allclose(pairs[0], [30.0, 20.0, 20.0], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(X0[:, 0], X_eigh[:, 0], rtol=0.0, atol=1e-10)
+        plane = evecs[:, -3:-1]
+        np.testing.assert_allclose(plane @ (plane.T @ X0[:, 1:]), X0[:, 1:], rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.005])
+def test_subspace_start_on_a_krylov_breakdown(rho):
+    # rho J + (1 - rho) I has two distinct eigenvalues, so the Krylov space
+    # of any start vector is invariant after two steps (beta_2 = 0).  The
+    # run stops there: at rho = 0.3 its two Ritz pairs certify the top one,
+    # 1 + (n - 1) rho; at rho = -0.005 the top eigenvalue 1 - rho has n - 1
+    # dimensions, one of which the space holds, and the certificate rejects.
+    n = 120
+    A = rho * np.ones((n, n)) + (1.0 - rho) * np.eye(n)
+    pairs, products = products_with(A, 1)
+    assert products == 3
+    if rho > 0.0:
+        np.testing.assert_allclose(pairs[0], [1.0 + (n - 1) * rho], rtol=1e-14)
+    else:
+        assert pairs is None
+    np.testing.assert_allclose(initial_loadings(A, 1).values, eigh_start(A, 1), rtol=0.0, atol=1e-10)
 
 
 def test_repair_path_runs_no_dense_eigensolver(monkeypatch):
