@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def test_assembled_matrix_is_bit_symmetric_unit_diagonal_and_frozen(X):
 def test_assemble_rejects_overflowing_products():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         assemble_correlation(np.array([[1e200], [1e200]]))
+
+
+def test_assemble_scans_only_when_the_entry_bound_overflows():
+    # |(X X')_ij| <= k max|x_id|^2 is finite here, so no n x n scan runs.
+    X = random_ball_rows(np.random.default_rng(2), 50, 3)
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+        assemble_correlation(X)
+    assert all(call.args[0].shape == X.shape for call in isfinite.call_args_list)
+    # The bound overflows, so the product is scanned, but only its diagonal
+    # does, and that becomes ones.
+    with np.errstate(over="ignore"):
+        C = assemble_correlation(np.array([[1e200, 0.0], [0.0, 1e200]]))
+    assert np.array_equal(C.values, np.eye(2))
 
 
 def test_assemble_psd_for_loadings_in_ball():
@@ -416,6 +430,50 @@ def test_min_eigenvalue_has_one_implementation():
     X10 = random_ball_rows(rng, 10, 3)
     C10 = assemble_correlation(X10)
     assert C10.min_eigenvalue() == float(np.linalg.eigvalsh(C10.values)[0])
+
+
+def factor_min_eigenvalue_evaluations(X):
+    """_factor_min_eigenvalue(X) and the number of Schur complements it
+    decomposed, one np.linalg.eigh or eigvalsh call each."""
+    with (
+        mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
+        mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh,
+    ):
+        lam = _factor_min_eigenvalue(X, budget=math.inf)
+    return lam, eigh.call_count + eigvalsh.call_count
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_factor_min_eigenvalue_takes_few_evaluations(k):
+    # Bisection took 36 to 44 evaluations on loadings like these.
+    X = random_ball_rows(np.random.default_rng(k), 500, k)
+    lam, evaluations = factor_min_eigenvalue_evaluations(X)
+    assert evaluations <= 8
+    assert abs(lam - float(np.linalg.eigvalsh(assemble_correlation(X).values)[0])) <= 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(adversarial_loadings())
+# Three duplicated rows outside Omega: lam_min = h_(1) is repeated and sits
+# at the bracket's lower end, where rounding puts Newton points just below
+# it.  Sending those to the midpoint turns the iteration into bisection (42
+# evaluations instead of 2).
+@example(np.array([[-0.75, 0.0, 0.75]] * 3 + [[-0.125, -0.25, -0.5]]))
+# The fourth Newton point is exactly h_3 = 0.375 = lam_min, so row 3 enters
+# S with h_3 - lam = 0.
+@example(np.array([[0.0, -0.75], [-1.0, 0.0], [-0.25, 0.75], [0.25, 0.5]]))
+def test_factor_min_eigenvalue_stays_within_the_bisection_steps(X):
+    n, k = X.shape
+    lam, evaluations = factor_min_eigenvalue_evaluations(X)
+    r = np.einsum("ij,ij->i", X, X)
+    h = 1.0 - r
+    s = float(np.max(np.abs(h)) + r.sum())
+    lo, hi = float(h.min()), min(1.0, float(np.sort(h)[k])) if n > k else 1.0
+    tol = np.finfo(float).eps * s
+    steps = math.ceil(math.log2((hi - lo) / tol)) if hi - lo > tol else 0
+    assert evaluations <= min(steps, 8)
+    ref = float(np.linalg.eigvalsh(assemble_correlation(X).values)[0])
+    assert abs(lam - ref) <= 8 * (n + k) * np.finfo(float).eps * s
 
 
 @st.composite

@@ -712,7 +712,8 @@ def spectral_target(seed, n, top, rest):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(0.0, 0.05))
 def test_subspace_start_agrees_with_eigh_where_the_gap_is_clear(seed, k, rest):
     # Top k eigenvalues 10 (k + 1), ..., 20, the rest within +-rest: a
-    # clear gap at k and between the top k, and a budget of 8 steps.
+    # clear gap at k and between the top k.  The Lanczos cap is n // 10
+    # steps, about 1.6 (k + RITZ_EXTRA).
     n = 16 * (k + RITZ_EXTRA)
     A = spectral_target(seed, n, 10.0 * np.arange(k + 1, 1, -1), rest)
     assert _subspace_eigenpairs(A, k) is not None
