@@ -374,21 +374,22 @@ def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
     (lam < h_(k+1)) plus those with h_i within eta above lam, so an
     evaluation costs O(n k^2 + k^3).
 
-    With the split at lam held fixed, S(t) is defined for every t <= lam,
-    is the Schur complement of a block whose resolvent is convex in t, and
-    so is operator-concave with dS/dt <= -I; its smallest eigenvalue
-    sigma(t) is concave, falls with slope at most -1, and has lam_min as
-    its root.  So sigma(lam) < 0 puts lam_min in [lam + sigma, lam], and
-    sigma >= 0 puts it above lam.  The Newton point lam - sigma / sigma',
-    with sigma' = -1 - ||(D_P - lam I)^-1 X_P M^-1 X_N' u||^2 for the
-    bottom eigenvector u of S (a supergradient where the eigenvalue is
-    repeated), lies at or above the root by concavity, so the iterates
-    fall to it from the right.  A Newton point outside the bracket (by more
-    than tol / 2) is replaced by the midpoint, and every point is kept
-    tol / 2 inside the bracket, so an iterate at the root closes it at
-    once.  The iteration stops at width tol or after the bisection's step
-    count, whichever comes first; it takes 4 to 6 evaluations on a
-    500-asset panel where bisection takes 36 to 44.  Returns None, having
+    With the split at lam held fixed, S(t) for t <= lam is the Schur
+    complement of a block whose resolvent is convex in t, so S is
+    operator-concave with dS/dt <= -I: sigma(t) = lam_min(S(t)) is concave,
+    falls with slope at most -1 and has lam_min as its root.  So
+    sigma(lam) < 0 puts lam_min in [lam + sigma, lam], and sigma >= 0 puts
+    it at or above lam.  By concavity the Newton point lam - sigma / sigma',
+
+        sigma' = -1 - ||(D_P - lam I)^-1 X_P M^-1 X_N' u||^2
+
+    for the bottom eigenvector u of S (a supergradient where sigma is
+    repeated), lies at or above the root, so the iterates fall to it from
+    the right.  A Newton point more than tol / 2 outside the bracket is
+    replaced by the midpoint, and every point is kept tol / 2 inside it, so
+    an iterate at the root closes it at once.  The iteration stops at width
+    tol or after the bisection's step count; a 500-asset panel check takes
+    4 to 6 evaluations where bisection took 36 to 44.  Returns None, having
     done O(n) work, when that many bisection steps would cost more than
     budget flops.
     """
@@ -413,8 +414,8 @@ def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
         lam = min(max(lam, lo + 0.5 * tol), hi - 0.5 * tol)
         d = h - lam
         near = d <= eta
-        dP = np.where(near, np.inf, d)[:, None]
-        M = eye + X.T @ (X / dP)
+        dP = np.where(near, np.inf, d)
+        M = eye + X.T @ (X / dP[:, None])
         XN = X[near]
         Y = np.linalg.solve(M, XN.T)
         vals, vecs = np.linalg.eigh(np.diag(d[near]) + XN @ Y)
@@ -423,7 +424,7 @@ def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
             hi, lo = lam, max(lo, lam + sigma)
         else:
             lo = lam
-        z = X @ (Y @ u) / dP[:, 0]
+        z = X @ (Y @ u) / dP
         lam += sigma / (1.0 + float(z.dot(z)))
     return 0.5 * (lo + hi)
 

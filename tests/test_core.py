@@ -213,8 +213,8 @@ def test_assemble_scans_only_when_the_entry_bound_overflows():
     with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
         assemble_correlation(X)
     assert all(call.args[0].shape == X.shape for call in isfinite.call_args_list)
-    # The bound overflows, so the product is scanned, but only its diagonal
-    # does, and that becomes ones.
+    # The bound overflows, so the product is scanned; only its diagonal
+    # overflowed, and that holds ones.
     with np.errstate(over="ignore"):
         C = assemble_correlation(np.array([[1e200, 0.0], [0.0, 1e200]]))
     assert np.array_equal(C.values, np.eye(2))
