@@ -18,7 +18,7 @@ import importlib
 __version__ = "0.1.0"
 
 # The default variance-constraint tolerance of the solver, the feasibility
-# check, the bench and the CLI, relative to max(1, (sum_i |sigma_i w_i|)^2).
+# check, the bench and the CLI, relative to (sum_i |sigma_i w_i|)^2.
 _VAR_TOL = 1e-6
 
 # Each public name, by the submodule that defines it.

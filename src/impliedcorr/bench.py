@@ -15,7 +15,7 @@ one, each as mean/sd (or max for the residual) over the non-failed
 instances.  Failures are counted, never silently dropped, and so are
 non-failed instances whose matrix fails check_feasibility (indefinite,
 out of bounds, or off the index variance by more than var_tol relative to
-max(1, (sum_i |sigma_i w_i|)^2)); each run record carries the full report.
+(sum_i |sigma_i w_i|)^2); each run record carries the full report.
 
 With measure_time=False the timing columns are written as zeros so the
 rendered table and CSV are byte-identical across runs, which makes the

@@ -277,7 +277,7 @@ _SHARED = {
     "--config": dict(help="solver config JSON file"),
     "--seed": dict(type=int, help="RNG seed (synth default 0; bench default: the suite's seed)"),
     "--tol-var": dict(type=float, help="relative variance tolerance: |g| <= tol-var * "
-                      f"max(1, (sum_i |sigma_i w_i|)^2) (default {_VAR_TOL:g})"),
+                      f"(sum_i |sigma_i w_i|)^2 (default {_VAR_TOL:g})"),
     "--out-dir": dict(help="directory for output files"),
     "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
 }

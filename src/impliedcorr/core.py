@@ -26,14 +26,14 @@ matrix is calibrated to one index at a time.
 
 This module holds the shared value types (loadings, correlation matrices,
 market specs) and the elementary operations the model layers build on:
-assembling C(X), the projection onto Omega, portfolio variance, its range
-and the unit of every tolerance on g (:func:`_variance_range`), and a
-combined feasibility report.  It is the one place that turns a matrix
-argument into a CorrMatrix (:func:`_as_corr`, for every model and the
-report) and the one place that decides feasibility: every membership test
-of Omega allows the slack EPS_FEAS, and the report reads a matrix that is
-not a CorrMatrix as CorrMatrix would, testing symmetry, the diagonal and
-the bound on it as given.
+assembling C(X), the projection onto Omega, portfolio variance and its
+range, whose top (sum_i |sigma_i w_i|)^2 scales every tolerance on g
+(:func:`_variance_range`), and a combined feasibility report.  It is the
+one place that turns a matrix argument into a CorrMatrix (:func:`_as_corr`,
+for every model and the report) and the one place that decides
+feasibility: every membership test of Omega allows the slack EPS_FEAS, and
+the report reads a matrix that is not a CorrMatrix as CorrMatrix would,
+testing symmetry, the diagonal and the bound on it as given.
 A matrix assembled from loadings keeps them, so its smallest eigenvalue
 comes from the factor structure C(X) = X X' + diag(h), by a few
 safeguarded Newton steps of O(n k^2) each on a Schur complement whose
@@ -459,13 +459,13 @@ def constraint_normal(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     return v[:, None] * (X.T @ v) - (v * v)[:, None] * X
 
 
-def _variance_range(v: np.ndarray) -> tuple[float, float, float]:
-    """(lo, hi, unit): as C = Gram(z_i) for unit z_i, v'Cv = ||sum_i v_i z_i||^2 spans
+def _variance_range(v: np.ndarray) -> tuple[float, float]:
+    """(lo, hi): as C = Gram(z_i) for unit z_i, v'Cv = ||sum_i v_i z_i||^2 spans
     lo = (2 max|v_i| - sum|v_i|)_+^2 (triangle inequality) to hi = (sum|v_i|)^2
-    (comonotonic); every tolerance on g is a multiple of unit = max(1, hi)."""
+    (comonotonic), the scale of every tolerance on g in any units."""
     absv = np.abs(v)
     total = float(absv.sum())
-    return max(0.0, 2.0 * float(absv.max()) - total) ** 2, total**2, max(1.0, total**2)
+    return max(0.0, 2.0 * float(absv.max()) - total) ** 2, total**2
 
 
 def portfolio_variance(C, spec: MarketSpec) -> float:
@@ -487,7 +487,7 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
     a dense eigensolver (see :func:`_min_eigenvalue`).  Economic
     feasibility means the residual g = sigma_m^2 - w' diag(sigma) C
     diag(sigma) w of the spec's index constraint meets the solver's var_tol
-    test, |g| <= tol * max(1, (sum_i |sigma_i w_i|)^2); it is reported as a
+    test, |g| <= tol * (sum_i |sigma_i w_i|)^2; it is reported as a
     one-element residual vector.  With
     spec=None the economic part is vacuously true and the vector is empty.
 
@@ -517,7 +517,7 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
         matched = True
     else:
         residuals = np.array([spec.market.variance - portfolio_variance(corr, spec)])
-        matched = bool(abs(residuals[0]) <= tol * _variance_range(spec.scaled_weights())[2])
+        matched = bool(abs(residuals[0]) <= tol * _variance_range(spec.scaled_weights())[1])
 
     return FeasibilityReport(
         symmetric=symmetric,

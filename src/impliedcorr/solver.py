@@ -32,8 +32,8 @@ objective trace non-increasing, and the loop stops once an accepted step
 improves f by less than FN_RTOL * f.  Under a change of units v -> s v,
 K X scales by s^2 and the first-order root by 1 / s^2, so the curve's
 points stay the same.  Only the tolerances carry units, each a multiple
-of core's unit max(1, (sum_i |v_i|)^2): restorations meet min(RESTORATION_TOL,
-var_tol) and roots ROOT_TOL times it, so every iterate meets var_tol.
+of (sum_i |v_i|)^2: restorations meet min(RESTORATION_TOL, var_tol) and
+roots ROOT_TOL times it, so every iterate meets var_tol.
 
 Cost per iteration: each trial point evaluates f and grad f once, at the
 price of one n x n x k product (A_hat X).  A curve sample forms its point
@@ -84,7 +84,7 @@ MAX_BACKTRACKS = 40
 # FN_RTOL * f.
 FN_RTOL = 1e-5
 # Restoration: |g| tolerance, the root tolerance of one curve search (both
-# times max(1, (sum_i |v_i|)^2)) and the budget of curve searches.  Roots are
+# times (sum_i |v_i|)^2) and the budget of curve searches.  Roots are
 # refined to rounding, to |g| <= 1e-14 times the bound; 1e-12 would miss it.
 RESTORATION_TOL = 1e-10
 ROOT_TOL = 1e-16
@@ -115,9 +115,9 @@ class SolverConfig:
     """Factor count and stopping tolerances of the nearest-matrix solver.
 
     var_tol bounds |g| at every iterate, and so at a converged solution, by
-    var_tol * max(1, (sum_i |sigma_i w_i|)^2), as check_feasibility's tol
-    does, so it holds whatever the units of sigma.  The outer loop stops
-    once an accepted step improves f by less than FN_RTOL * f, or after
+    var_tol * (sum_i |sigma_i w_i|)^2, as check_feasibility's tol does, so
+    it means the same in any units of sigma.  The outer loop stops once an
+    accepted step improves f by less than FN_RTOL * f, or after
     max_outer_iter iterations.  The method constants are module constants.
     """
 
@@ -242,19 +242,19 @@ class _Constraint(NamedTuple):
 
 def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constraint:
     """The constraint of spec for n x k loadings, restored to |g| <= min(RESTORATION_TOL,
-    var_tol) * unit; raises RestorationError, carrying the residual, when the target is
-    RESTORATION_TOL * unit outside core's range or the comonotonic point misses con.tol."""
+    var_tol) * hi; raises RestorationError, carrying the residual, when the target is
+    RESTORATION_TOL * hi outside core's [lo, hi] or the comonotonic point misses con.tol."""
     v, target = spec.scaled_weights(), spec.market.variance
-    min_var, max_var, unit = _variance_range(v)
-    slack = RESTORATION_TOL * unit
-    con = _Constraint(v, v * v, float(v @ v), target, min(slack, var_tol * unit), ROOT_TOL * unit)
-    if target < min_var - slack:
+    lo, hi = _variance_range(v)
+    slack = RESTORATION_TOL * hi
+    con = _Constraint(v, v * v, float(v @ v), target, min(slack, var_tol * hi), ROOT_TOL * hi)
+    if target < lo - slack:
         raise RestorationError(
             f"index variance target {target:g} is below the attainable minimum "
-            f"(2 max|v_i| - sum|v_i|)^2 = {min_var:g}; no feasible loadings exist",
-            residual=target - min_var,
+            f"(2 max|v_i| - sum|v_i|)^2 = {lo:g}; no feasible loadings exist",
+            residual=target - lo,
         )
-    if target < max_var - slack:
+    if target < hi - slack:
         return con
     # A target at the comonotonic bound admits exactly one feasible point,
     # every pairwise correlation equal to one.  E is tangent to the ball
@@ -265,7 +265,7 @@ def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constra
     if abs(resid) > slack:
         raise RestorationError(
             f"index variance target {target:g} exceeds the comonotonic bound "
-            f"{max_var:g}; no feasible loadings exist",
+            f"{hi:g}; no feasible loadings exist",
             residual=resid,
         )
     if abs(resid) > con.tol:
@@ -512,15 +512,15 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
     Spectral projected gradient outer loop with inexact restoration, as
     described in the module docstring.  The target need not be PSD.
 
-    Every returned X* satisfies |g(X*)| <= var_tol * max(1, (sum_i
-    |sigma_i w_i|)^2) and min_i h_i(X*) >= -EPS_FEAS; C_star = C(X*) is
-    PSD by construction and the f trace is non-increasing.  The loop stops,
+    Every returned X* satisfies |g(X*)| <= var_tol * (sum_i |sigma_i w_i|)^2
+    and min_i h_i(X*) >= -EPS_FEAS; C_star = C(X*) is PSD by construction
+    and the f trace is non-increasing.  The loop stops,
     converged, once an accepted step improves f by less than FN_RTOL * f or
     the arc search finds no acceptable step; at max_outer_iter it stops
     with converged=False.  An unattainable index variance, or a failed
-    restoration of the start, raises RestorationError.  Where sum_i
-    |sigma_i w_i| >= 1 before and after, scaling sigma by s and the index
-    variance by s^2 changes no move and no verdict beyond rounding.
+    restoration of the start, raises RestorationError.  Scaling sigma by s
+    and the index variance by s^2 changes no move and no verdict beyond
+    rounding, and no bit when s is a power of two and nothing underflows.
 
     Parameters
     ----------

@@ -121,3 +121,41 @@ def reference_solve(A, spec: MarketSpec, config: SolverConfig | None = None) -> 
         converged=converged,
         message="augmented-lagrangian reference",
     )
+
+
+def dual_bound(A, spec: MarketSpec, tol: float) -> float:
+    """A lower bound on f(X) for every X that solve_nicm may return.
+
+    Dropping the rank limit leaves the convex problem min ||C - A||^2 over
+    C PSD, diag C = 1 and v'Cv = sigma_m^2, whose optimum bounds f from
+    below for every k.  Its dual in (y, mu), n + 1 variables,
+
+        d(y, mu) = ||A||^2 / 2 - ||(A + Diag(y) + mu v v')_+||^2 / 2
+                   + sum_i y_i + mu sigma_m^2,
+
+    is concave, and 2 d(y, mu) <= f(X) at every (y, mu) and every feasible
+    X; it is maximised here by scipy's L-BFGS-B.  A solve accepts |g| <=
+    tol (sum_i |v_i|)^2, which moves the dual by at most |mu| times that,
+    so the bound returned is 2 d - 2 |mu| tol (sum_i |v_i|)^2.  The
+    diagonal of A is taken as one, as f ignores it.
+    """
+    A = np.array(_as_corr(A).values)
+    np.fill_diagonal(A, 1.0)
+    n = A.shape[0]
+    v = spec.scaled_weights()
+    vv = np.outer(v, v)
+    target = spec.market.variance
+    half_a2 = 0.5 * float(np.sum(A * A))
+
+    def neg_dual(z: np.ndarray):
+        y, mu = z[:n], z[n]
+        lam, Q = np.linalg.eigh(A + np.diag(y) + mu * vv)
+        pos = lam > 0.0
+        P = (Q[:, pos] * lam[pos]) @ Q[:, pos].T
+        d = half_a2 - 0.5 * float(np.sum(lam[pos] ** 2)) + float(np.sum(y)) + mu * target
+        grad = np.append(1.0 - np.diag(P), target - float(v @ P @ v))
+        return -d, -grad
+
+    res = minimize(neg_dual, np.zeros(n + 1), jac=True, method="L-BFGS-B",
+                   options={"ftol": 1e-12, "gtol": 1e-8})
+    return 2.0 * -res.fun - 2.0 * abs(res.x[n]) * tol * float(np.sum(np.abs(v))) ** 2

@@ -44,7 +44,7 @@ from impliedcorr.solver import (
     solve_nicm,
 )
 from impliedcorr.synth import estimate_target_matrix, generate_synthetic_market
-from reference import reference_solve
+from reference import dual_bound, reference_solve
 
 
 def random_spec(rng, n):
@@ -94,12 +94,12 @@ def _residual(X, spec):
 
 
 def variance_unit(spec):
-    """The unit of every tolerance on g: max(1, (sum_i |sigma_i w_i|)^2)."""
-    return max(1.0, float(np.sum(np.abs(spec.scaled_weights()))) ** 2)
+    """The scale of every tolerance on g: (sum_i |sigma_i w_i|)^2."""
+    return float(np.sum(np.abs(spec.scaled_weights()))) ** 2
 
 
 def restoration_bound(spec):
-    """The documented |g| bound of the restoration: 1e-10 * max(1, (sum |v_i|)^2)."""
+    """The documented |g| bound of the restoration: 1e-10 * (sum |v_i|)^2."""
     return RESTORATION_TOL * variance_unit(spec)
 
 
@@ -253,7 +253,7 @@ def test_project_feasible_reaches_targets_on_the_curve():
         spec = MarketSpec(sigma, (IndexConstraint("market", w, var),))
         Z = restore(X, spec)
         assert np.max(np.einsum("ij,ij->i", Z, Z)) <= 1.0 + 1e-12
-        assert abs(_residual(Z, spec)) <= 1e-14 * max(1.0, float(np.sum(np.abs(v))) ** 2)
+        assert abs(_residual(Z, spec)) <= 1e-14 * float(np.sum(np.abs(v))) ** 2
         checked += 1
     assert checked >= 30
 
@@ -472,6 +472,30 @@ def test_solve_nicm_hard_repairs_converge_in_large_units():
         res = solve_nicm(A, spec, SolverConfig(k=3))
         assert res.converged, (market, res.message)
         converged += 1
+
+
+def test_converged_solves_respect_the_dual_bound():
+    # The convex relaxation's dual bounds f from below at every k: every
+    # converged solve of acceptance 08's corpus (k = 3) and acceptance
+    # 07's (n = 100, k = 1) lies on or above it.
+    config = SolverConfig(k=3)
+    checked, market = 0, 800
+    while checked < 20:
+        market += 1
+        A, spec = hard_repair(market)
+        if np.linalg.eigvalsh(A)[0] >= -1e-8:
+            continue
+        res = solve_nicm(A, spec, config)
+        assert res.converged, market
+        assert dual_bound(A, spec, config.var_tol) <= res.fn, market
+        checked += 1
+    config = SolverConfig(k=1)
+    for market in range(700, 720):
+        snap, _ = generate_synthetic_market(100, 1, 0.1, seed=market, periods=520)
+        A = estimate_target_matrix(snap.asset_returns, window=260).values
+        res = solve_nicm(A, snap.spec, config)
+        assert res.converged, market
+        assert dual_bound(A, snap.spec, config.var_tol) <= res.fn, market
 
 
 def test_solve_nicm_relabelled_assets_converge_alike():
@@ -928,6 +952,47 @@ def test_var_tol_below_the_restoration_tolerance():
     assert res.converged, res.message
     assert abs(res.constraint_residual) <= config.var_tol * variance_unit(snap.spec)
     assert check_feasibility(res.C_star, snap.spec, config.var_tol).economically_matched
+
+
+def test_sigma_sweep_changes_no_bit_of_the_solve():
+    # The README market in units 2^e, e = -30 ... 30: every tolerance on g
+    # is a multiple of (sum_i |sigma_i w_i|)^2, so scaling sigma by a power
+    # of two and the variance by its square changes no bit.  With a floor
+    # of max(1, .) on that scale the comonotonic band would swallow every
+    # target from e = -20 on.
+    snap, _ = generate_synthetic_market(20, 3, 0.1, seed=0, periods=260)
+    A = estimate_target_matrix(snap.asset_returns, "historical")
+    con = snap.spec.market
+    base = None
+    for e in sorted(range(-30, 31, 5), key=abs):
+        s = 2.0**e
+        spec = MarketSpec(snap.spec.sigma * s, (IndexConstraint(con.name, con.weights, con.variance * s * s),))
+        res = solve_nicm(A, spec, SolverConfig(k=3))
+        assert res.converged, (e, res.message)
+        assert check_feasibility(res.C_star, spec).feasible, e
+        moves = (res.X_star.values.tobytes(), res.fn, res.outer_iterations, res.restorations)
+        base = base or moves
+        assert moves == base, (e, res.fn, res.outer_iterations, res.restorations)
+
+
+@pytest.mark.parametrize("n", [12, 60])
+def test_permuting_the_assets_permutes_the_solution(n):
+    # Permuting A, sigma and w permutes C*.  Not bit for bit: the Lanczos
+    # start vector and the sums follow the row order.
+    for k in (1, 2, 3):
+        for j in range(2):
+            seed = np.random.SeedSequence(11, spawn_key=(n, k, j))
+            snap, _ = generate_synthetic_market(n, 4, 0.1, seed, periods=300)
+            A = estimate_target_matrix(snap.asset_returns, "historical", window=150).values
+            con = snap.spec.market
+            p = np.random.default_rng(seed).permutation(n)
+            spec = MarketSpec(snap.spec.sigma[p], (IndexConstraint(con.name, con.weights[p], con.variance),))
+            res = solve_nicm(A, snap.spec, SolverConfig(k=k))
+            perm = solve_nicm(A[np.ix_(p, p)], spec, SolverConfig(k=k))
+            assert res.converged and perm.converged, (k, j)
+            assert perm.outer_iterations == res.outer_iterations, (k, j)
+            assert abs(perm.fn - res.fn) <= 1e-12 * res.fn, (k, j)
+            assert np.max(np.abs(perm.C_star.values - res.C_star.values[np.ix_(p, p)])) <= 1e-9, (k, j)
 
 
 def test_solve_nicm_rescales_large_scaled_weights():
