@@ -34,14 +34,16 @@ for every model and the report) and the one place that decides
 feasibility: every membership test of Omega allows the slack EPS_FEAS, and
 the report reads a matrix that is not a CorrMatrix as CorrMatrix would,
 testing symmetry, the diagonal and the bound on it as given.
-A matrix assembled from loadings keeps them, so its smallest eigenvalue
-comes from the factor structure C(X) = X X' + diag(h), by a few
-safeguarded Newton steps of O(n k^2) each on a Schur complement whose
-inertia is that of C - lam I (Haynsworth; see :func:`_min_eigenvalue`),
-instead of from an O(n^3) dense eigensolver; matrices built any other way,
-read from CSV for instance, use the dense solver.  The feasibility report
-of a CorrMatrix takes `symmetric` from the type, and that of C(X) `bounded`
-from the row norms of X unless a row lies within rounding of the bound.
+A matrix assembled from loadings keeps them.  Where n >= max(2 k + 70,
+3 k), its smallest eigenvalue comes from the factor structure
+C(X) = X X' + diag(h), by a few safeguarded Newton steps of O(n k^2) each
+on a Schur complement whose inertia is that of C - lam I (Haynsworth; see
+:func:`_factor_min_eigenvalue`), instead of from an O(n^3) dense
+eigensolver; smaller matrices, and matrices built any other way (read from
+CSV, for instance), use the dense solver.  The feasibility report of a
+CorrMatrix takes `symmetric` from the type, that of C(X) `bounded` from
+the row norms of X unless a row lies within rounding of the bound, and its
+residual from :func:`hollow_form`, as the solver does.
 It also holds the two O(n k) kernels of the index variance algebra, with
 v = sigma o w and K = v v' o J = v v' - diag(v^2):
 
@@ -160,7 +162,12 @@ class CorrMatrix:
         return self.values.shape[0]
 
     def min_eigenvalue(self) -> float:
-        return _min_eigenvalue(self.values, self._loadings)
+        """The smallest eigenvalue: from the loadings when n >= max(2 k + 70, 3 k),
+        where the factor iteration is the faster path, from eigvalsh otherwise."""
+        X = self._loadings
+        if X is not None and X.shape[0] >= max(2 * X.shape[1] + 70, 3 * X.shape[1]):
+            return _factor_min_eigenvalue(X)
+        return float(np.linalg.eigvalsh(self.values)[0])
 
 
 @dataclass(frozen=True)
@@ -340,13 +347,7 @@ def assemble_correlation(X) -> CorrMatrix:
     return _trusted_corr(C, arr)
 
 
-def _eigvalsh_flops(m: int) -> float:
-    """Leading flop count of the eigenvalues of an m x m symmetric matrix
-    (Householder tridiagonalization, 4 m^3 / 3)."""
-    return 4.0 * m**3 / 3.0
-
-
-def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
+def _factor_min_eigenvalue(X: np.ndarray) -> float:
     """Smallest eigenvalue of C(X) = X X' + D, D = diag(h), h_i = 1 - ||X_i||^2.
 
     lam_min lies in [h_(1), min(1, h_(k+1))], h_(j) being the j-th smallest
@@ -389,9 +390,10 @@ def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
     replaced by the midpoint, and every point is kept tol / 2 inside it, so
     an iterate at the root closes it at once.  The iteration stops at width
     tol or after the bisection's step count; a 500-asset panel check takes
-    4 to 6 evaluations where bisection took 36 to 44.  Returns None, having
-    done O(n) work, when that many bisection steps would cost more than
-    budget flops.
+    4 to 6 evaluations where bisection took 36 to 44.  Each evaluation costs
+    a few numpy calls and O(n k^2 + k^3) flops, so where n < max(2 k + 70,
+    3 k) a dense eigvalsh is faster (timed with BLAS threads at 1), and
+    :meth:`CorrMatrix.min_eigenvalue` uses it there.
     """
     n, k = X.shape
     r = np.einsum("ij,ij->i", X, X)
@@ -401,8 +403,6 @@ def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
     hi = min(1.0, float(np.partition(h, k)[k])) if n > k else 1.0
     tol = _EPS * scale
     steps = math.ceil(math.log2((hi - lo) / tol)) if hi - lo > tol else 0
-    if steps * (2.0 * n * k * (k + 1) + _eigvalsh_flops(k)) >= budget:
-        return None
     eta = _EPS**0.25 * float(np.max(np.abs(h) + r))
     eye = np.eye(k)
     lam = hi
@@ -429,22 +429,6 @@ def _factor_min_eigenvalue(X: np.ndarray, budget: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def _min_eigenvalue(values: np.ndarray, X: np.ndarray | None) -> float:
-    """Smallest eigenvalue of the symmetric matrix values, = C(X) when X is given.
-
-    With loadings, the factor iteration runs when its step cap, the
-    bisection's step count, costs fewer flops than the dense
-    np.linalg.eigvalsh (at n = 500 and k = 5 about 1e6 against 1.7e8, of
-    which it spends a few steps; at n = 10 and k = 3 it does not); without,
-    the dense solver runs.
-    """
-    if X is not None:
-        lam = _factor_min_eigenvalue(X, _eigvalsh_flops(values.shape[0]))
-        if lam is not None:
-            return lam
-    return float(np.linalg.eigvalsh(values)[0])
-
-
 def hollow_form(v: np.ndarray, L: np.ndarray, R: np.ndarray, norms=None, vv=None) -> float:
     """v' [(L R') o J] v = (L'v)'(R'v) - sum_i v_i^2 <L_i, R_i>, in O(n k);
     callers holding the row products norms_i = <L_i, R_i> or vv = v o v pass them."""
@@ -468,12 +452,17 @@ def _variance_range(v: np.ndarray) -> tuple[float, float]:
     return max(0.0, 2.0 * float(absv.max()) - total) ** 2, total**2
 
 
+def _weights_for(n: int, spec: MarketSpec) -> np.ndarray:
+    """v = sigma o w of spec, which must price n assets."""
+    if n != spec.n:
+        raise ValueError(f"matrix is {n} x {n} for {spec.n} assets")
+    return spec.scaled_weights()
+
+
 def portfolio_variance(C, spec: MarketSpec) -> float:
-    """Model index variance w' diag(sigma) C diag(sigma) w."""
+    """Model index variance w' diag(sigma) C diag(sigma) w, the dense v'Cv."""
     arr = _as_corr(C).values
-    if arr.shape[0] != spec.n:
-        raise ValueError(f"matrix is {arr.shape[0]} x {arr.shape[0]} for {spec.n} assets")
-    v = spec.scaled_weights()
+    v = _weights_for(arr.shape[0], spec)
     return float(v @ arr @ v)
 
 
@@ -481,15 +470,18 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
     """Full feasibility report for a correlation-matrix candidate.
 
     Mathematical feasibility means symmetric, unit diagonal, entries in
-    [-1, 1] and PSD (smallest eigenvalue >= -EPS_PSD).  The smallest
-    eigenvalue of a matrix from :func:`assemble_correlation` comes from its
-    loadings in O(n k^2) per Newton step, that of any other matrix from
-    a dense eigensolver (see :func:`_min_eigenvalue`).  Economic
-    feasibility means the residual g = sigma_m^2 - w' diag(sigma) C
-    diag(sigma) w of the spec's index constraint meets the solver's var_tol
-    test, |g| <= tol * (sum_i |sigma_i w_i|)^2; it is reported as a
-    one-element residual vector.  With
-    spec=None the economic part is vacuously true and the vector is empty.
+    [-1, 1] and PSD (smallest eigenvalue >= -EPS_PSD, from
+    :meth:`CorrMatrix.min_eigenvalue`).  Economic feasibility means the
+    residual g = sigma_m^2 - w' diag(sigma) C diag(sigma) w of the spec's
+    index constraint meets the solver's var_tol test, |g| <= tol *
+    (sum_i |sigma_i w_i|)^2; it is reported as a one-element residual
+    vector.  The residual of a matrix from :func:`assemble_correlation`
+    comes from its loadings as hollow_form(v, X, X) + v'v, the solver's
+    kernel, so it has the bits of a solve's constraint_residual; that of
+    any other matrix from :func:`portfolio_variance`.  The two differ only
+    in rounding, and a spec for another number of assets raises the same
+    ValueError on both.  With spec=None the economic part is vacuously
+    true and the vector is empty.
 
     Any other argument is read by :func:`_as_corr` (finite, square and
     non-empty; symmetrized as CorrMatrix does when its bits are not), and
@@ -516,8 +508,10 @@ def check_feasibility(C, spec: MarketSpec | None = None, tol: float = _VAR_TOL) 
         residuals = np.empty(0)
         matched = True
     else:
-        residuals = np.array([spec.market.variance - portfolio_variance(corr, spec)])
-        matched = bool(abs(residuals[0]) <= tol * _variance_range(spec.scaled_weights())[1])
+        v = _weights_for(corr.n, spec)
+        model = portfolio_variance(corr, spec) if X is None else hollow_form(v, X, X) + float(v @ v)
+        residuals = np.array([spec.market.variance - model])
+        matched = bool(abs(residuals[0]) <= tol * _variance_range(v)[1])
 
     return FeasibilityReport(
         symmetric=symmetric,

@@ -159,3 +159,18 @@ def dual_bound(A, spec: MarketSpec, tol: float) -> float:
     res = minimize(neg_dual, np.zeros(n + 1), jac=True, method="L-BFGS-B",
                    options={"ftol": 1e-12, "gtol": 1e-8})
     return 2.0 * -res.fun - 2.0 * abs(res.x[n]) * tol * float(np.sum(np.abs(v))) ** 2
+
+
+def hollow_rounding_bound(X, v) -> float:
+    """A bound on |v'C(X)v by the hollow form - v'C(X)v by the dense product|.
+
+    economic._premium's: Higham's dot-product bound gamma_m = m u / (1 - m u)
+    (Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.1) puts
+    the two errors at gamma_(2n+k+2) B and gamma_(2n+k) B, with r_i =
+    ||x_i|| and B = (sum |v_i| r_i)^2 + sum v_i^2 (1 + r_i^2); their sum is
+    at most gamma_(4n+2k+2) B.
+    """
+    n, k = X.shape
+    r2 = np.einsum("ij,ij->i", X, X)
+    mu = (4 * n + 2 * k + 2) * np.finfo(np.float64).eps / 2.0
+    return mu / (1.0 - mu) * (float(np.abs(v) @ np.sqrt(r2)) ** 2 + float((v * v) @ (1.0 + r2)))

@@ -239,10 +239,10 @@ def test_render_table_and_csv_shapes():
 
 
 def test_report_uses_the_loadings_of_solver_results(monkeypatch):
-    # At n = 40 and k = 2 the factor-structured smallest eigenvalue costs
-    # fewer flops than a dense eigvalsh, so the report of an nicm result,
-    # which keeps its loadings, must never run one on the n x n matrix.
-    n = 40
+    # At n = 100 and k = 2 the factor-structured smallest eigenvalue is
+    # faster than a dense eigvalsh, so the report of an nicm result, which
+    # keeps its loadings, must never run one on the n x n matrix.
+    n = 100
     dense = np.linalg.eigvalsh
 
     def small_only(a, *args, **kw):

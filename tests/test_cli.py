@@ -15,15 +15,17 @@ import pytest
 from impliedcorr import cli
 from impliedcorr.cli import cli_dispatch
 from impliedcorr import _VAR_TOL
-from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec, check_feasibility
+from impliedcorr.core import CorrMatrix, IndexConstraint, MarketSpec, check_feasibility, hollow_form
 from impliedcorr.io import (
     load_snapshot,
+    read_loadings_csv,
     read_market_spec,
     read_matrix_csv,
     write_loadings_csv,
     write_market_spec,
     write_matrix_csv,
 )
+from reference import hollow_rounding_bound
 
 
 def write_spec(tmp_path, var=0.03, name="spec.json"):
@@ -674,16 +676,16 @@ def test_synth_reports_comonotonic_clip(tmp_path, capsys):
 
 @pytest.fixture
 def wide_market(tmp_path, capsys):
-    """A synthetic n = 40, k_true = 2 snapshot and its spec as a file.  Every
+    """A synthetic n = 100, k_true = 2 snapshot and its spec as a file.  Every
     matrix-writing command gives a feasible matrix on it, and at this size
     the smallest eigenvalue of a factor-structured matrix comes from its
     loadings, not from a dense eigvalsh."""
-    argv = ["synth", "-n", "40", "--k-true", "2", "--seed", "0", "--out-dir", str(tmp_path / "wide")]
+    argv = ["synth", "-n", "100", "--k-true", "2", "--seed", "0", "--out-dir", str(tmp_path / "wide")]
     code, out, _ = run_json(capsys, argv)
     assert code == 0
     spec = str(tmp_path / "wide_spec.json")
     write_market_spec(spec, load_snapshot(out["snapshot"]).spec)
-    return {"snapshot": out["snapshot"], "spec": spec, "n": 40}
+    return {"snapshot": out["snapshot"], "spec": spec, "n": 100}
 
 
 MATRIX_COMMANDS = {
@@ -698,17 +700,29 @@ MATRIX_COMMANDS = {
 @pytest.mark.parametrize("command", MATRIX_COMMANDS)
 def test_matrix_commands_report_the_written_matrix(wide_market, tmp_path, capsys, command):
     # Every command that writes a matrix reports on that matrix, as check
-    # would on the CSV read back; nearest, repair and economic take the
-    # smallest eigenvalue from their loadings, hence the tolerance.
+    # would on the CSV read back.  nearest, repair and economic take the
+    # smallest eigenvalue and the residual from their loadings, so those
+    # two agree with check only to rounding.
     argv = [command, *[wide_market.get(a, a) for a in MATRIX_COMMANDS[command]], "--out-dir", str(tmp_path / "o")]
     code, out, _ = run_json(capsys, argv)
     assert code == 0
-    want = check_feasibility(read_matrix_csv(out["paths"]["C"]), read_market_spec(wide_market["spec"]), _VAR_TOL)
+    spec = read_market_spec(wide_market["spec"])
+    want = check_feasibility(read_matrix_csv(out["paths"]["C"]), spec, _VAR_TOL)
     got = out["feasibility"]
     assert got["feasible"] is True
-    for key in ("feasible", "psd", "bounded", "constraint_residuals"):
+    for key in ("feasible", "psd", "bounded"):
         assert got[key] == want.to_dict()[key], key
     assert got["min_eigenvalue"] == pytest.approx(want.min_eigenvalue, rel=1e-9)
+    (g,), (g_dense,) = got["constraint_residuals"], want.constraint_residuals
+    loadings = out["paths"].get("X", out["paths"].get("X_Q"))
+    if loadings is None:
+        assert g == g_dense
+    else:
+        X = read_loadings_csv(loadings)[1].values
+        v = spec.scaled_weights()
+        assert g == spec.market.variance - (hollow_form(v, X, X) + float(v @ v))
+        eps = np.finfo(float).eps
+        assert abs(g - g_dense) <= hollow_rounding_bound(X, v) + eps * max(abs(g), abs(g_dense))
 
 
 def test_solver_and_economic_reports_use_loadings(wide_market, tmp_path, capsys, monkeypatch):

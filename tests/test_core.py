@@ -23,6 +23,7 @@ from impliedcorr.core import (
     hollow_form,
     portfolio_variance,
 )
+from reference import hollow_rounding_bound
 
 
 def spec2(var):
@@ -401,7 +402,7 @@ def adversarial_loadings(draw):
 @example(np.array([[0.5, 0.5], [-1.0 / 5**0.5, -2.0 / 5**0.5]]))
 def test_factor_min_eigenvalue_matches_dense_solver(X):
     n, k = X.shape
-    lam = _factor_min_eigenvalue(X, budget=math.inf)
+    lam = _factor_min_eigenvalue(X)
     ref = float(np.linalg.eigvalsh(assemble_correlation(X).values)[0])
     # Rounding model, with s = max_i |h_i| + ||X||_F^2 >= ||C||_2: a
     # backward-stable eigensolver is exact for a matrix within about
@@ -415,16 +416,16 @@ def test_factor_min_eigenvalue_matches_dense_solver(X):
 
 def test_min_eigenvalue_has_one_implementation():
     rng = np.random.default_rng(31)
-    X = random_ball_rows(rng, 60, 2)
+    X = random_ball_rows(rng, 100, 2)
     C = assemble_correlation(X)
-    # At n = 60 the factor bisection costs fewer flops than eigvalsh, and
-    # every caller gets its value.
-    lam = _factor_min_eigenvalue(X, budget=math.inf)
+    # At n = 100 the factor iteration is faster than eigvalsh, and every
+    # caller gets its value.
+    lam = _factor_min_eigenvalue(X)
     assert C.min_eigenvalue() == lam
     rep = check_feasibility(C)
     assert rep.min_eigenvalue == lam and rep.psd
     # The same matrix without its loadings (read from CSV, say) and small
-    # assembled matrices, where the bisection costs more, use eigvalsh.
+    # assembled matrices, where the factor iteration is slower, use eigvalsh.
     dense = float(np.linalg.eigvalsh(C.values)[0])
     assert CorrMatrix(C.values).min_eigenvalue() == dense
     assert check_feasibility(C.values).min_eigenvalue == dense
@@ -434,6 +435,22 @@ def test_min_eigenvalue_has_one_implementation():
     assert C10.min_eigenvalue() == float(np.linalg.eigvalsh(C10.values)[0])
 
 
+@pytest.mark.parametrize(
+    "n, k, factor",
+    [(60, 1, False), (71, 1, False), (72, 1, True), (80, 5, True), (80, 6, False), (80, 21, False),
+     (100, 1, True), (300, 100, True), (300, 101, False)],
+)
+def test_min_eigenvalue_path_follows_the_size_rule(n, k, factor):
+    # The factor iteration runs where n >= max(2 k + 70, 3 k); elsewhere a
+    # dense eigvalsh of the n x n matrix is faster (CHANGES.md has the
+    # timing grid).
+    C = assemble_correlation(random_ball_rows(np.random.default_rng(n + k), n, k))
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        C.min_eigenvalue()
+    dense_calls = sum(np.shape(call.args[0]) == (n, n) for call in eigvalsh.call_args_list)
+    assert dense_calls == (0 if factor else 1)
+
+
 def factor_min_eigenvalue_evaluations(X):
     """_factor_min_eigenvalue(X) and the number of Schur complements it
     decomposed, one np.linalg.eigh or eigvalsh call each."""
@@ -441,7 +458,7 @@ def factor_min_eigenvalue_evaluations(X):
         mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
         mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh,
     ):
-        lam = _factor_min_eigenvalue(X, budget=math.inf)
+        lam = _factor_min_eigenvalue(X)
     return lam, eigh.call_count + eigvalsh.call_count
 
 
@@ -502,5 +519,22 @@ def test_assembled_report_agrees_with_the_dense_report(X):
     fast = check_feasibility(C, spec).to_dict()
     dense = check_feasibility(np.array(C.values), spec).to_dict()
     lam_fast, lam_dense = fast.pop("min_eigenvalue"), dense.pop("min_eigenvalue")
+    (g_fast,), (g_dense,) = fast.pop("constraint_residuals"), dense.pop("constraint_residuals")
     assert fast == dense
     assert abs(lam_fast - lam_dense) <= 1e-9 * max(1.0, abs(lam_dense))
+    # The residual of C(X) is the solver's hollow form; it differs from the
+    # dense v'Cv by the rounding of the two variances and of each
+    # subtraction from the target.
+    v = spec.scaled_weights()
+    assert g_fast == 0.04 - (hollow_form(v, X, X) + float(v @ v))
+    eps = np.finfo(float).eps
+    assert abs(g_fast - g_dense) <= hollow_rounding_bound(X, v) + eps * max(abs(g_fast), abs(g_dense))
+
+
+def test_wrong_size_spec_raises_the_same_error_with_and_without_loadings():
+    C = assemble_correlation(random_ball_rows(np.random.default_rng(5), 3, 2))
+    with pytest.raises(ValueError) as factor:
+        check_feasibility(C, spec2(0.03))
+    with pytest.raises(ValueError) as dense:
+        check_feasibility(np.array(C.values), spec2(0.03))
+    assert str(factor.value) == str(dense.value) == "matrix is 3 x 3 for 2 assets"

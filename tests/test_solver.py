@@ -415,6 +415,18 @@ def hard_repair(market, scale=1.0):
     return A, MarketSpec(spec.sigma * scale, (con,))
 
 
+def hard_corpus(scale=1.0):
+    """Acceptance 08's corpus: (market, A, spec) for the first 20 hard repairs
+    from market 801 on whose target is indefinite."""
+    found, market = 0, 800
+    while found < 20:
+        market += 1
+        A, spec = hard_repair(market, scale)
+        if np.linalg.eigvalsh(A)[0] < -1e-8:
+            found += 1
+            yield market, A, spec
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_solve_nicm_rejects_target_below_attainable_minimum(k):
     # The hard-repair recipe on market 3003: one index weight dominates,
@@ -462,16 +474,9 @@ def test_solve_nicm_hard_repairs_converge_in_large_units():
     # At sigma x 4096 the restoration's tolerance and var_tol both scale
     # with the index variance, and every solve of acceptance 08's corpus
     # (k = 3) converges.
-    converged = 0
-    market = 800
-    while converged < 20:
-        market += 1
-        A, spec = hard_repair(market, scale=4096.0)
-        if np.linalg.eigvalsh(A)[0] >= -1e-8:
-            continue
+    for market, A, spec in hard_corpus(scale=4096.0):
         res = solve_nicm(A, spec, SolverConfig(k=3))
         assert res.converged, (market, res.message)
-        converged += 1
 
 
 def test_converged_solves_respect_the_dual_bound():
@@ -479,16 +484,10 @@ def test_converged_solves_respect_the_dual_bound():
     # converged solve of acceptance 08's corpus (k = 3) and acceptance
     # 07's (n = 100, k = 1) lies on or above it.
     config = SolverConfig(k=3)
-    checked, market = 0, 800
-    while checked < 20:
-        market += 1
-        A, spec = hard_repair(market)
-        if np.linalg.eigvalsh(A)[0] >= -1e-8:
-            continue
+    for market, A, spec in hard_corpus():
         res = solve_nicm(A, spec, config)
         assert res.converged, market
         assert dual_bound(A, spec, config.var_tol) <= res.fn, market
-        checked += 1
     config = SolverConfig(k=1)
     for market in range(700, 720):
         snap, _ = generate_synthetic_market(100, 1, 0.1, seed=market, periods=520)
@@ -496,6 +495,21 @@ def test_converged_solves_respect_the_dual_bound():
         res = solve_nicm(A, snap.spec, config)
         assert res.converged, market
         assert dual_bound(A, snap.spec, config.var_tol) <= res.fn, market
+
+
+def test_report_residual_has_the_bits_of_the_solve():
+    # The report of C* takes its residual from the loadings by the solver's
+    # kernel: on acceptance 08's corpus (k = 3), the README market (n = 20)
+    # and a 100-asset market, whose smallest eigenvalue also comes from
+    # the loadings.
+    cases = [(A, spec) for _, A, spec in hard_corpus()]
+    for n in (20, 100):
+        snap, _ = generate_synthetic_market(n, 3, 0.1, seed=0, periods=260)
+        cases.append((estimate_target_matrix(snap.asset_returns, "historical"), snap.spec))
+    for A, spec in cases:
+        res = solve_nicm(A, spec, SolverConfig(k=3))
+        report = check_feasibility(res.C_star, spec)
+        assert report.constraint_residuals[0] == res.constraint_residual
 
 
 def test_solve_nicm_relabelled_assets_converge_alike():
@@ -623,8 +637,9 @@ def test_solve_nicm_contract_on_long_short_markets(case):
         return
     assert np.all(np.diff(res.fn_trace) <= 0.0)
     if res.converged:
-        assert abs(res.constraint_residual) <= config.var_tol
+        assert abs(res.constraint_residual) <= min(RESTORATION_TOL, config.var_tol) * variance_unit(spec)
         assert np.max(np.einsum("ij,ij->i", res.X_star.values, res.X_star.values)) <= 1.0 + 1e-12
+        assert dual_bound(A, spec, config.var_tol) <= res.fn
     else:
         assert res.message
 
@@ -998,23 +1013,28 @@ def test_permuting_the_assets_permutes_the_solution(n):
 def test_solve_nicm_rescales_large_scaled_weights():
     # annualized-vol convention pushed to a monthly-variance target:
     # max |sigma_i w_i| near 1, and the same market in units 2^10 and 2^20
-    # times larger, where the restoration's tolerance scales with them
+    # times larger, where the restoration's tolerance scales with them.
+    # Scaling sigma by a power of two and the variance by its square
+    # changes no bit of X* and scales both residuals by s^2 exactly.
     sigma = np.array([2.0, 1.8])
     w = np.array([0.5, 0.5])
     v = sigma * w
     var = 0.9 * float(np.sum(v)) ** 2
     A = np.array([[1.0, 0.3], [0.3, 1.0]])
-    results = []
-    for s in (1.0, 2.0**10, 2.0**20):
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, var),))
+    base = solve_nicm(A, spec, SolverConfig(k=1))
+    assert base.converged
+    # residual is reported in the spec's units
+    base_residual = residual(base.X_star.values, spec)
+    assert abs(base_residual) <= 1e-6
+    assert abs(base.constraint_residual) <= 1e-6
+    for s in (2.0**10, 2.0**20):
         spec = MarketSpec(sigma * s, (IndexConstraint("m", w, var * s * s),))
         res = solve_nicm(A, spec, SolverConfig(k=1))
         assert res.converged
-        # residual is reported in the spec's units
-        assert abs(residual(res.X_star.values, spec)) <= 1e-6
-        assert abs(res.constraint_residual) <= 1e-6
-        results.append(res)
-    base, *scaled = results
-    for res in scaled:
+        assert res.X_star.values.tobytes() == base.X_star.values.tobytes()
+        assert res.constraint_residual == base.constraint_residual * s * s
+        assert residual(res.X_star.values, spec) == base_residual * s * s
         assert (res.outer_iterations, res.restorations) == (base.outer_iterations, base.restorations)
         assert abs(res.fn - base.fn) <= 1e-12 * base.fn
 
