@@ -30,8 +30,8 @@ _NAMES = {
              "portfolio_variance"),
     "economic": ("EconomicResult", "economic_implied_corr"),
     "io": ("MarketSnapshot", "load_snapshot", "read_loadings_csv", "read_market_spec",
-           "read_matrix_csv", "read_solver_config", "read_vg_params", "save_snapshot",
-           "write_loadings_csv", "write_market_spec", "write_matrix_csv"),
+           "read_matrix_csv", "read_vg_params", "save_snapshot", "write_loadings_csv",
+           "write_market_spec", "write_matrix_csv"),
     "solver": ("RestorationError", "SolverConfig", "SolverResult", "initial_loadings", "objective",
                "objective_gradient", "solve_nicm"),
     "synth": ("estimate_factor_correlations", "estimate_target_matrix", "generate_synthetic_market"),

@@ -134,8 +134,6 @@ def adjusted_ex_post(
         variance and no alpha exists, or a single asset needs the floor.
     """
     P = _as_corr(C_P).values
-    if P.shape[0] != spec.n:
-        raise ValueError(f"matrix is {P.shape[0]} x {P.shape[0]} for {spec.n} assets")
     con = spec.market
     s_P = portfolio_variance(P, spec)
     premium = con.variance - s_P

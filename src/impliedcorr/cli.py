@@ -15,9 +15,12 @@ Subcommands:
 check, adjust, nearest, repair and economic take each input (--matrix or
 --target, --loadings, --spec) from its file option when that is given,
 else from the --snapshot's field of the same role; a snapshot field is
-parsed only when it is used.  The printed record holds every artifact's
-path (written with --out-dir) under "paths" and, from a command that
-writes a matrix, that matrix's full feasibility report under "feasibility".
+parsed only when it is used.  Each setting has one source: -k and
+--tol-var for the solve of nearest and repair, --seed for synth and the
+suite file for bench.  Each command but bench, which prints its table,
+prints one JSON record.  It holds every artifact's path (written with
+--out-dir) under "paths" and, from a command that writes a matrix, that
+matrix's full feasibility report under "feasibility".
 
 The module imports only the standard library; the handlers' numeric
 stack (numpy and the package's modules) is imported once the arguments
@@ -44,12 +47,12 @@ from . import _VAR_TOL
 _NUMERIC = {
     "numpy": ("ndarray",),
     ".baselines": ("adjusted_ex_post", "equicorrelation"),
-    ".bench": ("BenchSuite", "rows_to_csv", "run_bench"),
+    ".bench": ("BenchSuite", "run_bench"),
     ".core": ("CorrMatrix", "FactorLoadings", "check_feasibility"),
     ".economic": ("economic_implied_corr",),
     ".io": ("_dump_json", "_load_json", "load_snapshot", "read_loadings_csv", "read_market_spec",
-            "read_matrix_csv", "read_solver_config", "read_vg_params", "save_snapshot",
-            "write_loadings_csv", "write_market_spec", "write_matrix_csv"),
+            "read_matrix_csv", "read_vg_params", "save_snapshot", "write_loadings_csv",
+            "write_market_spec", "write_matrix_csv"),
     ".solver": ("RestorationError", "SolverConfig", "solve_nicm"),
     ".synth": ("generate_synthetic_market",),
     ".vg": ("direct_to_centered_corr", "vg_centered_moments", "vg_market_constraint"),
@@ -91,25 +94,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _emit(args, obj: dict) -> None:
-    if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for key in sorted(obj):
-            val = obj[key]
-            if isinstance(val, (dict, list, tuple)):
-                val = json.dumps(val, sort_keys=True)
-            writer.writerow([key, str(val)])
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _solver_config(args) -> SolverConfig:
-    """The --config file's config (else the default) with -k and --tol-var applied."""
-    config = read_solver_config(args.config) if args.config else SolverConfig()
-    given = {"k": args.k, "var_tol": args.tol_var}
-    return dataclasses.replace(config, **{f: v for f, v in given.items() if v is not None})
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 # Each input's reader, looked up by name when it is called, and the
@@ -173,7 +159,7 @@ def _fields(record) -> dict:
 def _cmd_check(args) -> int:
     M, spec = _inputs(args, "matrix", "spec", optional=("spec",))
     report = check_feasibility(M, spec, tol=args.tol_var)
-    _emit(args, report.to_dict())
+    _emit(report.to_dict())
     return EXIT_OK
 
 
@@ -183,7 +169,7 @@ def _cmd_equicorr(args) -> int:
     out = _fields(res)
     _write_artifact(args, out, "C", "equicorr_C.csv", write_matrix_csv, res.C.values)
     _feasibility(out, res.C, spec, args.tol_var)
-    _emit(args, out)
+    _emit(out)
     return EXIT_OK
 
 
@@ -195,21 +181,20 @@ def _cmd_adjust(args) -> int:
     _feasibility(out, res.C_Q, spec, args.tol_var)
     # Kept at the top level too: perfbench's cli-chain check reads it there.
     out["min_eigenvalue"] = out["feasibility"]["min_eigenvalue"]
-    _emit(args, out)
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_nearest(args) -> int:
     """nearest and repair: one solve, its files named after the command."""
     A, spec = _inputs(args, "target", "spec")
-    config = _solver_config(args)
-    result = solve_nicm(A, spec, config)
+    result = solve_nicm(A, spec, SolverConfig(k=args.k, var_tol=args.tol_var))
     out = result.to_dict()
     _write_artifact(args, out, "result", f"{args.command}_result.json", _dump_json, dict(out))
     _write_artifact(args, out, "C", f"{args.command}_C.csv", write_matrix_csv, result.C_star.values)
     _write_artifact(args, out, "X", f"{args.command}_X.csv", write_loadings_csv, result.X_star)
-    feasible = _feasibility(out, result.C_star, spec, config.var_tol)
-    _emit(args, out)
+    feasible = _feasibility(out, result.C_star, spec, args.tol_var)
+    _emit(out)
     return EXIT_OK if feasible and result.converged else EXIT_NONCONVERGENCE
 
 
@@ -221,7 +206,7 @@ def _cmd_economic(args) -> int:
     _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q)
     # economic takes no --tol-var; its report uses check's default.
     feasible = _feasibility(out, res.C, spec, _VAR_TOL)
-    _emit(args, out)
+    _emit(out)
     return EXIT_OK if feasible else EXIT_NONCONVERGENCE
 
 
@@ -246,7 +231,7 @@ def _cmd_vg_convert(args) -> int:
         adjusted = vg_market_constraint(params, spec)
         out["adjusted_variances"] = [adjusted.market.variance]
         _write_artifact(args, out, "adjusted_spec", "vg_adjusted_spec.json", write_market_spec, adjusted)
-    _emit(args, out)
+    _emit(out)
     return EXIT_OK
 
 
@@ -255,40 +240,30 @@ def _cmd_synth(args) -> int:
         args.n, args.k_true, args.crp, args.seed, periods=args.periods
     )
     path = save_snapshot(snapshot, args.out_dir, stem=args.stem)
-    _emit(args, {"snapshot": path, "seed": args.seed, "date": snapshot.date,
-                 "comonotonic_clipped": snapshot.meta["comonotonic_clipped"]})
+    _emit({"snapshot": path, "seed": args.seed, "date": snapshot.date,
+           "comonotonic_clipped": snapshot.meta["comonotonic_clipped"]})
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    d = _load_json(args.suite)
-    if args.seed is not None:
-        d["seed"] = args.seed
-    suite = BenchSuite.from_dict(d)
-    rows, table = run_bench(suite, out_dir=args.out_dir)
-    if args.format == "csv":
-        print(rows_to_csv(rows), end="")
-    else:
-        print(table, end="")
+    rows, table = run_bench(BenchSuite.from_dict(_load_json(args.suite)), out_dir=args.out_dir)
+    print(table, end="")
     return EXIT_NONCONVERGENCE if any(r.failures for r in rows) else EXIT_OK
 
 
 _SHARED = {
-    "--config": dict(help="solver config JSON file"),
-    "--seed": dict(type=int, help="RNG seed (synth default 0; bench default: the suite's seed)"),
-    "--tol-var": dict(type=float, help="relative variance tolerance: |g| <= tol-var * "
-                      f"(sum_i |sigma_i w_i|)^2 (default {_VAR_TOL:g})"),
+    "--tol-var": dict(type=float, default=_VAR_TOL, help="relative variance tolerance: |g| <= "
+                      f"tol-var * (sum_i |sigma_i w_i|)^2 (default {_VAR_TOL:g})"),
     "--out-dir": dict(help="directory for output files"),
-    "--format": dict(choices=("json", "csv"), default="json", help="stdout format (default json)"),
 }
 
 
-def _subcommand(sub, name: str, help_text: str, func, *shared: str, **defaults) -> _Parser:
+def _subcommand(sub, name: str, help_text: str, func, *shared: str) -> _Parser:
     """Subcommand `name` run by func, with the shared options it reads and no others."""
     sp = sub.add_parser(name, help=help_text)
     for flag in shared:
         sp.add_argument(flag, **_SHARED[flag])
-    sp.set_defaults(func=func, **defaults)
+    sp.set_defaults(func=func)
     return sp
 
 
@@ -297,21 +272,17 @@ def _build_parser() -> _Parser:
                 description="feasible option-implied correlation matrices")
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    # check, equicorr and adjust test feasibility at the solver's default
-    # tolerance; nearest and repair leave --tol-var unset so that the
-    # --config file's var_tol holds.
-    sp = _subcommand(sub, "check", "feasibility report for a matrix", _cmd_check,
-                     "--tol-var", "--format", tol_var=_VAR_TOL)
+    sp = _subcommand(sub, "check", "feasibility report for a matrix", _cmd_check, "--tol-var")
     sp.add_argument("--matrix", help="correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
 
     sp = _subcommand(sub, "equicorr", "implied equicorrelation", _cmd_equicorr,
-                     "--tol-var", "--out-dir", "--format", tol_var=_VAR_TOL)
+                     "--tol-var", "--out-dir")
     sp.add_argument("--spec", required=True, help="market spec JSON")
 
     sp = _subcommand(sub, "adjust", "blend an ex-post matrix toward a bound", _cmd_adjust,
-                     "--tol-var", "--out-dir", "--format", tol_var=_VAR_TOL)
+                     "--tol-var", "--out-dir")
     sp.add_argument("--target", help="ex-post correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
@@ -322,26 +293,24 @@ def _build_parser() -> _Parser:
         ("nearest", "nearest factor-structured implied correlation matrix"),
         ("repair", "repair an infeasible matrix via the nearest-matrix solve"),
     ):
-        sp = _subcommand(sub, name, help_text, _cmd_nearest,
-                         "--config", "--tol-var", "--out-dir", "--format")
+        sp = _subcommand(sub, name, help_text, _cmd_nearest, "--tol-var", "--out-dir")
         sp.add_argument("--target", help="target matrix CSV")
         sp.add_argument("--spec", help="market spec JSON")
         sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
-        sp.add_argument("-k", type=int, default=None,
-                        help="number of factors (default: the --config file's k, else 1)")
+        sp.add_argument("-k", type=int, default=1, help="number of factors (default 1)")
 
-    sp = _subcommand(sub, "economic", "factor-pricing route", _cmd_economic, "--out-dir", "--format")
+    sp = _subcommand(sub, "economic", "factor-pricing route", _cmd_economic, "--out-dir")
     sp.add_argument("--loadings", help="physical loadings CSV (factor-name header)")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its loadings and spec)")
 
     sp = _subcommand(sub, "vg-convert", "variance-gamma direct parameters to centered quantities",
-                     _cmd_vg_convert, "--out-dir", "--format")
+                     _cmd_vg_convert, "--out-dir")
     sp.add_argument("--params", required=True, help="model parameters JSON")
     sp.add_argument("--spec", help="market spec JSON to transform alongside")
 
-    sp = _subcommand(sub, "synth", "generate a synthetic market", _cmd_synth, "--seed", "--format",
-                     seed=0)
+    sp = _subcommand(sub, "synth", "generate a synthetic market", _cmd_synth)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sp.add_argument("--out-dir", required=True, help="directory for the snapshot files")
     sp.add_argument("-n", type=int, required=True, help="number of assets")
     sp.add_argument("--k-true", type=int, required=True, help="true factor count")
@@ -349,8 +318,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--periods", type=int, default=0, help="simulated return periods (default 0)")
     sp.add_argument("--stem", default="snapshot", help="output file stem (default snapshot)")
 
-    sp = _subcommand(sub, "bench", "model comparison on synthetic markets", _cmd_bench,
-                     "--seed", "--out-dir", "--format")
+    sp = _subcommand(sub, "bench", "model comparison on synthetic markets", _cmd_bench, "--out-dir")
     sp.add_argument("--suite", required=True, help="bench suite JSON")
 
     return p

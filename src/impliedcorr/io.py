@@ -12,8 +12,8 @@ Conventions, chosen so that identical inputs produce byte-identical files:
   are errors.
 * Factor loadings are the same table after a header row of factor names,
   and a vector is a one-column table whose header names the field.
-* Structured objects (market specs, model parameters, solver configs and
-  results, snapshots) are JSON with two-space indentation and sorted keys.
+* Structured objects (market specs, model parameters, solver results,
+  snapshots) are JSON with two-space indentation and sorted keys.
 * A market snapshot is a JSON document holding the market spec inline and
   referring to bulky arrays (target matrix, loadings, return panels) by
   sibling-relative CSV paths.  Two keys may name one file: a truth matrix
@@ -37,7 +37,6 @@ from typing import NoReturn
 import numpy as np
 
 from .core import FactorLoadings, IndexConstraint, MarketSpec, _loadings_array, _same_bits
-from .solver import SolverConfig
 from .vg import VGParams
 
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -243,14 +242,6 @@ def read_vg_params(path: str) -> VGParams:
         nu=float(d["nu"]),
         C_dir=C,
     )
-
-
-def read_solver_config(path: str) -> SolverConfig:
-    d = _load_json(path)
-    try:
-        return SolverConfig.from_dict(d)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 class _Deferred:

@@ -133,14 +133,6 @@ class SolverConfig:
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown solver config fields: {sorted(extra)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -225,7 +217,9 @@ def objective_gradient(X, A) -> np.ndarray:
 class _Constraint(NamedTuple):
     """The constraint g(X) = target - v'C(X)v of one solve: vv = v o v, v2 = v'v,
     the |g| tolerance tol of a restoration, the root tolerance eps of a curve
-    search, and com, the one feasible point when the target is comonotonic."""
+    search, vs = v 2^-e with sum_i |vs_i| in [1/2, 1), and com, the one feasible
+    point when the target is comonotonic.  The curve direction K X is quartic
+    in v, so it is taken from vs: its squares stay in range at any scale of v."""
 
     v: np.ndarray
     vv: np.ndarray
@@ -233,6 +227,8 @@ class _Constraint(NamedTuple):
     target: float
     tol: float
     eps: float
+    vs: np.ndarray
+    e: int
     com: np.ndarray | None = None
 
     def residual(self, X: np.ndarray, norms: np.ndarray | None = None) -> float:
@@ -247,7 +243,9 @@ def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constra
     v, target = spec.scaled_weights(), spec.market.variance
     lo, hi = _variance_range(v)
     slack = RESTORATION_TOL * hi
-    con = _Constraint(v, v * v, float(v @ v), target, min(slack, var_tol * hi), ROOT_TOL * hi)
+    e = math.frexp(float(np.abs(v).sum()))[1]
+    con = _Constraint(v, v * v, float(v @ v), target, min(slack, var_tol * hi), ROOT_TOL * hi,
+                      np.ldexp(v, -e), e)
     if target < lo - slack:
         raise RestorationError(
             f"index variance target {target:g} is below the attainable minimum "
@@ -305,19 +303,21 @@ def _rescue_boundary(sample, eps: float, a: tuple, b: tuple) -> tuple:
 
 
 def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple[np.ndarray, float]:
-    """One search along the clipped curve lam |-> P_Omega(cur + lam Y), Y = K cur.
+    """One search along the clipped curve lam |-> P_Omega(cur + lam Y), Y = K_s cur.
 
-    With g0 = g(cur), along the unclipped move g = g0 - 2 lam ||Y||^2 +
-    O(lam^2), so the walk on phi(lam) = g(P_Omega(cur + lam Y)) starts at
-    the first-order root g0 / (2 ||Y||^2).  It halves lam while |phi| does
-    not shrink, then doubles it while phi keeps its sign and |phi| keeps
-    shrinking.  A sign change is refined to |phi| <= con.eps; otherwise the
+    K_s = K 2^-2e is K of con.vs, so this is the curve of K cur with lam
+    scaled by the exact power 2^2e.  With g0 = g(cur), along the unclipped
+    move g = g0 - 2 lam 2^2e ||Y||^2 + O(lam^2), so the walk on phi(lam) =
+    g(P_Omega(cur + lam Y)) starts at the first-order root
+    g0 2^-2e / (2 ||Y||^2).  It halves lam while |phi| does not shrink,
+    then doubles it while phi keeps its sign and |phi| keeps shrinking.  A sign change is refined to |phi| <= con.eps; otherwise the
     sample nearest the surface is returned (cur itself if none is nearer),
     with its residual.  Raises RestorationError when Y = 0.
     """
-    Y = constraint_normal(con.v, cur)
+    Y = constraint_normal(con.vs, cur)
     yy = float(np.vdot(Y, Y))
-    if yy == 0.0 or not math.isfinite(g0 / yy):
+    lam = math.ldexp(g0, -2 * con.e) / (2.0 * yy) if yy else math.inf
+    if not math.isfinite(lam):
         raise RestorationError(_INSENSITIVE, residual=g0)
 
     def sample(lam: float) -> tuple:
@@ -328,7 +328,7 @@ def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple
             raise RestorationError(_INSENSITIVE)
         return lam, g, P
 
-    near, far = sample(g0 / (2.0 * yy)), None
+    near, far = sample(lam), None
     while abs(near[1]) >= abs(g0):
         if np.array_equal(cur + 0.5 * near[0] * Y, cur):
             return cur, g0
@@ -546,8 +546,9 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         # component along grad g = -2 K X; where that turns the step
         # outward on another sphere row, hold it too.  Steps along the
         # result leave g and the held rows' norms unchanged to first order,
-        # so the restoration only absorbs second-order drift.
-        N = constraint_normal(con.v, X)
+        # so the restoration only absorbs second-order drift.  N is K X
+        # times 2^-2e; only its direction is used.
+        N = constraint_normal(con.vs, X)
         r2 = np.einsum("ij,ij->i", X, X)
         sphere = r2 >= 1.0 - _SPHERE_BAND
         held = sphere & (np.einsum("ij,ij->i", X, gr) < 0.0)

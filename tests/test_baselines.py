@@ -133,7 +133,9 @@ def test_adjusted_ex_post_degenerate_blend():
     # C_P equal to the bound: blending cannot move the variance
     with pytest.raises(ValueError, match="cannot"):
         adjusted_ex_post(np.ones((2, 2)), spec2(0.05), workaround=False)
-
+    # a matrix of another size is refused by the index variance's own check
+    with pytest.raises(ValueError, match="matrix is 3 x 3 for 2 assets"):
+        adjusted_ex_post(np.eye(3), spec2(0.05))
 
 
 def test_adjusted_ex_post_single_asset_lower_bound():

@@ -1,8 +1,6 @@
-"""CLI dispatch: exit codes, emitted JSON/CSV, file artifacts, seed handling."""
+"""CLI dispatch: exit codes, emitted JSON, file artifacts, seed handling."""
 
-import csv
 import dataclasses
-import io
 import json
 import os
 import subprocess
@@ -229,16 +227,18 @@ def test_unknown_command_is_usage_error(capsys):
 
 # Each subcommand's otherwise valid argv, and the shared options it reads.
 SUBCOMMANDS = {
-    "check": (["--matrix", "m.csv"], {"--tol-var", "--format"}),
-    "equicorr": (["--spec", "s.json"], {"--tol-var", "--out-dir", "--format"}),
-    "adjust": (["--snapshot", "s.json"], {"--tol-var", "--out-dir", "--format"}),
-    "nearest": (["--snapshot", "s.json"], {"--config", "--tol-var", "--out-dir", "--format"}),
-    "repair": (["--snapshot", "s.json"], {"--config", "--tol-var", "--out-dir", "--format"}),
-    "economic": (["--snapshot", "s.json"], {"--out-dir", "--format"}),
-    "vg-convert": (["--params", "p.json"], {"--out-dir", "--format"}),
-    "synth": (["-n", "4", "--k-true", "1", "--out-dir", "d"], {"--seed", "--out-dir", "--format"}),
-    "bench": (["--suite", "b.json"], {"--seed", "--out-dir", "--format"}),
+    "check": (["--matrix", "m.csv"], {"--tol-var"}),
+    "equicorr": (["--spec", "s.json"], {"--tol-var", "--out-dir"}),
+    "adjust": (["--snapshot", "s.json"], {"--tol-var", "--out-dir"}),
+    "nearest": (["--snapshot", "s.json"], {"--tol-var", "--out-dir"}),
+    "repair": (["--snapshot", "s.json"], {"--tol-var", "--out-dir"}),
+    "economic": (["--snapshot", "s.json"], {"--out-dir"}),
+    "vg-convert": (["--params", "p.json"], {"--out-dir"}),
+    "synth": (["-n", "4", "--k-true", "1", "--out-dir", "d"], {"--seed", "--out-dir"}),
+    "bench": (["--suite", "b.json"], {"--out-dir"}),
 }
+# SHARED keeps the removed --config, --format and --tol-fn, which every
+# command must now reject.
 SHARED = {"--config": "c.json", "--seed": "1", "--tol-var": "1e-6", "--tol-fn": "1e-3",
           "--out-dir": "d", "--format": "json"}
 UNREAD = [(cmd, flag) for cmd, (_, reads) in SUBCOMMANDS.items() for flag in SHARED if flag not in reads]
@@ -299,15 +299,6 @@ def test_check_tol_var_is_relative_to_the_variance_unit(tmp_path, capsys):
         assert code == 0
         assert out["constraint_residuals"][0] == pytest.approx(var - 20971.52, abs=1e-9)
         assert out["economically_matched"] is matched, (var, tol)
-
-
-def test_check_csv_format(tmp_path, capsys):
-    m = str(tmp_path / "C.csv")
-    write_matrix_csv(m, np.eye(2))
-    code, out, _ = run_json(capsys, ["check", "--matrix", m, "--format", "csv"])
-    assert code == 0
-    lines = dict(line.split(",", 1) for line in out.strip().splitlines())
-    assert lines["feasible"] == "True"
 
 
 def test_snapshot_commands_read_only_the_fields_they_use(tmp_path, capsys):
@@ -483,48 +474,15 @@ def test_nearest_from_snapshot(tmp_path, capsys):
         assert os.path.exists(os.path.join(near_dir, name))
 
 
-def test_nearest_csv_rows_quote_json_cells(tmp_path, capsys):
-    code, out, _ = run_json(
-        capsys, ["synth", "-n", "6", "--k-true", "2", "--seed", "0", "--out-dir", str(tmp_path / "s")]
-    )
-    assert code == 0
-    argv = ["nearest", "--snapshot", out["snapshot"], "-k", "2", "--out-dir", str(tmp_path / "near")]
-    code, want, _ = run_json(capsys, argv)
-    assert code == 0
-    code, text, _ = run_json(capsys, argv + ["--format", "csv"])
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(text)))
-    assert all(len(row) == 2 for row in rows)
-    for key in ("fn_trace", "feasibility", "paths"):
-        assert json.loads(dict(rows)[key]) == want[key]
-
-
-def test_config_naming_removed_field_exits_1(tmp_path, capsys):
-    # armijo_c1 became a module constant; fn_tol gave way to the solver's
-    # relative improvement test
-    spec = write_spec(tmp_path, 0.03)
-    m = str(tmp_path / "C.csv")
-    write_matrix_csv(m, np.eye(2))
-    cfg = tmp_path / "config.json"
-    for field in ("armijo_c1", "fn_tol"):
-        cfg.write_text(json.dumps({"k": 1, field: 1e-4}))
-        code, _, err = run_json(capsys, ["nearest", "--target", m, "--spec", spec, "--config", str(cfg)])
-        assert code == 1
-        assert "unknown solver config fields" in err and field in err
-
-
 def test_config_k_applies_unless_k_flag_given(tmp_path, capsys):
+    # -k is the factor count's one source; without it the solve takes k = 1.
     market = str(tmp_path / "m")
     assert cli_dispatch(["synth", "-n", "8", "--k-true", "2", "--out-dir", market]) == 0
     capsys.readouterr()
     snap = os.path.join(market, "snapshot.json")
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"k": 3}))
-    for extra, k in (([], 3), (["-k", "2"], 2)):
-        code, out, _ = run_json(capsys, ["nearest", "--snapshot", snap, "--config", str(cfg), *extra])
+    for extra, k in (([], 1), (["-k", "2"], 2)):
+        code, out, _ = run_json(capsys, ["nearest", "--snapshot", snap, *extra])
         assert code == 0 and out["k"] == k
-    code, out, _ = run_json(capsys, ["nearest", "--snapshot", snap])
-    assert code == 0 and out["k"] == 1
 
 
 def test_nearest_requires_inputs(capsys):
@@ -586,6 +544,8 @@ def test_repair_exits_2_unless_converged_and_feasible(tmp_path, capsys, monkeypa
 
 
 def test_tol_var_overrides_config_var_tol(tmp_path, capsys, monkeypatch):
+    # -k and --tol-var are the one source of the solve's k and var_tol;
+    # without them it takes k = 1 and the default tolerance.
     seen = []
     real = cli.solve_nicm
 
@@ -594,13 +554,11 @@ def test_tol_var_overrides_config_var_tol(tmp_path, capsys, monkeypatch):
         return real(A, spec, config)
 
     monkeypatch.setattr(cli, "solve_nicm", spy)
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"k": 2, "var_tol": 1e-3}))
-    argv = repair_argv(tmp_path)[:-2] + ["--config", str(cfg)]
-    for extra, var_tol in (([], 1e-3), (["--tol-var", "1e-7"], 1e-7)):
+    argv = repair_argv(tmp_path)[:-2]
+    for extra, want in (([], (1, _VAR_TOL)), (["-k", "2", "--tol-var", "1e-7"], (2, 1e-7))):
         code, _, _ = run_json(capsys, argv + extra)
         assert code == 0
-        assert (seen[-1].k, seen[-1].var_tol) == (2, var_tol)
+        assert (seen[-1].k, seen[-1].var_tol) == want
 
 
 def test_economic_cli(tmp_path, capsys):
@@ -644,21 +602,6 @@ def test_economic_infeasible_result_exits_2(infeasible_economic_market, tmp_path
     assert out["clipped_rows"] == [10, 17, 27]
     assert out["rows_outside_omega"] == [1, 27, 33]
     assert os.path.exists(out["paths"]["C"])
-
-
-def test_economic_csv_cells_match_json(infeasible_economic_market, capsys):
-    # --format csv writes every nested value, tuples of rows included, as
-    # the JSON cell of the same value
-    argv = ["economic", "--snapshot", infeasible_economic_market]
-    code, record, _ = run_json(capsys, argv)
-    assert code == 2
-    assert cli_dispatch(argv + ["--format", "csv"]) == 2
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert [key for key, _ in rows] == sorted(record)
-    for key, cell in rows:
-        value = record[key]
-        assert cell == (json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else str(value)), key
-    assert dict(rows)["clipped_rows"] == "[10, 17, 27]"
 
 
 def test_synth_reports_comonotonic_clip(tmp_path, capsys):
@@ -810,23 +753,7 @@ def test_bench_cli(tmp_path, capsys):
     code, out, _ = run_json(capsys, ["bench", "--suite", str(p), "--out-dir", str(tmp_path / "out")])
     assert code == 0
     assert out.splitlines()[0].split()[0] == "model"
-    assert (tmp_path / "out" / "bench.csv").exists()
-    code, out, _ = run_json(capsys, ["bench", "--suite", str(p), "--format", "csv"])
-    assert code == 0
-    assert out.splitlines()[0].startswith("model,k,target")
-
-
-def test_bench_seed_overrides_suite_seed(tmp_path, capsys):
-    suite = {"cells": [{"model": "equicorr"}], "n": 6, "k_true": 2, "instances": 2, "measure_time": False}
-
-    def bench(seed, *extra):
-        p = tmp_path / f"suite{seed}.json"
-        p.write_text(json.dumps(dict(suite, seed=seed)))
-        code, out, _ = run_json(capsys, ["bench", "--suite", str(p), "--format", "csv", *extra])
-        assert code == 0
-        return out
-
-    assert bench(7, "--seed", "3") == bench(3) != bench(7)
+    assert (tmp_path / "out" / "bench.csv").read_text().startswith("model,k,target")
 
 
 def test_bench_cli_failures_exit_2(tmp_path, capsys):

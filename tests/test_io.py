@@ -1,6 +1,5 @@
 """CSV and JSON persistence: exact round trips and located error messages."""
 
-import dataclasses
 import json
 import os
 import re
@@ -22,14 +21,12 @@ from impliedcorr.io import (
     read_loadings_csv,
     read_market_spec,
     read_matrix_csv,
-    read_solver_config,
     read_vg_params,
     save_snapshot,
     write_loadings_csv,
     write_market_spec,
     write_matrix_csv,
 )
-from impliedcorr.solver import SolverConfig
 from impliedcorr.synth import generate_synthetic_market
 
 
@@ -313,19 +310,6 @@ def test_vg_params_read_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="must be square"):
         read_vg_params(str(path))
-
-
-def test_solver_config_file(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dataclasses.asdict(SolverConfig(k=4, var_tol=1e-8))) + "\n")
-    cfg = read_solver_config(str(path))
-    assert cfg == SolverConfig(k=4, var_tol=1e-8)
-    path.write_text(json.dumps({"k": 2, "mystery": 1}) + "\n")
-    with pytest.raises(ValueError, match="cfg.json"):
-        read_solver_config(str(path))
-    path.write_text("{not json")
-    with pytest.raises(ValueError, match="invalid JSON"):
-        read_solver_config(str(path))
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from impliedcorr import solver
 
 
 def test_every_public_name_is_its_submodules_object():
-    assert len(impliedcorr.__all__) == 45
+    assert len(impliedcorr.__all__) == 44
     for name in impliedcorr.__all__:
         home = importlib.import_module(f"impliedcorr.{impliedcorr._HOME[name]}")
         value = getattr(impliedcorr, name)

@@ -6,7 +6,6 @@ both sets, roots refined on the clipped curve); the full solve against an
 independent augmented Lagrangian on small instances.
 """
 
-import dataclasses
 import warnings
 from unittest import mock
 
@@ -497,6 +496,27 @@ def test_converged_solves_respect_the_dual_bound():
         assert dual_bound(A, snap.spec, config.var_tol) <= res.fn, market
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7 (CHANGES.md FOUND line 20): the stop on a small relative "
+    "improvement ends five of these solves 1.3-4.8 % above the convex optimum",
+)
+def test_full_rank_solves_reach_the_dual_bound():
+    # At k = n every correlation matrix is C(X) for unit-row X, so the
+    # factor problem is the convex one and a stationary solve meets its
+    # dual bound.  Markets 810, 815, 814, 822 and 812 stop 4.8, 4.6, 4.2,
+    # 2.2 and 1.3 % above it.
+    config = SolverConfig(k=10)
+    above = []
+    for market, A, spec in hard_corpus():
+        res = solve_nicm(A, spec, config)
+        bound = dual_bound(A, spec, config.var_tol)
+        if res.converged and res.fn > bound + 1e-2 * abs(bound):
+            above.append((market, res.fn / bound - 1.0))
+    assert not above, above
+
+
 def test_report_residual_has_the_bits_of_the_solve():
     # The report of C* takes its residual from the loadings by the solver's
     # kernel: on acceptance 08's corpus (k = 3), the README market (n = 20)
@@ -888,10 +908,6 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(var_tol=0.0)
-    d = dataclasses.asdict(SolverConfig(k=3, var_tol=1e-5))
-    assert SolverConfig.from_dict(d) == SolverConfig(k=3, var_tol=1e-5)
-    with pytest.raises(ValueError, match="unknown"):
-        SolverConfig.from_dict({"k": 1, "typo": 2})
 
 
 def test_solve_nicm_invariants_on_synthetic_markets():
@@ -970,16 +986,18 @@ def test_var_tol_below_the_restoration_tolerance():
 
 
 def test_sigma_sweep_changes_no_bit_of_the_solve():
-    # The README market in units 2^e, e = -30 ... 30: every tolerance on g
-    # is a multiple of (sum_i |sigma_i w_i|)^2, so scaling sigma by a power
-    # of two and the variance by its square changes no bit.  With a floor
-    # of max(1, .) on that scale the comonotonic band would swallow every
-    # target from e = -20 on.
+    # The README market in units 2^e, e = -30 ... 30 and +-260, +-300:
+    # every tolerance on g is a multiple of (sum_i |sigma_i w_i|)^2, so
+    # scaling sigma by a power of two and the variance by its square
+    # changes no bit.  With a floor of max(1, .) on that scale the
+    # comonotonic band would swallow every target from e = -20 on.  The
+    # curve direction K X is quartic in sigma, so unless it is scaled its
+    # squares leave the float range beyond e = +-255.
     snap, _ = generate_synthetic_market(20, 3, 0.1, seed=0, periods=260)
     A = estimate_target_matrix(snap.asset_returns, "historical")
     con = snap.spec.market
     base = None
-    for e in sorted(range(-30, 31, 5), key=abs):
+    for e in sorted([*range(-30, 31, 5), -300, -260, 260, 300], key=abs):
         s = 2.0**e
         spec = MarketSpec(snap.spec.sigma * s, (IndexConstraint(con.name, con.weights, con.variance * s * s),))
         res = solve_nicm(A, spec, SolverConfig(k=3))
