@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _VAR_TOL
 from .baselines import adjusted_ex_post, equicorrelation
-from .core import check_feasibility
+from .core import _record, check_feasibility
 from .economic import economic_implied_corr
 from .io import _dump_json
 from .solver import SolverConfig, solve_nicm
@@ -126,7 +126,7 @@ class BenchRow:
     failures: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _record(self)
 
 
 def _offdiag_sqdist(C: np.ndarray, A: np.ndarray) -> float:

@@ -18,13 +18,14 @@ else from the --snapshot's field of the same role; a snapshot field is
 parsed only when it is used.  Each setting has one source: -k and
 --tol-var for the solve of nearest and repair, --seed for synth and the
 suite file for bench.  Each command but bench, which prints its table,
-prints one JSON record.  It holds every artifact's path (written with
---out-dir) under "paths" and, from a command that writes a matrix, that
-matrix's full feasibility report under "feasibility".
+prints one JSON record: the result's to_dict() or core._record(result),
+every artifact's path (written with --out-dir) under "paths" and, from a
+command that writes a matrix, that matrix's full feasibility report under
+"feasibility".
 
-The module imports only the standard library; the handlers' numeric
-stack (numpy and the package's modules) is imported once the arguments
-parse, so --help and usage errors never load it.
+The module imports only the standard library; once the arguments parse,
+it binds the package's public names through the package's one name map,
+which imports the numeric stack that --help and usage errors never load.
 
 Exit codes: 0 success, 1 validation error, 2 non-convergence, bench
 failures or an infeasible matrix from nearest, repair or economic (equicorr
@@ -34,43 +35,29 @@ and adjust report one and exit 0: a raw blend may be indefinite), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import importlib
 import json
 import os
 import sys
 
-from . import _VAR_TOL
+from . import _VAR_TOL, __all__ as _PUBLIC
 
-# The numeric names the handlers use, by module; cli_dispatch binds them
-# into this module once the arguments parse.
-_NUMERIC = {
-    "numpy": ("ndarray",),
-    ".baselines": ("adjusted_ex_post", "equicorrelation"),
-    ".bench": ("BenchSuite", "run_bench"),
-    ".core": ("CorrMatrix", "FactorLoadings", "check_feasibility"),
-    ".economic": ("economic_implied_corr",),
-    ".io": ("_dump_json", "_load_json", "load_snapshot", "read_loadings_csv", "read_market_spec",
-            "read_matrix_csv", "read_vg_params", "save_snapshot", "write_loadings_csv",
-            "write_market_spec", "write_matrix_csv"),
-    ".solver": ("RestorationError", "SolverConfig", "solve_nicm"),
-    ".synth": ("generate_synthetic_market",),
-    ".vg": ("direct_to_centered_corr", "vg_centered_moments", "vg_market_constraint"),
-}
+# The private helpers the handlers use beside the package's public names.
+_HELPERS = {"_dump_json": "io", "_load_json": "io", "_record": "core"}
 
 
 def _bind_numeric() -> None:
-    """Bind every name of _NUMERIC into this module, keeping a name that is
-    already set (a test's or a tracer's stand-in)."""
+    """Bind the package's public names and _HELPERS into this module, keeping
+    a name that is already set (a test's or a tracer's stand-in)."""
+    package = sys.modules[__package__]
     scope = globals()
-    for module, names in _NUMERIC.items():
-        mod = importlib.import_module(module, __package__)
-        for name in names:
-            scope.setdefault(name, getattr(mod, name))
+    for name in _PUBLIC:
+        scope.setdefault(name, getattr(package, name))
+    for name, module in _HELPERS.items():
+        scope.setdefault(name, getattr(getattr(package, module), name))
 
 
 def __getattr__(name: str):
-    if any(name in names for names in _NUMERIC.values()):
+    if name in _PUBLIC or name in _HELPERS:
         _bind_numeric()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -149,13 +136,6 @@ def _feasibility(out: dict, C, spec, tol: float) -> bool:
     return report.feasible
 
 
-def _fields(record) -> dict:
-    """A result record's fields other than its matrices, loadings and arrays."""
-    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-    matrices = (CorrMatrix, FactorLoadings, ndarray)
-    return {k: v for k, v in values.items() if not isinstance(v, matrices)}
-
-
 def _cmd_check(args) -> int:
     M, spec = _inputs(args, "matrix", "spec", optional=("spec",))
     report = check_feasibility(M, spec, tol=args.tol_var)
@@ -166,7 +146,7 @@ def _cmd_check(args) -> int:
 def _cmd_equicorr(args) -> int:
     spec = read_market_spec(args.spec)
     res = equicorrelation(spec)
-    out = _fields(res)
+    out = _record(res)
     _write_artifact(args, out, "C", "equicorr_C.csv", write_matrix_csv, res.C.values)
     _feasibility(out, res.C, spec, args.tol_var)
     _emit(out)
@@ -176,7 +156,7 @@ def _cmd_equicorr(args) -> int:
 def _cmd_adjust(args) -> int:
     C_P, spec = _inputs(args, "target", "spec")
     res = adjusted_ex_post(C_P, spec, workaround=not args.no_workaround)
-    out = _fields(res)
+    out = _record(res)
     _write_artifact(args, out, "C", "adjusted_C.csv", write_matrix_csv, res.C_Q.values)
     _feasibility(out, res.C_Q, spec, args.tol_var)
     # Kept at the top level too: perfbench's cli-chain check reads it there.
@@ -201,7 +181,7 @@ def _cmd_nearest(args) -> int:
 def _cmd_economic(args) -> int:
     X_P, spec = _inputs(args, "loadings", "spec")
     res = economic_implied_corr(X_P, spec)
-    out = _fields(res)
+    out = _record(res)
     _write_artifact(args, out, "C", "economic_C.csv", write_matrix_csv, res.C.values)
     _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q)
     # economic takes no --tol-var; its report uses check's default.

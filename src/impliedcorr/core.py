@@ -44,6 +44,7 @@ CSV, for instance), use the dense solver.  The feasibility report of a
 CorrMatrix takes `symmetric` from the type, that of C(X) `bounded` from
 the row norms of X unless a row lies within rounding of the bound, and its
 residual from :func:`hollow_form`, as the solver does.
+Every result record turns into JSON by one rule, :func:`_record`.
 It also holds the two O(n k) kernels of the index variance algebra, with
 v = sigma o w and K = v v' o J = v v' - diag(v^2):
 
@@ -56,7 +57,7 @@ v = sigma o w and K = v v' o J = v v' - diag(v^2):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -270,17 +271,16 @@ class FeasibilityReport:
         return self.mathematically_feasible and self.economically_matched
 
     def to_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "unit_diagonal": self.unit_diagonal,
-            "bounded": self.bounded,
-            "min_eigenvalue": self.min_eigenvalue,
-            "psd": self.psd,
-            "constraint_residuals": [float(r) for r in self.constraint_residuals],
-            "economically_matched": self.economically_matched,
-            "mathematically_feasible": self.mathematically_feasible,
-            "feasible": self.feasible,
-        }
+        return _record(self) | {"mathematically_feasible": self.mathematically_feasible,
+                                "feasible": self.feasible}
+
+
+def _record(result) -> dict:
+    """A result dataclass's fields other than its matrices and loadings,
+    ndarrays as lists: the one rule that makes a result JSON-ready."""
+    values = ((f.name, getattr(result, f.name)) for f in fields(result))
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in values if not isinstance(value, (CorrMatrix, FactorLoadings))}
 
 
 def _loadings_array(X) -> np.ndarray:

@@ -66,6 +66,7 @@ from .core import (
     _as_corr,
     _clip_omega,
     _loadings_array,
+    _record,
     _variance_range,
     assemble_correlation,
     constraint_normal,
@@ -151,18 +152,7 @@ class SolverResult:
 
     def to_dict(self) -> dict:
         """JSON-ready summary; the matrices are exported separately as CSV."""
-        return {
-            "fn": self.fn,
-            "fn_trace": [float(v) for v in self.fn_trace],
-            "constraint_residual": self.constraint_residual,
-            "outer_iterations": self.outer_iterations,
-            "restorations": self.restorations,
-            "wall_time": self.wall_time,
-            "converged": self.converged,
-            "message": self.message,
-            "n": self.X_star.n,
-            "k": self.X_star.k,
-        }
+        return _record(self) | {"n": self.X_star.n, "k": self.X_star.k}
 
 
 def _target_offdiag(A) -> tuple[np.ndarray, float]:

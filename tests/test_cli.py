@@ -474,7 +474,7 @@ def test_nearest_from_snapshot(tmp_path, capsys):
         assert os.path.exists(os.path.join(near_dir, name))
 
 
-def test_config_k_applies_unless_k_flag_given(tmp_path, capsys):
+def test_k_flag_sets_the_factor_count(tmp_path, capsys):
     # -k is the factor count's one source; without it the solve takes k = 1.
     market = str(tmp_path / "m")
     assert cli_dispatch(["synth", "-n", "8", "--k-true", "2", "--out-dir", market]) == 0
@@ -543,7 +543,7 @@ def test_repair_exits_2_unless_converged_and_feasible(tmp_path, capsys, monkeypa
         assert (out["converged"], out["feasibility"]["feasible"]) == (converged, feasible)
 
 
-def test_tol_var_overrides_config_var_tol(tmp_path, capsys, monkeypatch):
+def test_k_and_tol_var_reach_the_solve(tmp_path, capsys, monkeypatch):
     # -k and --tol-var are the one source of the solve's k and var_tol;
     # without them it takes k = 1 and the default tolerance.
     seen = []

@@ -135,6 +135,8 @@ def test_index_constraint_rejects_bad_weight_sum():
         IndexConstraint("m", np.array([0.5, 0.48]), 0.03)
     with pytest.raises(ValueError, match="positive"):
         IndexConstraint("m", np.array([0.5, 0.5]), 0.0)
+    with pytest.raises(ValueError, match="has empty weights"):
+        IndexConstraint("m", np.array([]), 0.03)
 
 
 def test_market_spec_validation():
@@ -142,6 +144,8 @@ def test_market_spec_validation():
         MarketSpec(np.array([0.2, 0.0]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
     with pytest.raises(ValueError, match="weights"):
         MarketSpec(np.array([0.2, 0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
+    with pytest.raises(ValueError, match="sigma must be non-empty"):
+        MarketSpec(np.array([]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
     with pytest.raises(ValueError, match="exactly one index constraint, got 0"):
         MarketSpec(np.array([0.2, 0.2]), ())
     con = IndexConstraint("m", np.array([0.5, 0.5]), 0.03)

@@ -1,15 +1,20 @@
 """The package's public names and submodules resolve on access, each from
-the submodule that defines it, and the package stores none of them."""
+the submodule that defines it, and the package stores none of them.  Every
+result record becomes JSON by one rule, core._record."""
 
+import dataclasses
 import importlib
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import impliedcorr
 from impliedcorr import solver
+from impliedcorr.core import _record
 
 
 def test_every_public_name_is_its_submodules_object():
@@ -63,3 +68,37 @@ def test_names_follow_a_rebinding_in_their_submodule(monkeypatch):
     assert impliedcorr.solve_nicm is stand_in
     monkeypatch.undo()
     assert impliedcorr.solve_nicm is original
+
+
+def test_every_result_becomes_json_by_one_record_rule():
+    snap, _ = impliedcorr.generate_synthetic_market(10, 2, 0.1, np.random.SeedSequence(3))
+    spec = snap.spec
+    solved = impliedcorr.solve_nicm(snap.target, spec, impliedcorr.SolverConfig(k=2))
+    report = impliedcorr.check_feasibility(solved.C_star, spec)
+    results = [
+        solved,
+        report,
+        impliedcorr.economic_implied_corr(snap.loadings, spec),
+        impliedcorr.equicorrelation(spec),
+        impliedcorr.adjusted_ex_post(snap.target, spec),
+        impliedcorr.BenchRow("nicm", 2, "hist", 0.1, 0.0, 2.5, 0.3, 1e-9, 2e-9, 7.0, 1.0, None, None, 3, 0, 0),
+    ]
+    arrays = set()
+    for result in results:
+        record = _record(result)
+        fields = dataclasses.fields(result)
+        assert list(record) == [f.name for f in fields if f.type not in ("CorrMatrix", "FactorLoadings")]
+        for name, value in record.items():
+            held = getattr(result, name)
+            if isinstance(held, np.ndarray):
+                arrays.add(name)
+                assert type(value) is list and np.array_equal(value, held), name
+            else:
+                assert value is held, name
+        json.dumps(record)
+    assert arrays == {"fn_trace", "constraint_residuals"}
+    assert solved.to_dict() == _record(solved) | {"n": 10, "k": 2}
+    assert report.to_dict() == _record(report) | {
+        "mathematically_feasible": report.mathematically_feasible,
+        "feasible": report.feasible,
+    }

@@ -819,6 +819,17 @@ def test_uncertified_subspace_start_is_the_eigh_start(n, k, top):
     np.testing.assert_array_equal(initial_loadings(A, k).values, eigh_start(A, k))
 
 
+@pytest.mark.parametrize("n, k, top", [(100, 1, [1.001]), (200, 2, [1.02, 1.01])])
+def test_subspace_start_stops_at_its_step_cap(n, k, top):
+    # Top eigenvalues barely above the rest's [-1, 1]: the residual estimates
+    # never reach the rounding floor, so no certificate is tested and the run
+    # gives up after its n // 10 steps, one product each (a test would form
+    # one more), and the start falls back to eigh.
+    A = spectral_target(0, n, np.array(top), 1.0)
+    assert products_with(A, k) == (None, n // 10)
+    np.testing.assert_array_equal(initial_loadings(A, k).values, eigh_start(A, k))
+
+
 @pytest.mark.parametrize("i", range(5))
 def test_subspace_start_certifies_acceptance_07_targets(i):
     # Acceptance 07's historical targets at n = 100: lam_10 / lam_1 is about
@@ -908,6 +919,8 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(var_tol=0.0)
+    with pytest.raises(ValueError, match="max_outer_iter must be at least 1"):
+        SolverConfig(max_outer_iter=0)
 
 
 def test_solve_nicm_invariants_on_synthetic_markets():
