@@ -14,8 +14,9 @@ iterations, and the adjustment scalar (alpha) for the models that have
 one, each as mean/sd (or max for the residual) over the non-failed
 instances.  Failures are counted, never silently dropped, and so are
 non-failed instances whose matrix fails check_feasibility (indefinite,
-out of bounds, or off the index variance by more than var_tol relative to
-(sum_i |sigma_i w_i|)^2); each run record carries the full report.
+out of bounds, or off the index variance by more than the solver's default
+var_tol relative to (sum_i |sigma_i w_i|)^2); each run record carries the
+full report.
 
 With measure_time=False the timing columns are written as zeros so the
 rendered table and CSV are byte-identical across runs, which makes the
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _VAR_TOL
 from .baselines import adjusted_ex_post, equicorrelation
 from .core import _record, check_feasibility
 from .economic import economic_implied_corr
@@ -73,7 +73,6 @@ class BenchSuite:
     seed: int = 0
     periods: int = 0
     window: int | None = None
-    var_tol: float = _VAR_TOL
     measure_time: bool = True
 
     def __post_init__(self) -> None:
@@ -178,8 +177,7 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
             C = res.C_Q
             record["alpha"] = float(res.alpha_hat)
         elif cell.model == "nicm":
-            config = SolverConfig(k=cell.k, var_tol=suite.var_tol)
-            res = solve_nicm(A, spec, config)
+            res = solve_nicm(A, spec, SolverConfig(k=cell.k))
             C = res.C_star
             record["iterations"] = int(res.outer_iterations)
             if not res.converged:
@@ -198,7 +196,7 @@ def _run_instance(suite: BenchSuite, cell: BenchCell, cell_idx: int, instance: i
 
         record["t"] = elapsed if suite.measure_time else 0.0
         record["fn"] = _offdiag_sqdist(C.values, A)
-        record["feasibility"] = check_feasibility(C, spec, tol=suite.var_tol).to_dict()
+        record["feasibility"] = check_feasibility(C, spec).to_dict()
         record["vtol"] = abs(record["feasibility"]["constraint_residuals"][0])
     except Exception as exc:
         record["failed"] = True

@@ -20,19 +20,20 @@ curve, lam |-> P_Omega(X + lam K X) with K = v v' o J and v = sigma o w.
 P_Omega rescales only the rows whose squared norm exceeds one.  A curve
 search walks phi(lam) = g(P_Omega(X + lam K X)) out from its first-order
 root and refines a sign change by Illinois regula falsi; without one it
-moves to the sampled point nearest E and searches again from there.  The
-constraint (v, v o v, v'v, the target, both tolerances and the one point
-of a comonotonic target) is built once per solve, before the spectral
-start, and rejects an unattainable target; every g is core.hollow_form's.
+moves to the sampled point nearest E and searches again from there.
 
-The outer step holds the sphere rows it would push outward and is
-tangential to E, so the restoration only absorbs second-order drift.  A
-monotone Armijo arc search on s |-> P_feas(X - s alpha d) keeps the
-objective trace non-increasing, and the loop stops once an accepted step
-improves f by less than FN_RTOL * f.  Under a change of units v -> s v,
-K X scales by s^2 and the first-order root by 1 / s^2, so the curve's
-points stay the same.  Only the tolerances carry units, each a multiple
-of (sum_i |v_i|)^2: restorations meet min(RESTORATION_TOL, var_tol) and
+A solve has three phases.  _constraint builds the constraint (v, v o v,
+v'v, the target, both tolerances and the one point of a comonotonic
+target) and rejects an unattainable target; every g is core.hollow_form's.
+The start is initial_loadings, restored.  _descend runs the outer loop:
+its step (_tangential) holds the sphere rows it would push outward and is
+tangential to E, so the restoration only absorbs second-order drift, and
+a monotone Armijo arc search on s |-> P_feas(X - s alpha d) keeps the
+objective trace non-increasing; it stops once an accepted step improves
+f by less than FN_RTOL * f.  Under a change of units v -> s v, K X scales
+by s^2 and the first-order root by 1 / s^2, so the curve's points stay
+the same.  Only the tolerances carry units, each a multiple of
+(sum_i |v_i|)^2: restorations meet min(RESTORATION_TOL, var_tol) and
 roots ROOT_TOL times it, so every iterate meets var_tol.
 
 Cost per iteration: each trial point evaluates f and grad f once, at the
@@ -496,6 +497,75 @@ def initial_loadings(A, k: int) -> FactorLoadings:
     return FactorLoadings(X0)
 
 
+def _tangential(grad: np.ndarray, X: np.ndarray, con: _Constraint) -> np.ndarray:
+    """Hold the sphere rows that the step X - s d pushes outward (their radial
+    components leave grad f and K X), then remove the component along grad g =
+    -2 K X; where that turns the step outward on another sphere row, hold it
+    too.  Steps along the result d leave g and the held rows' norms unchanged to
+    first order, so the restoration only absorbs second-order drift.  N is K X
+    times 2^-2e; only its direction is used."""
+    N = constraint_normal(con.vs, X)
+    r2 = np.einsum("ij,ij->i", X, X)
+    sphere = r2 >= 1.0 - _SPHERE_BAND
+    held = sphere & (np.einsum("ij,ij->i", X, grad) < 0.0)
+    while True:
+        u = held / np.where(held, r2, 1.0)
+        gh = grad - (u * np.einsum("ij,ij->i", X, grad))[:, None] * X
+        Nh = N - (u * np.einsum("ij,ij->i", X, N))[:, None] * X
+        nn = float(np.vdot(Nh, Nh))
+        d = gh if nn == 0.0 else gh - (float(np.vdot(gh, Nh)) / nn) * Nh
+        out = sphere & ~held & (np.einsum("ij,ij->i", X, d) < 0.0)
+        if not np.any(out):
+            return d
+        held |= out
+
+
+def _descend(X: np.ndarray, A_hat: np.ndarray, a2: float, con: _Constraint, max_outer_iter: int) -> tuple:
+    """The outer loop of the module docstring from restored loadings X, stopping as
+    solve_nicm says.  Returns (X, f, trace, iterations, restorations, converged,
+    message); restorations counts the loop's successful restorations only."""
+    f, grad = _objective_and_gradient(X, A_hat, a2)
+    trace = [f]
+    gnorm = float(np.max(np.abs(grad)))
+    alpha = min(max(1.0 / gnorm, STEP_MIN), STEP_MAX) if gnorm > 0.0 else 1.0
+    restorations = 0
+    for outer in range(1, max_outer_iter + 1):
+        s = 1.0
+        direction = _tangential(grad, X, con)
+        for _ in range(MAX_BACKTRACKS):
+            try:
+                T = _project_feasible_raw(X - (s * alpha) * direction, con)
+                restorations += 1
+            except RestorationError:
+                s *= BACKTRACK
+                continue
+            fT, gT = _objective_and_gradient(T, A_hat, a2)
+            descent = float(np.sum(grad * (T - X)))
+            if descent < 0.0 and fT <= f + ARMIJO_C1 * descent:
+                break
+            s *= BACKTRACK
+        else:
+            return (X, f, trace, outer - 1, restorations, True,
+                    "arc search exhausted without an acceptable step (projected stationary point)")
+
+        dX = T - X
+        dG = gT - grad
+        X, grad = T, gT
+        improvement, f = f - fT, fT
+        trace.append(f)
+
+        sty = float(np.sum(dX * dG))
+        bb = float(np.sum(dX * dX)) / sty if sty > 0.0 else math.inf
+        # A quotient at STEP_MAX or beyond (a non-positive s'y among them)
+        # carries no scale of its own: take at most eight times the step
+        # just accepted.
+        alpha = max(bb, STEP_MIN) if bb < STEP_MAX else min(STEP_MAX, 8.0 * s * alpha)
+
+        if improvement < FN_RTOL * f:
+            return X, f, trace, outer, restorations, True, "relative objective improvement below tolerance"
+    return X, f, trace, max_outer_iter, restorations, False, "iteration limit reached"
+
+
 def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> SolverResult:
     """Nearest factor-structured correlation matrix to the target A.
 
@@ -529,81 +599,8 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
 
     A_hat, a2 = _target_offdiag(A_corr)
     con = _constraint(spec, config.k, config.var_tol)
-
-    def tangential(gr: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # Hold the sphere rows that the step X - s d pushes outward (their
-        # radial components leave grad f and K X), then remove the
-        # component along grad g = -2 K X; where that turns the step
-        # outward on another sphere row, hold it too.  Steps along the
-        # result leave g and the held rows' norms unchanged to first order,
-        # so the restoration only absorbs second-order drift.  N is K X
-        # times 2^-2e; only its direction is used.
-        N = constraint_normal(con.vs, X)
-        r2 = np.einsum("ij,ij->i", X, X)
-        sphere = r2 >= 1.0 - _SPHERE_BAND
-        held = sphere & (np.einsum("ij,ij->i", X, gr) < 0.0)
-        while True:
-            u = held / np.where(held, r2, 1.0)
-            gh = gr - (u * np.einsum("ij,ij->i", X, gr))[:, None] * X
-            Nh = N - (u * np.einsum("ij,ij->i", X, N))[:, None] * X
-            nn = float(np.vdot(Nh, Nh))
-            d = gh if nn == 0.0 else gh - (float(np.vdot(gh, Nh)) / nn) * Nh
-            out = sphere & ~held & (np.einsum("ij,ij->i", X, d) < 0.0)
-            if not np.any(out):
-                return d
-            held |= out
-
     X = _project_feasible_raw(initial_loadings(A_corr, config.k).values, con)
-    restorations = 1
-
-    f, grad = _objective_and_gradient(X, A_hat, a2)
-    trace = [f]
-
-    gnorm = float(np.max(np.abs(grad)))
-    alpha = min(max(1.0 / gnorm, STEP_MIN), STEP_MAX) if gnorm > 0.0 else 1.0
-
-    converged = False
-    message = "iteration limit reached"
-    outer = 0
-
-    for outer in range(1, config.max_outer_iter + 1):
-        s = 1.0
-        direction = tangential(grad, X)
-        for _ in range(MAX_BACKTRACKS):
-            try:
-                T = _project_feasible_raw(X - (s * alpha) * direction, con)
-                restorations += 1
-            except RestorationError:
-                s *= BACKTRACK
-                continue
-            fT, gT = _objective_and_gradient(T, A_hat, a2)
-            descent = float(np.sum(grad * (T - X)))
-            if descent < 0.0 and fT <= f + ARMIJO_C1 * descent:
-                break
-            s *= BACKTRACK
-        else:
-            converged = True
-            message = "arc search exhausted without an acceptable step (projected stationary point)"
-            outer -= 1
-            break
-
-        dX = T - X
-        dG = gT - grad
-        X, grad = T, gT
-        improvement, f = f - fT, fT
-        trace.append(f)
-
-        sty = float(np.sum(dX * dG))
-        bb = float(np.sum(dX * dX)) / sty if sty > 0.0 else math.inf
-        # A quotient at STEP_MAX or beyond (a non-positive s'y among them)
-        # carries no scale of its own: take at most eight times the step
-        # just accepted.
-        alpha = max(bb, STEP_MIN) if bb < STEP_MAX else min(STEP_MAX, 8.0 * s * alpha)
-
-        if improvement < FN_RTOL * f:
-            converged = True
-            message = "relative objective improvement below tolerance"
-            break
+    X, f, trace, outer, restorations, converged, message = _descend(X, A_hat, a2, con, config.max_outer_iter)
 
     X_star = FactorLoadings(X)
     return SolverResult(
@@ -613,7 +610,7 @@ def solve_nicm(A, spec: MarketSpec, config: SolverConfig | None = None) -> Solve
         fn_trace=np.array(trace),
         constraint_residual=con.residual(X),
         outer_iterations=outer,
-        restorations=restorations,
+        restorations=restorations + 1,  # and the start's
         wall_time=time.perf_counter() - t0,
         converged=converged,
         message=message,

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from impliedcorr import _VAR_TOL
 from impliedcorr.bench import (
     BenchCell,
     BenchRow,
@@ -138,7 +139,7 @@ def test_estimated_targets_run(tmp_path):
     assert all(r.failures == 0 for r in rows)
     # estimation error keeps the produced matrix away from the target
     assert rows[0].fn_mean > 0.0
-    assert rows[1].vtol_max <= suite.var_tol
+    assert rows[1].vtol_max <= _VAR_TOL
 
 
 def test_economic_cell_reports_alpha():
@@ -221,6 +222,9 @@ def test_suite_from_dict():
     # the solver stops on a relative improvement of its own
     with pytest.raises(ValueError, match="unknown suite fields.*fn_tol"):
         BenchSuite.from_dict({"cells": [{"model": "nicm"}], "fn_tol": 1e-3})
+    # the bench solves and checks at the solver's default var_tol
+    with pytest.raises(ValueError, match="unknown suite fields.*var_tol"):
+        BenchSuite.from_dict({"cells": [{"model": "nicm"}], "var_tol": 1e-8})
 
 
 def test_render_table_and_csv_shapes():

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from impliedcorr import solver
 from impliedcorr.baselines import adjusted_ex_post
 from impliedcorr.core import (
+    _EPS,
     EPS_FEAS,
     CorrMatrix,
     IndexConstraint,
@@ -34,7 +35,12 @@ from impliedcorr.solver import (
     RITZ_EXTRA,
     RestorationError,
     SolverConfig,
+    _SPHERE_BAND,
     _constraint,
+    _descend,
+    _objective_and_gradient,
+    _tangential,
+    _target_offdiag,
     _subspace_eigenpairs,
     initial_loadings,
     objective,
@@ -311,6 +317,16 @@ def test_project_feasible_beyond_comonotonic_raises():
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap * 1.01),))
     with pytest.raises(RestorationError, match="comonotonic"):
         restore(np.full((2, 1), 0.3), spec)
+    # 5e-11 relative below the bound the target is inside the restoration's
+    # band, so the constraint takes the comonotonic point, whose residual
+    # -2.88e-12 misses a var_tol of 1e-12, 5.76e-14 in units of g.
+    sigma = np.array([0.2, 0.3, 0.25])
+    w = np.array([0.5, 0.3, 0.2])
+    cap = float(np.sum(sigma * w)) ** 2
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, cap * (1.0 - 5e-11)),))
+    with pytest.raises(RestorationError, match=r"the comonotonic point misses \|g\| <= 5.76e-14$") as err:
+        _constraint(spec, 2, 1e-12)
+    assert err.value.residual == pytest.approx(-5e-11 * cap, rel=1e-3)
 
 
 def test_project_feasible_below_attainable_minimum_raises():
@@ -662,6 +678,87 @@ def test_solve_nicm_contract_on_long_short_markets(case):
         assert dual_bound(A, spec, config.var_tol) <= res.fn
     else:
         assert res.message
+
+
+@st.composite
+def restored_starts(draw):
+    """A long_short_solves case with its constraint and a start drawn in
+    [-1.5, 1.5]^(n x k), restored; cases whose constraint or restoration raises
+    are skipped."""
+    A, spec, k = draw(long_short_solves())
+    X = draw(arrays(np.float64, (spec.n, k), elements=st.floats(-1.5, 1.5), fill=st.nothing()))
+    try:
+        con = _constraint(spec, k)
+        X = _project_feasible_raw(X, con)
+    except RestorationError:
+        assume(False)
+    return A, spec, k, con, X
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(restored_starts())
+def test_tangential_step_keeps_g_and_the_sphere_rows(case):
+    # d is orthogonal to grad g = -2 K X, and the step X - s d moves no row
+    # on the sphere outward, both to rounding: 16 n k eps ||grad f|| (times
+    # ||K X|| for the inner product) times the conditioning 1 + ||K X|| /
+    # ||P||, P being K X without its radial parts on the sphere rows (the
+    # held rows are among them).  The largest measured over these cases is
+    # under a fiftieth of that.
+    A, spec, k, con, X = case
+    grad = _objective_and_gradient(X, *_target_offdiag(A))[1]
+    d = _tangential(grad, X, con)
+    N = constraint_normal(con.vs, X)
+    r2 = np.einsum("ij,ij->i", X, X)
+    sphere = r2 >= 1.0 - _SPHERE_BAND
+    P = N - (sphere / np.where(sphere, r2, 1.0) * np.einsum("ij,ij->i", X, N))[:, None] * X
+    n_N, n_P = float(np.linalg.norm(N)), float(np.linalg.norm(P))
+    if n_P == 0.0:
+        return  # K X is zero or radial on the sphere rows: no conditioning to state
+    rounding = 16 * spec.n * k * _EPS * float(np.linalg.norm(grad)) * (1.0 + n_N / n_P)
+    assert abs(float(np.vdot(d, N))) <= rounding * n_N
+    assert np.all(np.einsum("ij,ij->i", X, d)[sphere] >= -rounding)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(restored_starts())
+def test_descend_contract_from_any_restored_start(case):
+    A, spec, k, con, X = case
+    A_hat, a2 = _target_offdiag(A)
+    config = SolverConfig(k=k)
+    X, f, trace, iterations, _, converged, message = _descend(X, A_hat, a2, con, config.max_outer_iter)
+    assert np.all(np.diff(trace) <= 0.0)
+    assert len(trace) == iterations + 1 and trace[-1] == f
+    assert abs(con.residual(X)) <= con.tol
+    assert np.max(np.einsum("ij,ij->i", X, X)) <= 1.0 + EPS_FEAS
+    assert converged or message == "iteration limit reached"
+    # From the restored spectral start, the loop is solve_nicm's.
+    try:
+        start = _project_feasible_raw(initial_loadings(A, k).values, con)
+    except RestorationError:
+        return
+    trace = _descend(start, A_hat, a2, con, config.max_outer_iter)[2]
+    assert np.array(trace).tobytes() == solve_nicm(A, spec, config).fn_trace.tobytes()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 24: at the comonotonic target the shortcut pins the rows of "
+    "zero-weight assets too, so the solve returns C = J where the free rows could fit the target",
+)
+def test_comonotonic_target_leaves_zero_weight_rows_free():
+    # At the bound the solve returns f = 18.34 after 0 iterations and 41
+    # restorations, as converged; 1e-6 relative below it, f = 0.020 after
+    # 13 iterations.  The index prices only assets 1 and 2, so the bound
+    # forces C_12 = 1 and leaves assets 3 and 4 free in either case.
+    sigma = np.array([0.2, 0.3, 0.25, 0.4])
+    w = np.array([0.5, 0.5, 0.0, 0.0])
+    A = np.array([[1.0, 0.9, -0.5, -0.5], [0.9, 1.0, -0.5, -0.5],
+                  [-0.5, -0.5, 1.0, 0.6], [-0.5, -0.5, 0.6, 1.0]])
+    bound = float(np.sum(sigma * w)) ** 2
+    fn = [solve_nicm(A, MarketSpec(sigma, (IndexConstraint("m", w, var),)), SolverConfig(k=2)).fn
+          for var in (bound, bound * (1.0 - 1e-6))]
+    assert fn[0] <= fn[1] + 0.1
 
 
 def test_initial_loadings_identity_target_is_zero():
