@@ -17,11 +17,13 @@ check, adjust, nearest, repair and economic take each input (--matrix or
 else from the --snapshot's field of the same role; a snapshot field is
 parsed only when it is used.  Each setting has one source: -k and
 --tol-var for the solve of nearest and repair, --seed for synth and the
-suite file for bench.  Each command but bench, which prints its table,
-prints one JSON record: the result's to_dict() or core._record(result),
-every artifact's path (written with --out-dir) under "paths" and, from a
-command that writes a matrix, that matrix's full feasibility report under
-"feasibility".
+suite file for bench.  Only check's test and that solve depend on a
+tolerance, so only they read --tol-var; every other report is at
+_VAR_TOL.  Each command but bench, which prints its table, prints one
+JSON record: the result's to_dict() or core._record(result), every
+artifact's path (written with --out-dir) under "paths" and, from a
+command that writes a matrix, that matrix's full feasibility report
+under "feasibility".
 
 The module imports only the standard library; once the arguments parse,
 it binds the package's public names through the package's one name map,
@@ -129,7 +131,7 @@ def _write_artifact(args, out: dict, key: str, name: str, write, *data) -> None:
     out.setdefault("paths", {})[key] = path
 
 
-def _feasibility(out: dict, C, spec, tol: float) -> bool:
+def _feasibility(out: dict, C, spec, tol: float = _VAR_TOL) -> bool:
     """Record the written matrix C's report as out["feasibility"]; returns whether C is feasible."""
     report = check_feasibility(C, spec, tol=tol)
     out["feasibility"] = report.to_dict()
@@ -148,7 +150,7 @@ def _cmd_equicorr(args) -> int:
     res = equicorrelation(spec)
     out = _record(res)
     _write_artifact(args, out, "C", "equicorr_C.csv", write_matrix_csv, res.C.values)
-    _feasibility(out, res.C, spec, args.tol_var)
+    _feasibility(out, res.C, spec)
     _emit(out)
     return EXIT_OK
 
@@ -158,7 +160,7 @@ def _cmd_adjust(args) -> int:
     res = adjusted_ex_post(C_P, spec, workaround=not args.no_workaround)
     out = _record(res)
     _write_artifact(args, out, "C", "adjusted_C.csv", write_matrix_csv, res.C_Q.values)
-    _feasibility(out, res.C_Q, spec, args.tol_var)
+    _feasibility(out, res.C_Q, spec)
     # Kept at the top level too: perfbench's cli-chain check reads it there.
     out["min_eigenvalue"] = out["feasibility"]["min_eigenvalue"]
     _emit(out)
@@ -184,8 +186,7 @@ def _cmd_economic(args) -> int:
     out = _record(res)
     _write_artifact(args, out, "C", "economic_C.csv", write_matrix_csv, res.C.values)
     _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q)
-    # economic takes no --tol-var; its report uses check's default.
-    feasible = _feasibility(out, res.C, spec, _VAR_TOL)
+    feasible = _feasibility(out, res.C, spec)
     _emit(out)
     return EXIT_OK if feasible else EXIT_NONCONVERGENCE
 
@@ -219,7 +220,7 @@ def _cmd_synth(args) -> int:
     snapshot, _ = generate_synthetic_market(
         args.n, args.k_true, args.crp, args.seed, periods=args.periods
     )
-    path = save_snapshot(snapshot, args.out_dir, stem=args.stem)
+    path = save_snapshot(snapshot, args.out_dir)
     _emit({"snapshot": path, "seed": args.seed, "date": snapshot.date,
            "comonotonic_clipped": snapshot.meta["comonotonic_clipped"]})
     return EXIT_OK
@@ -257,12 +258,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
 
-    sp = _subcommand(sub, "equicorr", "implied equicorrelation", _cmd_equicorr,
-                     "--tol-var", "--out-dir")
+    sp = _subcommand(sub, "equicorr", "implied equicorrelation", _cmd_equicorr, "--out-dir")
     sp.add_argument("--spec", required=True, help="market spec JSON")
 
-    sp = _subcommand(sub, "adjust", "blend an ex-post matrix toward a bound", _cmd_adjust,
-                     "--tol-var", "--out-dir")
+    sp = _subcommand(sub, "adjust", "blend an ex-post matrix toward a bound", _cmd_adjust, "--out-dir")
     sp.add_argument("--target", help="ex-post correlation matrix CSV")
     sp.add_argument("--spec", help="market spec JSON")
     sp.add_argument("--snapshot", help="snapshot JSON (uses its target and spec)")
@@ -296,7 +295,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--k-true", type=int, required=True, help="true factor count")
     sp.add_argument("--crp", type=float, default=0.1, help="relative variance markup (default 0.1)")
     sp.add_argument("--periods", type=int, default=0, help="simulated return periods (default 0)")
-    sp.add_argument("--stem", default="snapshot", help="output file stem (default snapshot)")
 
     sp = _subcommand(sub, "bench", "model comparison on synthetic markets", _cmd_bench, "--out-dir")
     sp.add_argument("--suite", required=True, help="bench suite JSON")
@@ -318,13 +316,10 @@ def cli_dispatch(argv: list[str]) -> int:
     _bind_numeric()
     try:
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except RestorationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, KeyError, TypeError) as exc:
+    except (CliUsageError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -23,8 +23,8 @@ root and refines a sign change by Illinois regula falsi; without one it
 moves to the sampled point nearest E and searches again from there.
 
 A solve has three phases.  _constraint builds the constraint (v, v o v,
-v'v, the target, both tolerances and the one point of a comonotonic
-target) and rejects an unattainable target; every g is core.hollow_form's.
+v'v, the target, both tolerances and the rows that a comonotonic target
+fixes) and rejects an unattainable target; every g is core.hollow_form's.
 The start is initial_loadings, restored.  _descend runs the outer loop:
 its step (_tangential) holds the sphere rows it would push outward and is
 tangential to E, so the restoration only absorbs second-order drift, and
@@ -208,9 +208,9 @@ def objective_gradient(X, A) -> np.ndarray:
 class _Constraint(NamedTuple):
     """The constraint g(X) = target - v'C(X)v of one solve: vv = v o v, v2 = v'v,
     the |g| tolerance tol of a restoration, the root tolerance eps of a curve
-    search, vs = v 2^-e with sum_i |vs_i| in [1/2, 1), and com, the one feasible
-    point when the target is comonotonic.  The curve direction K X is quartic
-    in v, so it is taken from vs: its squares stay in range at any scale of v."""
+    search, vs = v 2^-e with sum_i |vs_i| in [1/2, 1), and com, whose rows with
+    v_i != 0 a comonotonic target fixes.  The curve direction K X is quartic in
+    v, so it is taken from vs: its squares stay in range at any scale of v."""
 
     v: np.ndarray
     vv: np.ndarray
@@ -245,9 +245,10 @@ def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constra
         )
     if target < hi - slack:
         return con
-    # A target at the comonotonic bound admits exactly one feasible point,
-    # every pairwise correlation equal to one.  E is tangent to the ball
-    # there, so no curve crosses it; the point is built directly instead.
+    # A target at the comonotonic bound fixes the priced rows (v_i != 0) at
+    # correlation one and leaves the others free.  E is tangent to the ball
+    # there, so no curve crosses it; the priced rows are set directly.  With
+    # one priced asset (lo = hi) every X meets the target: none is fixed.
     com = np.zeros((v.size, k))
     com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
     resid = con.residual(com)
@@ -259,7 +260,7 @@ def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constra
         )
     if abs(resid) > con.tol:
         raise RestorationError(f"the comonotonic point misses |g| <= {con.tol:g}", residual=resid)
-    return con._replace(com=com)
+    return con._replace(com=com) if lo < hi else con
 
 
 # perfbench's tracer counts curve searches and root refinements by the
@@ -338,6 +339,7 @@ def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple
 def _project_feasible_raw(arr: np.ndarray, con: _Constraint) -> np.ndarray:
     """Restore loadings to Omega intersected with the surface g = 0 of con.
 
+    At a comonotonic target the rows with v_i != 0 are first set to con.com's.
     The point is clipped to Omega, then searched along the clipped curve of
     the module docstring until |g| <= con.tol.  The returned rows satisfy
     ||X_i||^2 <= 1 + EPS_FEAS, and already-feasible points are returned
@@ -345,9 +347,9 @@ def _project_feasible_raw(arr: np.ndarray, con: _Constraint) -> np.ndarray:
     MAX_RESTORATION_ITER curve searches do not reach con.tol, or when g is
     insensitive to the curve (K X vanishes, or no point of it is nearer E).
     """
-    if con.com is not None:
-        return con.com.copy()
     cur = arr.copy()
+    if con.com is not None:
+        cur[con.v != 0.0] = con.com[con.v != 0.0]
     resid = con.residual(cur, _clip_omega(cur))
     searches = 0
     while abs(resid) > con.tol:

@@ -228,8 +228,8 @@ def test_unknown_command_is_usage_error(capsys):
 # Each subcommand's otherwise valid argv, and the shared options it reads.
 SUBCOMMANDS = {
     "check": (["--matrix", "m.csv"], {"--tol-var"}),
-    "equicorr": (["--spec", "s.json"], {"--tol-var", "--out-dir"}),
-    "adjust": (["--snapshot", "s.json"], {"--tol-var", "--out-dir"}),
+    "equicorr": (["--spec", "s.json"], {"--out-dir"}),
+    "adjust": (["--snapshot", "s.json"], {"--out-dir"}),
     "nearest": (["--snapshot", "s.json"], {"--tol-var", "--out-dir"}),
     "repair": (["--snapshot", "s.json"], {"--tol-var", "--out-dir"}),
     "economic": (["--snapshot", "s.json"], {"--out-dir"}),
@@ -237,10 +237,10 @@ SUBCOMMANDS = {
     "synth": (["-n", "4", "--k-true", "1", "--out-dir", "d"], {"--seed", "--out-dir"}),
     "bench": (["--suite", "b.json"], {"--out-dir"}),
 }
-# SHARED keeps the removed --config, --format and --tol-fn, which every
-# command must now reject.
+# SHARED keeps the removed --config, --format, --tol-fn and --stem, which
+# every command must now reject.
 SHARED = {"--config": "c.json", "--seed": "1", "--tol-var": "1e-6", "--tol-fn": "1e-3",
-          "--out-dir": "d", "--format": "json"}
+          "--out-dir": "d", "--format": "json", "--stem": "y"}
 UNREAD = [(cmd, flag) for cmd, (_, reads) in SUBCOMMANDS.items() for flag in SHARED if flag not in reads]
 
 

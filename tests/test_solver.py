@@ -740,25 +740,97 @@ def test_descend_contract_from_any_restored_start(case):
     assert np.array(trace).tobytes() == solve_nicm(A, spec, config).fn_trace.tobytes()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 24: at the comonotonic target the shortcut pins the rows of "
-    "zero-weight assets too, so the solve returns C = J where the free rows could fit the target",
-)
-def test_comonotonic_target_leaves_zero_weight_rows_free():
-    # At the bound the solve returns f = 18.34 after 0 iterations and 41
-    # restorations, as converged; 1e-6 relative below it, f = 0.020 after
-    # 13 iterations.  The index prices only assets 1 and 2, so the bound
-    # forces C_12 = 1 and leaves assets 3 and 4 free in either case.
-    sigma = np.array([0.2, 0.3, 0.25, 0.4])
-    w = np.array([0.5, 0.5, 0.0, 0.0])
-    A = np.array([[1.0, 0.9, -0.5, -0.5], [0.9, 1.0, -0.5, -0.5],
-                  [-0.5, -0.5, 1.0, 0.6], [-0.5, -0.5, 0.6, 1.0]])
-    bound = float(np.sum(sigma * w)) ** 2
-    fn = [solve_nicm(A, MarketSpec(sigma, (IndexConstraint("m", w, var),)), SolverConfig(k=2)).fn
+# ROADMAP item 24's market: the index prices only assets 1 and 2.
+ITEM24_SIGMA = np.array([0.2, 0.3, 0.25, 0.4])
+ITEM24_W = np.array([0.5, 0.5, 0.0, 0.0])
+ITEM24_A = np.array([[1.0, 0.9, -0.5, -0.5], [0.9, 1.0, -0.5, -0.5],
+                     [-0.5, -0.5, 1.0, 0.6], [-0.5, -0.5, 0.6, 1.0]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_comonotonic_target_leaves_zero_weight_rows_free(k):
+    # The bound forces C_12 = 1 and leaves assets 3 and 4 free, as 1e-6
+    # relative below it, where the solve ends at f = 0.21 (k = 1) or 0.020;
+    # C = J, every row pinned, gives f = 18.34.
+    bound = float(np.sum(ITEM24_SIGMA * ITEM24_W)) ** 2
+    fn = [solve_nicm(ITEM24_A, MarketSpec(ITEM24_SIGMA, (IndexConstraint("m", ITEM24_W, var),)),
+                     SolverConfig(k=k)).fn
           for var in (bound, bound * (1.0 - 1e-6))]
     assert fn[0] <= fn[1] + 0.1
+
+
+def index_market(A, sigma, w, var):
+    """(A, the spec of one index with weights w and variance var)."""
+    index = IndexConstraint("m", np.asarray(w, float), var)
+    return A, MarketSpec(np.asarray(sigma, float), (index,))
+
+
+def duplicated_market():
+    """25 synthetic assets, each listed twice at half its weight: the same index."""
+    snap, _ = generate_synthetic_market(25, 3, 0.1, seed=0)
+    idx = np.repeat(np.arange(25), 2)
+    w = snap.spec.market.weights[idx] / 2.0
+    return index_market(snap.target[np.ix_(idx, idx)], snap.spec.sigma[idx], w,
+                        snap.spec.market.variance)
+
+
+def stretched_market():
+    """A synthetic market whose target has two pairs at 1.05, outside [-1, 1]."""
+    snap, _ = generate_synthetic_market(10, 2, 0.1, seed=0)
+    A = snap.target.copy()
+    A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = 1.05
+    return index_market(A, snap.spec.sigma, snap.spec.market.weights, snap.spec.market.variance)
+
+
+HALF = 0.5 * np.eye(3) + 0.5
+# ROADMAP item 24's atlas of degenerate markets.  Each row builds (A, spec)
+# and names its verdict: a converged, feasible solve at the optimal f given
+# (to FN_RTOL relative, the stopping rule's step, and to 1e-12 where it is
+# 0; None leaves f free), or the error that its spec or its solve raises.
+ATLAS = [
+    pytest.param(lambda: index_market(np.eye(1), [0.2], [1.0], 0.04), 1, 0.0, id="n=1"),
+    pytest.param(lambda: index_market(ITEM24_A, ITEM24_SIGMA, ITEM24_W, 0.04), 1, None,
+                 id="zero-weights"),
+    pytest.param(
+        lambda: index_market(np.eye(4), ITEM24_SIGMA, ITEM24_W, 0.04), 2, None,
+        id="zero-weights-identity",
+        marks=pytest.mark.xfail(
+            strict=True, raises=RestorationError,
+            reason="ROADMAP item 9: the identity's spectral start is X0 = 0, where K X0 = 0, "
+            "so the curve search raises 'insensitive'",
+        ),
+    ),
+    # One priced asset: lo = hi, every X meets the constraint and k = 1 fits A.
+    *(pytest.param(lambda: index_market(0.6 * np.eye(3) + 0.4, [0.2, 0.3, 0.4], [1, 0, 0], 0.04),
+                   k, 0.0, id=f"single-name-k{k}") for k in (1, 2)),
+    pytest.param(lambda: index_market(HALF, [0.2, 0.3, 0.4], [0.5, 0.3, 0.2], 0.05), 4,
+                 (ValueError, r"k must lie in \[1, 3\]"), id="k>n"),
+    # At the variance v'v the pairs must sum to zero: C = I, by symmetry.
+    *(pytest.param(lambda: index_market(HALF, [0.2] * 3, [1 / 3] * 3, 3 * (0.2 / 3) ** 2),
+                   k, 1.5, id=f"variance-v'v-k{k}") for k in (1, 2)),
+    # The one feasible C is s s', s = (1, -1, 1), which misses the pairs of
+    # A by 1.5, 0.5 and 1.5.
+    pytest.param(lambda: index_market(HALF, [0.2, 0.3, 0.25], [0.8, -0.3, 0.5], 0.375 ** 2),
+                 2, 9.5, id="long-short-comonotonic"),
+    *(pytest.param(duplicated_market, k, None, id=f"duplicated-n=50-k{k}") for k in (1, 2, 3)),
+    *(pytest.param(stretched_market, k, None, id=f"pairs-at-1.05-k{k}") for k in (1, 2)),
+    pytest.param(lambda: index_market(HALF, [0.2, 0.3, 0.4], [0.5, 0.3, 0.2], 0.0), 1,
+                 (ValueError, "must be positive"), id="variance-0"),
+]
+
+
+@pytest.mark.parametrize("market, k, verdict", ATLAS)
+def test_degenerate_market_atlas(market, k, verdict):
+    if isinstance(verdict, tuple):
+        with pytest.raises(verdict[0], match=verdict[1]):
+            solve_nicm(*market(), SolverConfig(k=k))
+        return
+    A, spec = market()
+    res = solve_nicm(A, spec, SolverConfig(k=k))
+    assert res.converged, res.message
+    assert check_feasibility(res.C_star, spec).feasible
+    if verdict is not None:
+        assert res.fn == pytest.approx(verdict, rel=solver.FN_RTOL, abs=1e-12)
 
 
 def test_initial_loadings_identity_target_is_zero():
