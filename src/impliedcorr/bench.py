@@ -91,16 +91,19 @@ class BenchSuite:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchSuite":
-        d = dict(d)
-        raw_cells = d.pop("cells", None)
-        if not raw_cells:
-            raise ValueError("suite definition needs a non-empty 'cells' list")
-        cells = tuple(BenchCell(**rc) for rc in raw_cells)
-        known = set(cls.__dataclass_fields__) - {"cells"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown suite fields: {sorted(extra)}")
+        d = _fields(cls, d, "suite")
+        cells = tuple(BenchCell(**_fields(BenchCell, c, "cell")) for c in d.pop("cells"))
         return cls(cells=cells, **d)
+
+
+def _fields(cls, d, what: str) -> dict:
+    """A copy of the JSON object d, whose keys must be fields of the dataclass cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(d).__name__}")
+    extra = set(d) - set(cls.__dataclass_fields__)
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    return dict(d)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import sys
 from . import _VAR_TOL, __all__ as _PUBLIC
 
 # The private helpers the handlers use beside the package's public names.
-_HELPERS = {"_dump_json": "io", "_load_json": "io", "_record": "core"}
+_HELPERS = {"_dump_json": "io", "_read_json": "io", "_record": "core"}
 
 
 def _bind_numeric() -> None:
@@ -227,7 +227,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows, table = run_bench(BenchSuite.from_dict(_load_json(args.suite)), out_dir=args.out_dir)
+    rows, table = run_bench(_read_json(args.suite, BenchSuite.from_dict), out_dir=args.out_dir)
     print(table, end="")
     return EXIT_NONCONVERGENCE if any(r.failures for r in rows) else EXIT_OK
 

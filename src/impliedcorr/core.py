@@ -197,7 +197,7 @@ class IndexConstraint:
         if not np.isfinite(self.variance) or self.variance <= 0.0:
             raise ValueError(
                 f"variance of constraint {self.name!r} must be positive, "
-                f"got {self.variance!r}"
+                f"got {float(self.variance)!r}"
             )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -223,7 +223,7 @@ class MarketSpec:
             raise ValueError("sigma must be non-empty")
         if np.any(s <= 0.0):
             bad = int(np.argmin(s))
-            raise ValueError(f"sigma[{bad}] = {s[bad]!r} is not positive")
+            raise ValueError(f"sigma[{bad}] = {float(s[bad])!r} is not positive")
         cons = tuple(self.constraints)
         if len(cons) != 1:
             raise ValueError(f"a market spec needs exactly one index constraint, got {len(cons)}")

@@ -21,9 +21,11 @@ Conventions, chosen so that identical inputs produce byte-identical files:
   A loaded snapshot parses each of these files on the first read of a
   field that needs it, and parses a file named by two keys once.
 
-Readers raise ValueError with file and line context on malformed input and
-name the offending files on cross-file dimension mismatches; for a
-snapshot's CSV fields, both come at the field's first read.
+Every reader raises ValueError starting with the file's path, and the line
+in a table, on malformed input: every JSON file goes through _read_json,
+where the value types' own checks run.  Cross-file dimension mismatches
+name the files involved; for a snapshot's CSV fields, both come at the
+field's first read.
 """
 
 from __future__ import annotations
@@ -61,19 +63,18 @@ def _read_csv(path: str, header: bool) -> tuple[list[str] | None, np.ndarray]:
     lines; only when it fails is the file scanned again, line by line, for
     an error that carries the path and the line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (line for line in fh if not line.isspace())
-        names = [t.strip() for t in next(lines, "").split(",")] if header else None
-        first = next(lines, None)
-        detail = "not a table of numbers"
-        if first is not None and not (names and all(map(_parses, names))):
-            try:
+    detail = "not a table of numbers"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (line for line in fh if not line.isspace())
+            names = [t.strip() for t in next(lines, "").split(",")] if header else None
+            first = next(lines, None)
+            if first is not None and not (names and all(map(_parses, names))):
                 rows = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                detail = str(exc)
-            else:
                 if names is None or rows.shape[1] == len(names):
                     return names, rows
+    except ValueError as exc:  # numpy's, or bytes that are not UTF-8
+        detail = str(exc)
     _raise_located(path, header, detail)
 
 
@@ -81,7 +82,8 @@ def _raise_located(path: str, header: bool, detail: str) -> NoReturn:
     """Raise the first error of a table that _read_csv rejected, by line."""
     names = width = None
     nrows = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 read as U+FFFD, which no number holds.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -169,12 +171,36 @@ def _dump_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _load_json(path: str) -> dict:
+def _read_json(path: str, build):
+    """build(d) for the JSON object d in the file at path; every error of
+    decoding, parsing or building, a missing key included, is raised as a
+    ValueError whose message starts with the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _build_object(path, build, d)
+
+
+def _build_object(where: str, build, d):
+    """build(d) for a JSON object d; a missing key, a TypeError or a
+    ValueError is raised as a ValueError whose message starts with where."""
+    try:
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        return build(d)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _beside(doc: str, name: str) -> str:
+    """The path of a file that the document at doc names: relative to the document."""
+    return os.path.join(os.path.dirname(os.path.abspath(doc)), name)
 
 
 def market_spec_to_dict(spec: MarketSpec) -> dict:
@@ -191,31 +217,15 @@ def market_spec_to_dict(spec: MarketSpec) -> dict:
     }
 
 
-def market_spec_from_dict(d: dict, context: str = "market spec") -> MarketSpec:
-    if not isinstance(d, dict):
-        raise ValueError(f"{context}: a market spec must be a JSON object, got {type(d).__name__}")
-    try:
-        sigma = d["sigma"]
-        raw_cons = d["constraints"]
-    except KeyError as exc:
-        raise ValueError(f"{context}: missing field {exc}") from None
-    if not isinstance(raw_cons, list) or len(raw_cons) != 1:
-        count = len(raw_cons) if isinstance(raw_cons, list) else type(raw_cons).__name__
-        raise ValueError(f"{context}: a market spec needs exactly one index constraint, got {count}")
-    rc = raw_cons[0]
-    try:
-        con = IndexConstraint(
-            name=str(rc["name"]),
-            weights=np.asarray(rc["weights"], dtype=float),
-            variance=float(rc["variance"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{context}: constraint 0 is malformed ({exc})") from None
-    return MarketSpec(np.asarray(sigma, dtype=float), (con,))
+def market_spec_from_dict(d: dict) -> MarketSpec:
+    """The spec of a JSON object; MarketSpec and IndexConstraint check it."""
+    cons = tuple(IndexConstraint(str(c["name"]), c["weights"], float(c["variance"]))
+                 for c in d["constraints"])
+    return MarketSpec(d["sigma"], cons)
 
 
 def read_market_spec(path: str) -> MarketSpec:
-    return market_spec_from_dict(_load_json(path), context=path)
+    return _read_json(path, market_spec_from_dict)
 
 
 def write_market_spec(path: str, spec: MarketSpec) -> None:
@@ -223,25 +233,11 @@ def write_market_spec(path: str, spec: MarketSpec) -> None:
 
 
 def read_vg_params(path: str) -> VGParams:
-    """Read direct model parameters; C_dir is a path relative to the JSON."""
-    d = _load_json(path)
-    for key in ("xi", "omega", "theta", "nu"):
-        if key not in d:
-            raise ValueError(f"{path}: missing field {key!r}")
-    C = None
-    ref = d.get("C_dir")
-    if ref is not None:
-        c_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        C = read_matrix_csv(c_path)
-        if C.shape[0] != C.shape[1]:
-            raise ValueError(f"{c_path}: direct correlation matrix must be square, got {C.shape}")
-    return VGParams(
-        xi=np.asarray(d["xi"], dtype=float),
-        omega=np.asarray(d["omega"], dtype=float),
-        theta=np.asarray(d["theta"], dtype=float),
-        nu=float(d["nu"]),
-        C_dir=C,
-    )
+    """Read direct model parameters; C_dir names a CSV file beside the JSON."""
+    return _read_json(path, lambda d: VGParams(
+        xi=d["xi"], omega=d["omega"], theta=d["theta"], nu=float(d["nu"]),
+        C_dir=None if d.get("C_dir") is None else read_matrix_csv(_beside(path, d["C_dir"])),
+    ))
 
 
 class _Deferred:
@@ -311,30 +307,28 @@ def load_snapshot(path: str) -> MarketSnapshot:
     raises ValueError naming the files involved in any mismatch; a file
     named by two keys is parsed once, and both fields hold its array.
     """
-    d = _load_json(path)
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: a snapshot must be a JSON object, got {type(d).__name__}")
-    version = d.get("schema_version")
-    if version != SNAPSHOT_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported snapshot schema_version {version!r}, "
-            f"expected {SNAPSHOT_SCHEMA_VERSION}"
-        )
-    if "spec" not in d or "date" not in d:
-        raise ValueError(f"{path}: snapshot needs 'date' and an inline 'spec'")
-    spec = market_spec_from_dict(d["spec"], context=f"{path} (spec)")
-    meta = d.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: snapshot 'meta' must be a JSON object, got {type(meta).__name__}")
-    for key in ("target", "truth", "loadings", "asset_returns", "factor_returns"):
-        if d.get(key) is not None and not isinstance(d[key], str):
-            raise ValueError(f"{path}: snapshot {key!r} must name a CSV file, got {type(d[key]).__name__}")
-    base = os.path.dirname(os.path.abspath(path))
+
+    def build(d: dict):
+        version = d.get("schema_version")
+        if version != SNAPSHOT_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported snapshot schema_version {version!r}, expected {SNAPSHOT_SCHEMA_VERSION}"
+            )
+        if "spec" not in d or "date" not in d:
+            raise ValueError("snapshot needs 'date' and an inline 'spec'")
+        if not isinstance(d.get("meta", {}), dict):
+            raise ValueError(f"snapshot 'meta' must be a JSON object, got {type(d['meta']).__name__}")
+        for key in ("target", "truth", "loadings", "asset_returns", "factor_returns"):
+            if d.get(key) is not None and not isinstance(d[key], str):
+                raise ValueError(f"snapshot {key!r} must name a CSV file, got {type(d[key]).__name__}")
+        return d, _build_object("(spec)", market_spec_from_dict, d["spec"])
+
+    d, spec = _read_json(path, build)
     n = spec.n
     parsed: dict = {}
 
     def parse(key: str, header: bool = False):
-        full = os.path.join(base, d[key])
+        full = _beside(path, d[key])
         if (full, header) not in parsed:
             parsed[full, header] = read_loadings_csv(full) if header else read_matrix_csv(full)
         return full, parsed[full, header]
@@ -392,7 +386,7 @@ def load_snapshot(path: str) -> MarketSnapshot:
         "factor_names": ("loadings", factor_names),
     }
     fields = {name: _Deferred(load) for name, (key, load) in loaders.items() if d.get(key) is not None}
-    return MarketSnapshot(date=str(d["date"]), spec=spec, meta=dict(meta), **fields)
+    return MarketSnapshot(date=str(d["date"]), spec=spec, meta=dict(d.get("meta", {})), **fields)
 
 
 def save_snapshot(snapshot: MarketSnapshot, out_dir: str, stem: str = "snapshot") -> str:

@@ -64,9 +64,9 @@ class VGParams:
             )
         if np.any(omega <= 0.0):
             bad = int(np.argmin(omega))
-            raise ValueError(f"omega[{bad}] = {omega[bad]!r} is not positive")
+            raise ValueError(f"omega[{bad}] = {float(omega[bad])!r} is not positive")
         if not np.isfinite(self.nu) or self.nu <= 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu!r}")
+            raise ValueError(f"nu must be positive, got {float(self.nu)!r}")
         C = self.C_dir
         if C is not None:
             C = _as_corr(C)

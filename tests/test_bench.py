@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from impliedcorr.bench import (
     rows_to_csv,
     run_bench,
 )
+from impliedcorr.io import _read_json
 
 
 def small_suite(**kw):
@@ -205,7 +207,7 @@ def test_suite_validation():
         small_suite(cells=(BenchCell("nicm", target="hist"),), periods=0)
 
 
-def test_suite_from_dict():
+def test_suite_from_dict(tmp_path):
     d = {
         "cells": [{"model": "equicorr"}, {"model": "nicm", "k": 3}],
         "n": 12,
@@ -215,16 +217,22 @@ def test_suite_from_dict():
     suite = BenchSuite.from_dict(d)
     assert suite.n == 12
     assert suite.cells[1].k == 3
-    with pytest.raises(ValueError, match="non-empty 'cells'"):
-        BenchSuite.from_dict({"n": 12})
-    with pytest.raises(ValueError, match="unknown suite fields"):
-        BenchSuite.from_dict({"cells": [{"model": "equicorr"}], "gpu": True})
-    # the solver stops on a relative improvement of its own
-    with pytest.raises(ValueError, match="unknown suite fields.*fn_tol"):
-        BenchSuite.from_dict({"cells": [{"model": "nicm"}], "fn_tol": 1e-3})
-    # the bench solves and checks at the solver's default var_tol
-    with pytest.raises(ValueError, match="unknown suite fields.*var_tol"):
-        BenchSuite.from_dict({"cells": [{"model": "nicm"}], "var_tol": 1e-8})
+    # BenchSuite and BenchCell check the fields; the reader names the file.
+    path = tmp_path / "suite.json"
+    for bad, message in (
+        ({"n": 12}, "missing field 'cells'"),
+        ({"cells": [], "n": 12}, "suite has no cells"),
+        ({"cells": [{"model": "equicorr"}], "gpu": True}, "unknown suite fields: ['gpu']"),
+        # the solver stops on a relative improvement of its own
+        ({"cells": [{"model": "nicm"}], "fn_tol": 1e-3}, "unknown suite fields: ['fn_tol']"),
+        # the bench solves and checks at the solver's default var_tol
+        ({"cells": [{"model": "nicm"}], "var_tol": 1e-8}, "unknown suite fields: ['var_tol']"),
+        ({"cells": [{"model": "nicm", "kk": 2}]}, "unknown cell fields: ['kk']"),
+        ({"cells": ["nicm"]}, "a cell must be a JSON object, got str"),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            _read_json(str(path), BenchSuite.from_dict)
 
 
 def test_render_table_and_csv_shapes():

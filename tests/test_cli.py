@@ -266,6 +266,49 @@ def test_malformed_csv_is_validation_error(tmp_path, capsys):
     assert "cannot parse" in err
 
 
+def _spec_json(sigma, weights):
+    return json.dumps({"sigma": sigma, "constraints": [{"name": "m", "weights": weights, "variance": 0.03}]})
+
+
+# Each bad input file: the command and option that read it, its name and
+# bytes, and the message after "error: <file>".
+BAD_INPUTS = [
+    pytest.param(["equicorr", "--spec"], "spec.json", _spec_json([0.2, 0.3], [0.5, 0.48]),
+                 ": weights of constraint 'm' sum to 0.98, expected 1 within 1e-12", id="weights-0.98"),
+    pytest.param(["equicorr", "--spec"], "spec.json", _spec_json([0.2, -0.1], [0.5, 0.5]),
+                 ": sigma[1] = -0.1 is not positive", id="negative-sigma"),
+    pytest.param(["check", "--snapshot"], "snapshot.json",
+                 '{"schema_version": 1, "date": "2024-01-31", "spec": %s}' % _spec_json([0.2, 0.3], [0.5, 0.51]),
+                 ": (spec): weights of constraint 'm' sum to 1.01, expected 1 within 1e-12",
+                 id="snapshot-weights-1.01"),
+    pytest.param(["vg-convert", "--params"], "p.json", '"xi"', ": expected a JSON object, got str",
+                 id="params-string"),
+    pytest.param(["vg-convert", "--params"], "p.json", "[1, 2]", ": expected a JSON object, got list",
+                 id="params-list"),
+    pytest.param(["vg-convert", "--params"], "p.json",
+                 '{"xi": [0, 0], "omega": [0.3, -0.1], "theta": [0, 0], "nu": 0.5}',
+                 ": omega[1] = -0.1 is not positive", id="negative-omega"),
+    pytest.param(["bench", "--suite"], "suite.json", '[{"model": "equicorr"}]',
+                 ": expected a JSON object, got list", id="suite-list"),
+    pytest.param(["bench", "--suite"], "suite.json", '{"cells": [{"model": "nicm", "kk": 2}]}',
+                 ": unknown cell fields: ['kk']", id="suite-cell-field"),
+    pytest.param(["equicorr", "--spec"], "spec.json", b'{"sigma": "\xff"}',
+                 ": 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+                 id="json-not-utf8"),
+    pytest.param(["check", "--matrix"], "m.csv", b"1.0,0.\xff5\n0.5,1.0\n",
+                 ":1: cannot parse '0.\ufffd5' as a number", id="csv-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("argv, name, content, message", BAD_INPUTS)
+def test_input_errors_name_their_file(tmp_path, capsys, argv, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, _, err = run_json(capsys, [*argv, str(path)])
+    assert code == 1
+    assert err == f"error: {path}{message}\n"
+
+
 def test_check_reports_feasibility(tmp_path, capsys):
     m = str(tmp_path / "C.csv")
     write_matrix_csv(m, np.eye(2))

@@ -140,8 +140,13 @@ def test_index_constraint_rejects_bad_weight_sum():
 
 
 def test_market_spec_validation():
-    with pytest.raises(ValueError, match="not positive"):
+    # numpy scalars print as plain floats
+    with pytest.raises(ValueError, match=r"^sigma\[1\] = 0\.0 is not positive$"):
         MarketSpec(np.array([0.2, 0.0]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
+    with pytest.raises(ValueError, match=r"^sigma\[1\] = -0\.1 is not positive$"):
+        MarketSpec(np.array([0.2, -0.1]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
+    with pytest.raises(ValueError, match="^variance of constraint 'm' must be positive, got -0.1$"):
+        IndexConstraint("m", np.array([0.5, 0.5]), np.float64(-0.1))
     with pytest.raises(ValueError, match="weights"):
         MarketSpec(np.array([0.2, 0.2, 0.2]), (IndexConstraint("m", np.array([0.5, 0.5]), 0.03),))
     with pytest.raises(ValueError, match="sigma must be non-empty"):

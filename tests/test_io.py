@@ -264,17 +264,63 @@ def test_market_spec_round_trip(tmp_path):
         market_spec_from_dict(dict(d, constraints=[]))
 
 
-def test_market_spec_dict_errors():
-    with pytest.raises(ValueError, match="missing field"):
-        market_spec_from_dict({"sigma": [0.2, 0.2]})
-    with pytest.raises(ValueError, match="constraint 0 is malformed"):
-        market_spec_from_dict({"sigma": [0.2, 0.2], "constraints": [{"name": "m"}]})
-    bad = {
-        "sigma": [0.2, 0.2],
-        "constraints": [{"name": "m", "weights": [0.5, 0.48], "variance": 0.03}],
-    }
-    with pytest.raises(ValueError, match="sum to"):
-        market_spec_from_dict(bad)
+def test_market_spec_dict_errors(tmp_path):
+    # MarketSpec and IndexConstraint check the dict; the reader names the file.
+    p = tmp_path / "spec.json"
+    for d, message in (
+        ({"sigma": [0.2, 0.2]}, "missing field 'constraints'"),
+        ({"sigma": [0.2, 0.2], "constraints": [{"name": "m"}]}, "missing field 'weights'"),
+        (
+            {"sigma": [0.2, 0.2], "constraints": [{"name": "m", "weights": [0.5, 0.48], "variance": 0.03}]},
+            "weights of constraint 'm' sum to 0.98, expected 1 within 1e-12",
+        ),
+        (
+            {"sigma": [0.2, -0.1], "constraints": [{"name": "m", "weights": [0.5, 0.5], "variance": 0.03}]},
+            "sigma[1] = -0.1 is not positive",
+        ),
+    ):
+        p.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            read_market_spec(str(p))
+
+
+@pytest.mark.parametrize("read", [read_market_spec, read_vg_params, load_snapshot])
+@pytest.mark.parametrize("content, message", [
+    (b'"xi"\n', "expected a JSON object, got str"),
+    (b"[1, 2]\n", "expected a JSON object, got list"),
+    (b'{"name": "\xff"}\n', "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+], ids=["string", "list", "not-utf8"])
+def test_json_readers_name_the_file(tmp_path, read, content, message):
+    p = tmp_path / "doc.json"
+    p.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        read(str(p))
+
+
+def test_vg_params_value_errors_name_the_file(tmp_path):
+    p = tmp_path / "vg.json"
+    write_vg_json(p, [0.0, 0.0], [0.3, -0.1], [0.0, 0.0], 0.5)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: omega\[1\] = -0\.1 is not positive$"):
+        read_vg_params(str(p))
+
+
+def test_csv_that_is_not_utf8_names_its_file(tmp_path):
+    p = tmp_path / "bad.csv"
+    # in the first 8 KB, which the reader decodes before numpy sees a row
+    p.write_bytes(b"1.0,0.\xff5\n0.5,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:1: cannot parse '0.\ufffd5' as a number$"):
+        read_matrix_csv(str(p))
+    # after the first 8 KB of 5,000 rows, which numpy's reader meets first
+    rows = [b"%d.5,1.25" % i for i in range(5000)]
+    rows[4000] = b"4000.\xff5,1.25"
+    p.write_bytes(b"\n".join(rows) + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:4001: cannot parse '4000.\ufffd5' as a number$"):
+        read_matrix_csv(str(p))
+    # in a header, which holds any name: the rows parse, and the decoder's error stands
+    p.write_bytes(b"a\xff,b\n0.1,0.2\n")
+    message = "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        read_loadings_csv(str(p))
 
 
 def write_vg_json(path, xi, omega, theta, nu, C_dir=None):
@@ -400,18 +446,22 @@ def test_snapshot_schema_and_field_errors(tmp_path):
 
 def test_snapshot_field_type_errors(tmp_path):
     snap, _ = generate_synthetic_market(4, 2, 0.1, seed=7, periods=12)
+    weights = {"sigma": [0.2, 0.3], "constraints": [{"name": "m", "weights": [0.5, 0.51], "variance": 0.03}]}
     for changes, message in (
         ({"meta": None}, ": snapshot 'meta' must be a JSON object, got NoneType"),
         ({"target": 5}, ": snapshot 'target' must name a CSV file, got int"),
-        ({"spec": []}, " (spec): a market spec must be a JSON object, got list"),
+        ({"spec": []}, ": (spec): expected a JSON object, got list"),
+        ({"spec": {"sigma": [0.2]}}, ": (spec): missing field 'constraints'"),
+        ({"spec": weights}, ": (spec): weights of constraint 'm' sum to 1.01, expected 1 within 1e-12"),
     ):
         path = save_snapshot(snap, str(tmp_path))
         _edit_snapshot_json(path, **changes)
         with pytest.raises(ValueError, match=f"^{re.escape(path + message)}$"):
             load_snapshot(path)
+    path = str(tmp_path / "list.json")
     (tmp_path / "list.json").write_text("[]\n")
-    with pytest.raises(ValueError, match="list.json: a snapshot must be a JSON object, got list"):
-        load_snapshot(str(tmp_path / "list.json"))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: expected a JSON object, got list$"):
+        load_snapshot(path)
 
 
 def test_snapshot_dimension_errors(tmp_path):

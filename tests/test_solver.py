@@ -783,6 +783,20 @@ def stretched_market():
 
 
 HALF = 0.5 * np.eye(3) + 0.5
+# max|v_i| > sum|v_i| / 2, so the band [lo, hi] of index variances starts
+# above zero: v = (0.3, 0.04, 0.04), lo = 0.22^2 and hi = 0.38^2.
+BAND = ([0.5, 0.2, 0.2], [0.6, 0.2, 0.2])
+BAND_LO, BAND_HI = 0.0484, 0.1444
+
+
+def band_market(var):
+    return index_market(HALF, *BAND, var)
+
+
+def band_rows(var, verdict, ident, ks=(1, 2, 3)):
+    return [pytest.param(lambda: band_market(var), k, verdict, id=f"{ident}-k{k}") for k in ks]
+
+
 # ROADMAP item 24's atlas of degenerate markets.  Each row builds (A, spec)
 # and names its verdict: a converged, feasible solve at the optimal f given
 # (to FN_RTOL relative, the stopping rule's step, and to 1e-12 where it is
@@ -805,9 +819,10 @@ ATLAS = [
                    k, 0.0, id=f"single-name-k{k}") for k in (1, 2)),
     pytest.param(lambda: index_market(HALF, [0.2, 0.3, 0.4], [0.5, 0.3, 0.2], 0.05), 4,
                  (ValueError, r"k must lie in \[1, 3\]"), id="k>n"),
-    # At the variance v'v the pairs must sum to zero: C = I, by symmetry.
+    # At the variance v'v the pairs must sum to zero: C = I, by symmetry,
+    # also at k = n = 3.
     *(pytest.param(lambda: index_market(HALF, [0.2] * 3, [1 / 3] * 3, 3 * (0.2 / 3) ** 2),
-                   k, 1.5, id=f"variance-v'v-k{k}") for k in (1, 2)),
+                   k, 1.5, id=f"variance-v'v-k{k}") for k in (1, 2, 3)),
     # The one feasible C is s s', s = (1, -1, 1), which misses the pairs of
     # A by 1.5, 0.5 and 1.5.
     pytest.param(lambda: index_market(HALF, [0.2, 0.3, 0.25], [0.8, -0.3, 0.5], 0.375 ** 2),
@@ -816,6 +831,31 @@ ATLAS = [
     *(pytest.param(stretched_market, k, None, id=f"pairs-at-1.05-k{k}") for k in (1, 2)),
     pytest.param(lambda: index_market(HALF, [0.2, 0.3, 0.4], [0.5, 0.3, 0.2], 0.0), 1,
                  (ValueError, "must be positive"), id="variance-0"),
+    # Targets at the ends of a band with lo > 0, just inside and just outside.
+    *band_rows(BAND_LO * (1 - 1e-6), (RestorationError, "below the attainable minimum"), "below-lo"),
+    # At lo the one feasible C is s s', s = (1, -1, -1): f = 2 (1.5^2 + 1.5^2 + 0.5^2).
+    *band_rows(BAND_LO, 9.5, "at-lo", ks=(1,)),
+    *(pytest.param(
+        lambda: band_market(BAND_LO), k, 9.5, id=f"at-lo-k{k}",
+        marks=pytest.mark.xfail(
+            strict=True, raises=RestorationError,
+            reason="ROADMAP item 9: at the attainable minimum the curve search raises 'insensitive'",
+        ),
+    ) for k in (2, 3)),
+    *band_rows(BAND_LO * (1 + 1e-6), 9.49998, "above-lo"),
+    *band_rows(BAND_HI * (1 - 1e-6), 1.49998, "below-hi"),
+    # At hi the one feasible C is J: f = 6 * 0.5^2.
+    *band_rows(BAND_HI, 1.5, "at-hi"),
+    *band_rows(BAND_HI * (1 + 1e-6), (RestorationError, "exceeds the comonotonic bound"), "above-hi"),
+    # Tied weights, four assets at sigma = 0.3 and w = 0.25: the optimum is
+    # the equicorrelation matrix at the index, c = 1/3 (f = 12 / 6^2) at the
+    # variance 0.045 and c = 13/15 (f = 12 (11/30)^2) at 0.081.
+    *(pytest.param(lambda var=var: index_market(0.5 * np.eye(4) + 0.5, [0.3] * 4, [0.25] * 4, var),
+                   k, fn, id=f"tied-{var}-k{k}")
+      for var, fn in ((0.045, 1 / 3), (0.081, 12 * (11 / 30) ** 2)) for k in (1, 2, 4)),
+    # n = k = 2: the variance forces C_12 = 1/6, which misses A_12 = -0.3 by 7/15.
+    pytest.param(lambda: index_market(np.array([[1.0, -0.3], [-0.3, 1.0]]), [0.2, 0.3], [0.5, 0.5], 0.0375),
+                 2, 2 * (7 / 15) ** 2, id="n=k=2"),
 ]
 
 

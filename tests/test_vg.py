@@ -214,10 +214,15 @@ def test_nicm_under_vg_constraint_recovers_centered_variance():
 def test_vg_params_validation():
     with pytest.raises(ValueError, match="parameter lengths differ"):
         VGParams(np.zeros(2), np.ones(3), np.zeros(3), 0.5)
-    with pytest.raises(ValueError, match="not positive"):
+    # numpy scalars print as plain floats
+    with pytest.raises(ValueError, match=r"^omega\[1\] = 0\.0 is not positive$"):
         VGParams(np.zeros(2), np.array([0.2, 0.0]), np.zeros(2), 0.5)
-    with pytest.raises(ValueError, match="nu must be positive"):
+    with pytest.raises(ValueError, match=r"^omega\[1\] = -0\.1 is not positive$"):
+        VGParams(np.zeros(2), np.array([0.2, -0.1]), np.zeros(2), 0.5)
+    with pytest.raises(ValueError, match="^nu must be positive, got 0.0$"):
         VGParams(np.zeros(2), np.ones(2), np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="^nu must be positive, got -0.5$"):
+        VGParams(np.zeros(2), np.ones(2), np.zeros(2), np.float64(-0.5))
     with pytest.raises(ValueError, match="for 3 assets"):
         VGParams(np.zeros(3), np.ones(3), np.zeros(3), 0.5, CorrMatrix(np.eye(2)))
     p = VGParams(np.zeros(2), np.ones(2), np.zeros(2), 0.5)
