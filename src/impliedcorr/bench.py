@@ -50,6 +50,7 @@ class BenchCell:
     target: str = "true"
 
     def __post_init__(self) -> None:
+        _check_int("k", self.k)
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.target not in TARGETS:
@@ -78,6 +79,16 @@ class BenchSuite:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("suite has no cells")
+        for name in ("n", "k_true", "instances", "seed", "periods"):
+            _check_int(name, getattr(self, name))
+        if self.window is not None:
+            _check_int("window", self.window)
+        if isinstance(self.crp, bool) or not isinstance(self.crp, (int, float, np.number)):
+            raise TypeError(f"crp must be a number, got {self.crp!r}")
+        if not isinstance(self.measure_time, bool):
+            raise TypeError(f"measure_time must be true or false, got {self.measure_time!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.instances < 1:
             raise ValueError(f"instances must be at least 1, got {self.instances}")
         # Estimated targets and estimated loadings both come from return
@@ -94,6 +105,12 @@ class BenchSuite:
         d = _fields(cls, d, "suite")
         cells = tuple(BenchCell(**_fields(BenchCell, c, "cell")) for c in d.pop("cells"))
         return cls(cells=cells, **d)
+
+
+def _check_int(name: str, value) -> None:
+    """Raise TypeError unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _fields(cls, d, what: str) -> dict:

@@ -13,14 +13,17 @@ option-implied index variance.
 
 The solver is a spectral projected gradient method with inexact
 restoration (Martinez & Pilotta, JOTA 104 (2000)): each outer iterate
-moves along the negative gradient with a Barzilai-Borwein step, and the
-trial point is *restored* to the intersection of Omega (the row-norm ball
-products) and the variance surface E = {X : g(X) = 0} along one clipped
-curve, lam |-> P_Omega(X + lam K X) with K = v v' o J and v = sigma o w.
-P_Omega rescales only the rows whose squared norm exceeds one.  A curve
-search walks phi(lam) = g(P_Omega(X + lam K X)) out from its first-order
-root and refines a sign change by Illinois regula falsi; without one it
-moves to the sampled point nearest E and searches again from there.
+moves along -d, the tangential gradient d of _tangential, with a
+Barzilai-Borwein step whose quotient s's / s'y takes y from differences
+of d, not of grad f (Birgin, Martinez & Raydan, SIAM J. Optim. 10
+(2000)), and the trial point is *restored* to the intersection of Omega
+(the row-norm ball products) and the variance surface E = {X : g(X) = 0}
+along one clipped curve, lam |-> P_Omega(X + lam K X) with K = v v' o J
+and v = sigma o w.  P_Omega rescales only the rows whose squared norm
+exceeds one.  A curve search walks phi(lam) = g(P_Omega(X + lam K X)) out
+from its first-order root and refines a sign change by Illinois regula
+falsi; without one it moves to the sampled point nearest E and searches
+again from there.
 
 A solve has three phases.  _constraint builds the constraint (v, v o v,
 v'v, the target, both tolerances and the rows that a comonotonic target
@@ -304,7 +307,9 @@ def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple
     g0 2^-2e / (2 ||Y||^2).  It halves lam while |phi| does not shrink,
     then doubles it while phi keeps its sign and |phi| keeps shrinking.  A sign change is refined to |phi| <= con.eps; otherwise the
     sample nearest the surface is returned (cur itself if none is nearer),
-    with its residual.  Raises RestorationError when Y = 0.
+    with its residual.  A sample whose point is not finite has phi = NaN,
+    which every comparison here rejects, so the last finite sample is
+    returned.  Raises RestorationError when Y = 0.
     """
     Y = constraint_normal(con.vs, cur)
     yy = float(np.vdot(Y, Y))
@@ -315,10 +320,7 @@ def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple
     def sample(lam: float) -> tuple:
         # (lam, phi(lam), P_Omega(cur + lam Y)), phi being g there.
         P = cur + lam * Y
-        g = con.residual(P, _clip_omega(P))
-        if not math.isfinite(g):
-            raise RestorationError(_INSENSITIVE)
-        return lam, g, P
+        return lam, con.residual(P, _clip_omega(P)), P
 
     near, far = sample(lam), None
     while abs(near[1]) >= abs(g0):
@@ -531,9 +533,20 @@ def _descend(X: np.ndarray, A_hat: np.ndarray, a2: float, con: _Constraint, max_
     gnorm = float(np.max(np.abs(grad)))
     alpha = min(max(1.0 / gnorm, STEP_MIN), STEP_MAX) if gnorm > 0.0 else 1.0
     restorations = 0
+    dX = None
     for outer in range(1, max_outer_iter + 1):
-        s = 1.0
         direction = _tangential(grad, X, con)
+        if dX is not None:
+            # The BB quotient s's / s'y takes y as the change in d, not in
+            # grad f: near E grad f is mostly normal to it, and its change
+            # ignores the curvature of the feasible set.
+            sty = float(np.sum(dX * (direction - last)))
+            bb = float(np.sum(dX * dX)) / sty if sty > 0.0 else math.inf
+            # A quotient at STEP_MAX or beyond (a non-positive s'y among them)
+            # carries no scale of its own: take at most eight times the step
+            # just accepted.
+            alpha = max(bb, STEP_MIN) if bb < STEP_MAX else min(STEP_MAX, 8.0 * s * alpha)
+        s = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:
                 T = _project_feasible_raw(X - (s * alpha) * direction, con)
@@ -550,19 +563,10 @@ def _descend(X: np.ndarray, A_hat: np.ndarray, a2: float, con: _Constraint, max_
             return (X, f, trace, outer - 1, restorations, True,
                     "arc search exhausted without an acceptable step (projected stationary point)")
 
-        dX = T - X
-        dG = gT - grad
+        dX, last = T - X, direction
         X, grad = T, gT
         improvement, f = f - fT, fT
         trace.append(f)
-
-        sty = float(np.sum(dX * dG))
-        bb = float(np.sum(dX * dX)) / sty if sty > 0.0 else math.inf
-        # A quotient at STEP_MAX or beyond (a non-positive s'y among them)
-        # carries no scale of its own: take at most eight times the step
-        # just accepted.
-        alpha = max(bb, STEP_MIN) if bb < STEP_MAX else min(STEP_MAX, 8.0 * s * alpha)
-
         if improvement < FN_RTOL * f:
             return X, f, trace, outer, restorations, True, "relative objective improvement below tolerance"
     return X, f, trace, max_outer_iter, restorations, False, "iteration limit reached"

@@ -229,6 +229,14 @@ def test_suite_from_dict(tmp_path):
         ({"cells": [{"model": "nicm"}], "var_tol": 1e-8}, "unknown suite fields: ['var_tol']"),
         ({"cells": [{"model": "nicm", "kk": 2}]}, "unknown cell fields: ['kk']"),
         ({"cells": ["nicm"]}, "a cell must be a JSON object, got str"),
+        ({"cells": [{"model": "nicm"}], "n": "12"}, "n must be an integer, got '12'"),
+        ({"cells": [{"model": "nicm"}], "seed": -1}, "seed must be non-negative, got -1"),
+        ({"cells": [{"model": "nicm", "k": 2.5}]}, "k must be an integer, got 2.5"),
+        ({"cells": [{"model": "nicm"}], "instances": 1.5}, "instances must be an integer, got 1.5"),
+        ({"cells": [{"model": "nicm"}], "periods": True}, "periods must be an integer, got True"),
+        ({"cells": [{"model": "nicm"}], "window": 26.0}, "window must be an integer, got 26.0"),
+        ({"cells": [{"model": "nicm"}], "crp": "0.1"}, "crp must be a number, got '0.1'"),
+        ({"cells": [{"model": "nicm"}], "measure_time": 0}, "measure_time must be true or false, got 0"),
     ):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):

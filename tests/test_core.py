@@ -490,6 +490,11 @@ def test_factor_min_eigenvalue_takes_few_evaluations(k):
 # The fourth Newton point is exactly h_3 = 0.375 = lam_min, so row 3 enters
 # S with h_3 - lam = 0.
 @example(np.array([[0.0, -0.75], [-1.0, 0.0], [-0.25, 0.75], [0.25, 0.5]]))
+# Rows 1 and 2 are equal, so lam_min = h_1 = h_2 = 1 - 54850 / 2^16 is the
+# bracket's lower end.  The first Newton point lands 5.3e-16 below it, more
+# than tol / 2 = 3.0e-16 outside the bracket, and is replaced by the
+# midpoint (3 evaluations).
+@example(np.array([[-65.0, -225.0], [-65.0, -225.0], [-66.0, -223.0]]) / 256.0)
 def test_factor_min_eigenvalue_stays_within_the_bisection_steps(X):
     n, k = X.shape
     lam, evaluations = factor_min_eigenvalue_evaluations(X)
