@@ -26,8 +26,8 @@ falsi; without one it moves to the sampled point nearest E and searches
 again from there.
 
 A solve has three phases.  _constraint builds the constraint (v, v o v,
-v'v, the target, both tolerances and the rows that a comonotonic target
-fixes) and rejects an unattainable target; every g is core.hollow_form's.
+v'v, the target, both tolerances and the rows that a target at either
+end fixes) and rejects an unattainable target; every g is core.hollow_form's.
 The start is initial_loadings, restored.  _descend runs the outer loop:
 its step (_tangential) holds the sphere rows it would push outward and is
 tangential to E, so the restoration only absorbs second-order drift, and
@@ -212,8 +212,8 @@ class _Constraint(NamedTuple):
     """The constraint g(X) = target - v'C(X)v of one solve: vv = v o v, v2 = v'v,
     the |g| tolerance tol of a restoration, the root tolerance eps of a curve
     search, vs = v 2^-e with sum_i |vs_i| in [1/2, 1), and com, whose rows with
-    v_i != 0 a comonotonic target fixes.  The curve direction K X is quartic in
-    v, so it is taken from vs: its squares stay in range at any scale of v."""
+    v_i != 0 a target at either end of [lo, hi] fixes.  The curve direction K X
+    is quartic in v, so it is taken from vs: its squares stay in range at any scale."""
 
     v: np.ndarray
     vv: np.ndarray
@@ -233,7 +233,7 @@ class _Constraint(NamedTuple):
 def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constraint:
     """The constraint of spec for n x k loadings, restored to |g| <= min(RESTORATION_TOL,
     var_tol) * hi; raises RestorationError, carrying the residual, when the target is
-    RESTORATION_TOL * hi outside core's [lo, hi] or the comonotonic point misses con.tol."""
+    RESTORATION_TOL * hi outside core's [lo, hi] or the end point it fixes misses con.tol."""
     v, target = spec.scaled_weights(), spec.market.variance
     lo, hi = _variance_range(v)
     slack = RESTORATION_TOL * hi
@@ -246,23 +246,23 @@ def _constraint(spec: MarketSpec, k: int, var_tol: float = _VAR_TOL) -> _Constra
             f"(2 max|v_i| - sum|v_i|)^2 = {lo:g}; no feasible loadings exist",
             residual=target - lo,
         )
-    if target < hi - slack:
-        return con
-    # A target at the comonotonic bound fixes the priced rows (v_i != 0) at
-    # correlation one and leaves the others free.  E is tangent to the ball
-    # there, so no curve crosses it; the priced rows are set directly.  With
-    # one priced asset (lo = hi) every X meets the target: none is fixed.
-    com = np.zeros((v.size, k))
-    com[:, 0] = np.where(v < 0.0, -1.0, 1.0)
-    resid = con.residual(com)
-    if abs(resid) > slack:
+    if target > hi + slack:
         raise RestorationError(
             f"index variance target {target:g} exceeds the comonotonic bound "
             f"{hi:g}; no feasible loadings exist",
-            residual=resid,
+            residual=target - hi,
         )
+    if (lo == 0.0 or target > lo + slack) and target < hi - slack:
+        return con
+    # A target at either end of [lo, hi] fixes the priced rows (v_i != 0) on
+    # e_1: at hi all at correlation one, at lo > 0 the dominant asset's row
+    # against the rest.  E is tangent to the ball there, so no curve crosses
+    # it; they are set directly.  With one priced asset (lo = hi) none is.
+    com, s = np.zeros((v.size, k)), np.sign(v)
+    com[:, 0] = s if target >= hi - slack else np.where(np.abs(v) < np.abs(v).max(), -s, s)
+    resid = con.residual(com)
     if abs(resid) > con.tol:
-        raise RestorationError(f"the comonotonic point misses |g| <= {con.tol:g}", residual=resid)
+        raise RestorationError(f"the end point misses |g| <= {con.tol:g}", residual=resid)
     return con._replace(com=com) if lo < hi else con
 
 
@@ -341,7 +341,7 @@ def _project_equality_raw(cur: np.ndarray, g0: float, con: _Constraint) -> tuple
 def _project_feasible_raw(arr: np.ndarray, con: _Constraint) -> np.ndarray:
     """Restore loadings to Omega intersected with the surface g = 0 of con.
 
-    At a comonotonic target the rows with v_i != 0 are first set to con.com's.
+    At a target at either end the rows with v_i != 0 are first set to con.com's.
     The point is clipped to Omega, then searched along the clipped curve of
     the module docstring until |g| <= con.tol.  The returned rows satisfy
     ||X_i||^2 <= 1 + EPS_FEAS, and already-feasible points are returned
@@ -456,9 +456,9 @@ def initial_loadings(A, k: int) -> FactorLoadings:
     The first argument matches the dominant off-diagonal mass of the
     target along e_d; the second caps every row so X0 lands inside Omega
     regardless.  Eigenvalues at or below one make the first argument zero
-    or imaginary, in which case the cap (or zero, for iota_d = 1 exactly)
-    is used alone; a degenerate denominator likewise falls back to the
-    cap.  For the identity target all columns are zero.
+    or imaginary, in which case the cap is used alone; a degenerate
+    denominator likewise falls back to the cap.  For the identity target
+    column d is e_d / sqrt(k), each eigenvector at its cap.
 
     The top k eigenpairs come from a certified Lanczos run
     (:func:`_subspace_eigenpairs`, one O(n^2) product per step) and, when
@@ -489,13 +489,11 @@ def initial_loadings(A, k: int) -> FactorLoadings:
         num = (iota - 1.0) * norm2
         den = k * (norm2 * norm2 - float(np.sum(e**4)))
         cap = 1.0 / (math.sqrt(k) * float(np.max(np.abs(e))))
-        if num == 0.0:
-            varsigma = 0.0
-        elif num > 0.0 and den > 0.0:
+        if num > 0.0 and den > 0.0:
             varsigma = min(math.sqrt(num / den), cap)
         else:
-            # iota_d < 1 (imaginary radicand) or a denominator that
-            # vanishes: keep only the Omega cap.
+            # iota_d <= 1 (a radicand that is not positive) or a
+            # denominator that vanishes: keep only the Omega cap.
             varsigma = cap
         X0[:, d] = varsigma * e
     return FactorLoadings(X0)

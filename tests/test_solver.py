@@ -324,9 +324,16 @@ def test_project_feasible_beyond_comonotonic_raises():
     w = np.array([0.5, 0.3, 0.2])
     cap = float(np.sum(sigma * w)) ** 2
     spec = MarketSpec(sigma, (IndexConstraint("m", w, cap * (1.0 - 5e-11)),))
-    with pytest.raises(RestorationError, match=r"the comonotonic point misses \|g\| <= 5.76e-14$") as err:
+    with pytest.raises(RestorationError, match=r"the end point misses \|g\| <= 5.76e-14$") as err:
         _constraint(spec, 2, 1e-12)
     assert err.value.residual == pytest.approx(-5e-11 * cap, rel=1e-3)
+    # The mirror at the attainable minimum of BAND: 5e-11 of hi above lo,
+    # the dominant asset's row against the rest misses the same var_tol,
+    # 1.444e-13 in units of g.
+    _, spec = band_market(BAND_LO + 5e-11 * BAND_HI)
+    with pytest.raises(RestorationError, match=r"the end point misses \|g\| <= 1.444e-13$") as err:
+        _constraint(spec, 2, 1e-12)
+    assert err.value.residual == pytest.approx(5e-11 * BAND_HI, rel=1e-3)
 
 
 def test_project_feasible_below_attainable_minimum_raises():
@@ -422,16 +429,22 @@ def test_project_feasible_near_comonotonic_target():
     assert abs(_residual(Z, spec)) <= restoration_bound(spec)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RestorationError,
-    reason="ROADMAP item 9: the curve X + lam K X does not reach targets at or just above "
-    "the attainable minimum (2 max|v_i| - sum|v_i|)^2, which a closed polygon of unit rows attains",
-)
-def test_solve_nicm_target_at_attainable_minimum():
-    # The mirror of the near-comonotonic case.  Each of the three solves
-    # raises "did not reach |g| <= 1e-10 ... within 100 curve searches";
-    # k = 2 converges at 1.5 times the minimum, k = 3 at three times.
+@pytest.mark.parametrize("k, scale", [
+    (2, 1.0),
+    (3, 1.0),
+    pytest.param(3, 1.5, marks=pytest.mark.xfail(
+        strict=True,
+        raises=RestorationError,
+        reason="ROADMAP item 9: the curve X + lam K X does not reach targets just above "
+        "the attainable minimum (2 max|v_i| - sum|v_i|)^2, which a closed polygon of unit rows attains",
+    )),
+])
+def test_solve_nicm_target_at_attainable_minimum(k, scale):
+    # The mirror of the near-comonotonic case.  At the minimum itself the
+    # priced rows are pinned, the dominant asset's against the rest, and
+    # the solve ends there (f = 9.5, no accepted step).  At 1.5 times the
+    # minimum k = 3 raises "did not reach |g| <= 1e-10 ... within 100 curve
+    # searches"; k = 2 converges there, and k = 3 at three times.
     sigma = np.array([0.2410975940425264, 0.25, 0.69010231753224])
     w = np.array([0.5376362100018789, 0.2007541433727046, 0.2616096466254166])
     v = np.abs(sigma * w)
@@ -439,11 +452,12 @@ def test_solve_nicm_target_at_attainable_minimum():
     assert minimum == pytest.approx(5.272079663368302e-07, rel=1e-12)
     A = np.full((3, 3), 0.5)
     np.fill_diagonal(A, 1.0)
-    for k, scale in ((2, 1.0), (3, 1.0), (3, 1.5)):
-        spec = MarketSpec(sigma, (IndexConstraint("m", w, scale * minimum),))
-        res = solve_nicm(A, spec, SolverConfig(k=k))
-        assert res.converged
-        assert abs(res.constraint_residual) <= 1e-6
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, scale * minimum),))
+    res = solve_nicm(A, spec, SolverConfig(k=k))
+    assert res.converged
+    assert abs(res.constraint_residual) <= 1e-6
+    if scale == 1.0:
+        assert res.fn == pytest.approx(9.5, rel=1e-12) and res.outer_iterations == 0
 
 
 def hard_repair(market, scale=1.0):
@@ -629,6 +643,21 @@ def test_project_feasible_negative_weights_comonotonic_point():
     assert in_omega(Z)
 
 
+def test_project_feasible_negative_weights_at_the_attainable_minimum():
+    # v = (0.18, 0.09, -0.05): lo = (2 * 0.18 - 0.32)^2 = 0.04^2 is reached
+    # only with the dominant asset's row against the other exposures, so
+    # every start restores to C = s s' with s = (1, -1, 1): the short row
+    # sides with the dominant one.
+    sigma = np.array([0.2, 0.3, 0.25])
+    w = np.array([0.9, 0.3, -0.2])
+    spec = MarketSpec(sigma, (IndexConstraint("m", w, 0.04**2),))
+    s = np.array([1.0, -1.0, 1.0])
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3):
+        Z = restore(rng.uniform(-1.0, 1.0, size=(3, k)), spec)
+        np.testing.assert_allclose(assemble_correlation(Z).values, np.outer(s, s), atol=1e-12)
+
+
 def test_project_feasible_final_clip_keeps_tolerance():
     # Vols quoted in percent and beyond: the exact clip of the converged
     # point can move g past the tolerance, so the clip is re-checked; the
@@ -785,6 +814,9 @@ ITEM24_SIGMA = np.array([0.2, 0.3, 0.25, 0.4])
 ITEM24_W = np.array([0.5, 0.5, 0.0, 0.0])
 ITEM24_A = np.array([[1.0, 0.9, -0.5, -0.5], [0.9, 1.0, -0.5, -0.5],
                      [-0.5, -0.5, 1.0, 0.6], [-0.5, -0.5, 0.6, 1.0]])
+# The identity but for A_34 = A_43 = 0.6, on the unpriced assets.
+UNPRICED_A = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.6], [0.0, 0.0, 0.6, 1.0]])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -845,13 +877,20 @@ ATLAS = [
     pytest.param(lambda: index_market(np.eye(1), [0.2], [1.0], 0.04), 1, 0.0, id="n=1"),
     pytest.param(lambda: index_market(ITEM24_A, ITEM24_SIGMA, ITEM24_W, 0.04), 1, None,
                  id="zero-weights"),
+    pytest.param(lambda: index_market(np.eye(4), ITEM24_SIGMA, ITEM24_W, 0.04), 2, None,
+                 id="zero-weights-identity"),
+    # The top eigenvector of A lives on the unpriced assets 3 and 4, so at
+    # k = 1 the start's priced rows are 0, where K X0 = 0.  The variance is
+    # lo + 0.2 (hi - lo).
+    pytest.param(lambda: index_market(UNPRICED_A, ITEM24_SIGMA, ITEM24_W, 0.0145), 2, 0.72,
+                 id="unpriced-start-k2"),
     pytest.param(
-        lambda: index_market(np.eye(4), ITEM24_SIGMA, ITEM24_W, 0.04), 2, None,
-        id="zero-weights-identity",
+        lambda: index_market(UNPRICED_A, ITEM24_SIGMA, ITEM24_W, 0.0145), 1, None,
+        id="unpriced-start-k1",
         marks=pytest.mark.xfail(
             strict=True, raises=RestorationError,
-            reason="ROADMAP item 9: the identity's spectral start is X0 = 0, where K X0 = 0, "
-            "so the curve search raises 'insensitive'",
+            reason="ROADMAP items 9 and 19: the spectral start has no priced row, so K X0 = 0 "
+            "and the curve search raises 'insensitive'",
         ),
     ),
     # One priced asset: lo = hi, every X meets the constraint and k = 1 fits A.
@@ -874,14 +913,7 @@ ATLAS = [
     # Targets at the ends of a band with lo > 0, just inside and just outside.
     *band_rows(BAND_LO * (1 - 1e-6), (RestorationError, "below the attainable minimum"), "below-lo"),
     # At lo the one feasible C is s s', s = (1, -1, -1): f = 2 (1.5^2 + 1.5^2 + 0.5^2).
-    *band_rows(BAND_LO, 9.5, "at-lo", ks=(1,)),
-    *(pytest.param(
-        lambda: band_market(BAND_LO), k, 9.5, id=f"at-lo-k{k}",
-        marks=pytest.mark.xfail(
-            strict=True, raises=RestorationError,
-            reason="ROADMAP item 9: at the attainable minimum the curve search raises 'insensitive'",
-        ),
-    ) for k in (2, 3)),
+    *band_rows(BAND_LO, 9.5, "at-lo"),
     *band_rows(BAND_LO * (1 + 1e-6), 9.49998, "above-lo"),
     *band_rows(BAND_HI * (1 - 1e-6), 1.49998, "below-hi"),
     # At hi the one feasible C is J: f = 6 * 0.5^2.
@@ -913,27 +945,30 @@ def test_degenerate_market_atlas(market, k, verdict):
         assert res.fn == pytest.approx(verdict, rel=solver.FN_RTOL, abs=1e-12)
 
 
-def test_initial_loadings_identity_target_is_zero():
-    X0 = initial_loadings(np.eye(5), 2)
-    np.testing.assert_array_equal(X0.values, np.zeros((5, 2)))
+def test_initial_loadings_identity_target_is_the_cap():
+    # Every eigenvalue of the identity is 1, a radicand of zero, so column d
+    # is the eigenvector e_d at the Omega cap 1 / (sqrt(k) max_i |e_d,i|):
+    # e_d / sqrt(k), whose rows have squared norm 1 / k or 0.
+    for n, k in ((5, 1), (5, 2), (5, 5), (50, 2)):
+        X0 = initial_loadings(np.eye(n), k)
+        np.testing.assert_allclose(X0.values, np.eye(n)[:, :k] / np.sqrt(k), rtol=1e-15)
+        assert in_omega(X0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RestorationError,
-    reason="every eigenvalue of the identity is 1, so the spectral start is X0 = 0, where "
-    "K X0 = 0 and the curve search cannot raise the variance above v'v",
-)
 def test_solve_nicm_identity_target():
-    for n in (2, 5, 50):
-        sigma = np.full(n, 0.2)
-        w = np.full(n, 1.0 / n)
-        v = sigma * w
-        var = 0.5 * (float(v @ v) + float(v.sum()) ** 2)
-        spec = MarketSpec(sigma, (IndexConstraint("m", w, var),))
-        res = solve_nicm(np.eye(n), spec, SolverConfig(k=2))
-        assert res.converged
-        assert abs(res.constraint_residual) <= 1e-6
+    # The estimate that carries no correlation information: each solve
+    # ends within 1.3e-4 relative of the convex relaxation's dual bound.
+    for k in (1, 2):
+        for n in (2, 5, 50):
+            sigma = np.full(n, 0.2)
+            w = np.full(n, 1.0 / n)
+            v = sigma * w
+            var = 0.5 * (float(v @ v) + float(v.sum()) ** 2)
+            spec = MarketSpec(sigma, (IndexConstraint("m", w, var),))
+            res = solve_nicm(np.eye(n), spec, SolverConfig(k=k))
+            assert res.converged, (n, k)
+            assert abs(res.constraint_residual) <= 1e-6
+            assert res.fn == pytest.approx(dual_bound(np.eye(n), spec, 1e-6), rel=1e-3), (n, k)
 
 
 def test_initial_loadings_always_in_omega():
