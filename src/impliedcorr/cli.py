@@ -88,11 +88,12 @@ def _emit(obj: dict) -> None:
 
 
 # Each input's reader, looked up by name when it is called, and the
-# snapshot field that stands in for its file.
+# snapshot field that stands in for its file.  Loadings come with their
+# factor names, from the file's header or the snapshot's factor_names.
 _INPUTS = {
     "matrix": (lambda path: read_matrix_csv(path), "target"),
     "target": (lambda path: read_matrix_csv(path), "target"),
-    "loadings": (lambda path: read_loadings_csv(path)[1], "loadings"),
+    "loadings": (lambda path: read_loadings_csv(path), "loadings"),
     "spec": (lambda path: read_market_spec(path), "spec"),
 }
 
@@ -114,6 +115,8 @@ def _inputs(args, *names: str, optional: tuple[str, ...] = ()) -> list:
             value = read(path)
         else:
             value = None if snap is None else getattr(snap, field)
+            if name == "loadings" and value is not None:
+                value = snap.factor_names, value
         if value is None and name in required:
             raise ValueError(f"{args.snapshot}: snapshot carries no {field}")
         values.append(value)
@@ -181,11 +184,12 @@ def _cmd_nearest(args) -> int:
 
 
 def _cmd_economic(args) -> int:
-    X_P, spec = _inputs(args, "loadings", "spec")
+    (names, X_P), spec = _inputs(args, "loadings", "spec")
     res = economic_implied_corr(X_P, spec)
     out = _record(res)
     _write_artifact(args, out, "C", "economic_C.csv", write_matrix_csv, res.C.values)
-    _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q)
+    # Gram-Schmidt keeps the column order, so X_Q's columns keep their names.
+    _write_artifact(args, out, "X_Q", "economic_XQ.csv", write_loadings_csv, res.X_Q, names)
     feasible = _feasibility(out, res.C, spec)
     _emit(out)
     return EXIT_OK if feasible else EXIT_NONCONVERGENCE

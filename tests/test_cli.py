@@ -621,6 +621,21 @@ def test_economic_cli(tmp_path, capsys):
     assert os.path.exists(out["paths"]["X_Q"])
 
 
+@pytest.mark.parametrize("source", ["loadings", "snapshot"])
+def test_economic_xq_keeps_the_factor_names(market, tmp_path, capsys, source):
+    # The orthogonalization keeps the column order, so X_Q's columns keep
+    # the names of the --loadings file's header or the snapshot's.
+    path = market["loadings"]
+    if source == "snapshot":
+        with open(market["snapshot"]) as fh:
+            path = os.path.join(os.path.dirname(market["snapshot"]), json.load(fh)["loadings"])
+    write_loadings_csv(path, read_loadings_csv(path)[1], ["mkt", "smb"])
+    argv = ["economic", "--out-dir", str(tmp_path / "e"), "--spec", market["spec"], f"--{source}", market[source]]
+    code, out, _ = run_json(capsys, argv)
+    assert code == 0
+    assert read_loadings_csv(out["paths"]["X_Q"])[0] == ["mkt", "smb"]
+
+
 @pytest.fixture
 def infeasible_economic_market(tmp_path, capsys):
     """The snapshot of `synth -n 50 --k-true 6 --crp 0.1 --seed 1`."""
